@@ -1,7 +1,7 @@
 """Concurrent serving: many client threads, one micro-batching scheduler.
 
 Eight threads fire QA traffic at a cache-fronted serving stack through
-`repro.serving.ConcurrentStack`. The scheduler coalesces requests into
+`repro.serving.BatchingScheduler`. The scheduler coalesces requests into
 batches, dispatches them through the middleware stack, and resolves
 futures in submission order — so the answers (and the cache/budget state
 behind them) are bit-identical to a serial loop, while a simulated
@@ -20,7 +20,7 @@ from repro.datasets import generate_hotpot
 from repro.datasets.hotpot import paraphrase
 from repro.llm import LLMClient
 from repro.llm.client import default_world
-from repro.serving import ConcurrentStack, build_stack, last_question_key
+from repro.serving import BatchingScheduler, build_stack, last_question_key
 
 N_THREADS = 8
 
@@ -55,16 +55,16 @@ def main() -> None:
 
     # --- the same workload from N_THREADS client threads -------------------
     stack = build_serving_stack()
-    served = ConcurrentStack(stack, max_batch_size=8, workers=N_THREADS)
+    served = BatchingScheduler(stack, max_batch_size=8, workers=N_THREADS)
     print(f"pipeline:          {served.describe()}")
     results = [None] * len(prompts)
-    base = served.scheduler.reserve(len(prompts))
+    base = served.reserve(len(prompts))
 
     def client_thread(offset: int) -> None:
         # Each thread owns a strided slice; explicit submission indexes keep
         # the logical order independent of thread interleaving.
         for i in range(offset, len(prompts), N_THREADS):
-            results[i] = served.scheduler.submit(prompts[i], index=base + i)
+            results[i] = served.submit(prompts[i], index=base + i)
 
     start = time.perf_counter()
     threads = [
@@ -86,11 +86,11 @@ def main() -> None:
     # entry a probe hits first.
     accuracy = sum(t == a for t, a in zip(concurrent_texts, answers)) / len(answers)
     print(f"accuracy: {accuracy:.2f}")
-    print(served.report())
+    print(served.stats.render())
 
     # --- determinism: workers=1 reproduces the serial loop bit for bit -----
     stack = build_serving_stack()
-    with ConcurrentStack(stack, max_batch_size=8, workers=1) as deterministic:
+    with BatchingScheduler(stack, max_batch_size=8, workers=1) as deterministic:
         ordered_texts = [
             c.text for c in deterministic.complete_many(prompts, submitters=N_THREADS)
         ]

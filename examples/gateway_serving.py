@@ -17,7 +17,7 @@ import time
 from repro.bench.perf import SimulatedServiceProvider
 from repro.errors import DeadlineExceededError
 from repro.llm import LLMClient
-from repro.serving import AsyncGateway, GatewayRequest, build_stack
+from repro.serving import AsyncGateway, BatchingScheduler, GatewayRequest, build_stack
 
 SERVICE_MS = 15.0  # simulated per-call service time
 
@@ -56,9 +56,10 @@ def make_traffic(n):
 
 async def serve(requests):
     stack = build_backend()
+    # workers=4: sleeps release the GIL, so dispatch overlap is real.
+    scheduler = BatchingScheduler(stack, workers=4, max_wait_ms=0.0)
     async with AsyncGateway(
-        stack,
-        workers=4,  # sleeps release the GIL: real dispatch overlap
+        scheduler,
         max_inflight=4,  # shallow window: backlog stays where priority applies
         max_queue_per_class=16,
     ) as gateway:
@@ -88,6 +89,7 @@ async def serve(requests):
                 f"completed={bucket['completed']:>3} shed={bucket['shed']:>3} "
                 f"degraded={bucket['degraded']:>3}"
             )
+    scheduler.close()
     return stack
 
 

@@ -3,12 +3,12 @@
 Run with:  python examples/quickstart.py
 """
 
-from repro.core.cache import CachedLLMClient
 from repro.core.cascade import CascadeClient
 from repro.core.prompts.templates import qa_prompt
 from repro.datasets import build_concert_db
 from repro.apps.transform import NL2SQLTranslator
 from repro.llm import LLMClient
+from repro.serving import build_stack
 from repro.sqldb import Database
 
 
@@ -50,12 +50,13 @@ def main() -> None:
     # 5. The semantic cache (Section III-C): second ask is free.
     print("\n== 5. Semantic cache ==")
     base = LLMClient(model="gpt-4")
-    cached = CachedLLMClient(base)
+    cached = build_stack(base, cache=True)
     prompt = qa_prompt("Who directed The Silent Mirror?")
     cached.complete(prompt)
     spent_after_first = base.meter.cost
-    _answer, source = cached.complete(prompt)
-    print(f"second answer served from: {source}; extra spend: "
+    again = cached.complete(prompt)
+    tier = again.metadata["serving.cache"]["tier"]
+    print(f"second answer served from: cache ({tier} hit); extra spend: "
           f"${base.meter.cost - spent_after_first:.5f}")
 
 

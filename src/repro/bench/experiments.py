@@ -27,7 +27,7 @@ from repro.datasets.spider import (
 )
 from repro.datasets.workloads import build_analytics_db, generate_timing_workload
 from repro.llm.client import LLMClient, default_world
-from repro.serving import ConcurrentStack, ServiceStats, build_stack, last_question_key
+from repro.serving import BatchingScheduler, ServiceStats, build_stack, last_question_key
 
 TABLE1_MODELS = ("babbage-002", "gpt-3.5-turbo", "gpt-4")
 
@@ -48,7 +48,7 @@ def _served_texts(
     """
     if not parallel:
         return [provider.complete(prompt).text for prompt in prompts]
-    with ConcurrentStack(provider, workers=1) as served:
+    with BatchingScheduler(provider, workers=1) as served:
         completions = served.complete_many(prompts, submitters=max(1, workers))
     return [completion.text for completion in completions]
 

@@ -26,7 +26,7 @@ goodput while the FIFO baseline collapses (unbounded queue wait) —
 the equivalence cell below.
 
 Determinism is re-proven on every run: the ``equivalence`` cell replays
-one request stream through a ``workers=1`` no-deadline gateway and
+one request stream through a single-worker no-deadline gateway and
 through a serial ``ServingStack.complete`` loop on an identical fresh
 stack, and counts any completion that is not bit-identical. The
 ``degradation`` cell is a deterministic (injected-clock) demo of the
@@ -53,6 +53,7 @@ from repro.errors import DeadlineExceededError
 from repro.llm.client import LLMClient
 from repro.llm.provider import make_client
 from repro.serving.gateway import AsyncGateway, GatewayRequest
+from repro.serving.scheduler import BatchingScheduler
 from repro.serving.stack import build_stack
 
 DEFAULT_GATEWAY_REPORT_PATH = "BENCH_gateway.json"
@@ -190,10 +191,20 @@ def _run_side(
     )
     stack = build_stack(provider)
 
+    # workers dispatchers, batches of 4 flushed at once; the baseline's
+    # backend queue is as unbounded as its admission queue.
+    scheduler = BatchingScheduler(
+        stack,
+        workers=workers,
+        max_batch_size=4,
+        max_wait_ms=0.0,
+        max_queue=4096 if admission else 10**9,
+    )
+
     async def run() -> Tuple[List[_Outcome], float]:
         if admission:
             gateway = AsyncGateway(
-                stack,
+                scheduler,
                 classes=tuple(cls for cls, _share, _f in DEFAULT_CLASS_MIX),
                 max_queue_per_class=max_queue_per_class,
                 degrader=None,  # shed, don't degrade: keeps goodput unambiguous
@@ -203,29 +214,22 @@ def _run_side(
                 # batch keeps the workers fed while the backlog stays in
                 # the gateway's class queues where EDF/priority apply.
                 max_inflight=workers * 4,
-                workers=workers,
-                max_batch_size=4,
-                max_wait_ms=0.0,
-                max_queue=4096,
             )
         else:
             gateway = AsyncGateway(
-                stack,
+                scheduler,
                 classes=("all",),
                 max_queue_per_class=10**9,
                 shed_expired=False,
                 degrader=None,
-                workers=workers,
-                max_batch_size=4,
-                max_wait_ms=0.0,
-                max_queue=10**9,
             )
         t0 = time.perf_counter()
         async with gateway:
             outcomes = await _drive_open_loop(gateway, workload, arrivals, admission)
         return outcomes, time.perf_counter() - t0
 
-    outcomes, elapsed = asyncio.run(run())
+    with scheduler:
+        outcomes, elapsed = asyncio.run(run())
     served = [o.latency_ms for o in outcomes if o.status == "ok"]
     cell = _latency_summary(served or [0.0], elapsed)
     cell["completed"] = sum(1 for o in outcomes if o.status == "ok")
@@ -256,7 +260,7 @@ def _run_side(
 
 
 def _equivalence_cell(n: int, seed: int) -> Dict[str, object]:
-    """workers=1, no deadlines: gateway vs serial loop, bit-for-bit.
+    """One worker, no deadlines: gateway vs serial loop, bit-for-bit.
 
     The stream repeats prompts so the semantic cache is live state — any
     reordering by the gateway would flip hit patterns and diverge."""
@@ -271,7 +275,7 @@ def _equivalence_cell(n: int, seed: int) -> Dict[str, object]:
     gateway_stack = build_stack(LLMClient(seed=seed), cache=True)
 
     async def run() -> List[object]:
-        async with AsyncGateway(gateway_stack, classes=("all",), workers=1) as gateway:
+        async with AsyncGateway(gateway_stack, classes=("all",)) as gateway:
             return await gateway.complete_all(prompts)
 
     got = asyncio.run(run())

@@ -66,7 +66,7 @@ from repro.errors import LLMError
 from repro.llm.client import Completion, LLMClient
 from repro.llm.embeddings import EmbeddingModel
 from repro.llm.faults import FaultInjectingProvider
-from repro.serving import ConcurrentStack, ResilienceConfig, build_stack
+from repro.serving import BatchingScheduler, ResilienceConfig, build_stack
 
 DEFAULT_REPORT_PATH = "BENCH_hotpaths.json"
 SCHEMA = "repro.bench.hotpaths/v1"
@@ -1015,7 +1015,7 @@ def _drive_concurrent(
     """Feed all prompts from ``submitters`` threads; returns per-request
     wall-clock latencies, total elapsed seconds, and the mean batch size."""
     latencies = [0.0] * len(prompts)
-    served = ConcurrentStack(
+    served = BatchingScheduler(
         stack,
         max_batch_size=batch,
         max_wait_ms=max_wait_ms,
@@ -1023,12 +1023,12 @@ def _drive_concurrent(
         combine=combine,
     )
     start = time.perf_counter()
-    base = served.scheduler.reserve(len(prompts))
+    base = served.reserve(len(prompts))
 
     def feed(offset: int) -> None:
         for i in range(offset, len(prompts), submitters):
             t0 = time.perf_counter()
-            future = served.scheduler.submit(prompts[i], index=base + i)
+            future = served.submit(prompts[i], index=base + i)
 
             def on_done(_future, i=i, t0=t0):
                 latencies[i] = (time.perf_counter() - t0) * 1000.0
@@ -1069,7 +1069,7 @@ def run_serving(
 
     * the **serial baseline** completes requests one at a time;
     * each ``(workers, batch)`` configuration drives the same stream
-      through :class:`~repro.serving.ConcurrentStack` from ``submitters``
+      through :class:`~repro.serving.BatchingScheduler` from ``submitters``
       client threads, with ``combine=True`` whenever ``batch > 1`` so
       multi-request batches go through ``complete_batch``.
 

@@ -19,7 +19,6 @@ One module per challenge the paper identifies:
 from repro.core.cascade import CascadeClient, CascadeResult, ConfidenceDecisionModel, LearnedDecisionModel
 from repro.core.cache import (
     AdmissionPredictor,
-    CachedLLMClient,
     CacheStats,
     EvictionPolicy,
     SemanticCache,
@@ -36,7 +35,6 @@ __all__ = [
     "AdaptiveKPredictor",
     "AdmissionPredictor",
     "CacheStats",
-    "CachedLLMClient",
     "CascadeClient",
     "CascadeResult",
     "CombinedPlan",

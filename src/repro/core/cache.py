@@ -37,7 +37,6 @@ import numpy as np
 
 from repro._util import cosine
 from repro.llm.embeddings import EmbeddingModel
-from repro.llm.provider import CompletionProvider
 from repro.vectordb import FlatIndex, HNSWIndex, IVFIndex, auto_index
 from repro.vectordb.distance import Metric, scalar_similarity
 
@@ -670,52 +669,3 @@ class SemanticCache:
             # in the put buffer just gets retracted from it.
             self.index.remove(victim.key)
         self.stats.evictions += 1
-
-
-class CachedLLMClient:
-    """LLM client wrapper that consults a :class:`SemanticCache` first.
-
-    On a *reuse* hit the cached text is returned with zero cost. On an
-    *augment* hit the cached (query, response) pair is appended to the
-    prompt as an extra example before calling the LLM (the paper's case
-    (2): cached queries augment the new query).
-
-    For a wrapper that itself implements the provider protocol (and so
-    stacks under other layers), see
-    :class:`repro.serving.SemanticCacheMiddleware`.
-    """
-
-    def __init__(
-        self,
-        client: CompletionProvider,
-        cache: Optional[SemanticCache] = None,
-        cache_kind: str = "original",
-    ) -> None:
-        self.client = client
-        self.cache = cache if cache is not None else SemanticCache()
-        self.cache_kind = cache_kind
-
-    def complete(
-        self,
-        prompt: str,
-        model: Optional[str] = None,
-        cache_key: Optional[str] = None,
-    ) -> Tuple[str, str]:
-        """Returns ``(text, source)`` where source is 'cache' or 'llm'.
-
-        ``cache_key`` defaults to the full prompt; passing the bare question
-        makes matching robust to prompt framing differences.
-        """
-        key = cache_key if cache_key is not None else prompt
-        lookup = self.cache.lookup(key)
-        if lookup.tier == "reuse" and lookup.entry is not None:
-            return lookup.entry.response, "cache"
-        effective_prompt = prompt
-        if lookup.tier == "augment" and lookup.entry is not None:
-            effective_prompt = (
-                f"Example: Question: {lookup.entry.key} Answer: {lookup.entry.response}\n"
-                + prompt
-            )
-        completion = self.client.complete(effective_prompt, model=model)
-        self.cache.put(key, completion.text, kind=self.cache_kind, cost=completion.cost)
-        return completion.text, "llm"

@@ -10,7 +10,8 @@ can stand in for the raw client transparently.
 The protocol lives in the ``llm`` layer (not ``serving``) so the dependency
 graph stays acyclic: ``core`` adapts providers, ``serving`` composes them,
 and both import the protocol from here. :mod:`repro.serving` re-exports it
-as its public home.
+as its public home. :class:`Submitter`, the future-returning contract of
+the serving tiers, is stated next to it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
+    from concurrent.futures import Future
+
     import numpy as np
 
     from repro.llm.client import Completion
@@ -64,6 +67,33 @@ class ReseedableProvider(Protocol):
 
     def reseeded(self, offset: int) -> "CompletionProvider":
         """A sibling provider drawing from a seed shifted by ``offset``."""
+        ...
+
+
+@runtime_checkable
+class Submitter(Protocol):
+    """The one way to hand a request to the serving tier and get a future.
+
+    Implemented by exactly two classes:
+    :class:`~repro.serving.BatchingScheduler` (one stack behind a
+    coalescing queue) and :class:`~repro.serving.ServingCluster` (sharded,
+    multi-tenant). :class:`~repro.serving.AsyncGateway` forwards to either
+    through this contract alone, so a front door never needs to know which
+    tier it faces. ``tenant=None`` means the default tenant; the
+    single-tenant scheduler accepts and ignores the keyword.
+    """
+
+    stats: object  # the ServiceStats every layer behind this door writes to
+
+    def submit(
+        self, prompt: str, model: Optional[str] = None, *, tenant: Optional[str] = None
+    ) -> "Future[Completion]":
+        """Enqueue one request; raises
+        :class:`~repro.errors.SchedulerClosedError` once closed."""
+        ...
+
+    def close(self) -> None:
+        """Drain accepted requests and stop the worker threads (idempotent)."""
         ...
 
 

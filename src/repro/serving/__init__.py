@@ -19,10 +19,10 @@ pipeline without code changes; :class:`ServiceStats` snapshots what each
 layer did. A bare ``LLMClient`` *is* a valid provider and behaves
 bit-identically with or without this package installed around it.
 
-For traffic from many threads, :class:`ConcurrentStack` puts the
-micro-batching :class:`BatchingScheduler` in front of any stack:
-``submit()`` returns futures that resolve in submission order, and with
-one dispatch worker a concurrent run is bit-identical to the serial loop.
+For traffic from many threads, put the micro-batching
+:class:`BatchingScheduler` in front of any stack: ``submit()`` returns
+futures that resolve in submission order, and with one dispatch worker a
+concurrent run is bit-identical to the serial loop.
 
 Backends fail; :class:`ResilienceMiddleware` (``resilience=True`` in
 :func:`build_stack`) absorbs :class:`~repro.errors.TransientLLMError`
@@ -46,7 +46,6 @@ from repro.serving.cluster import (
     ShardedSemanticCache,
     TenantPolicy,
 )
-from repro.serving.concurrent import ConcurrentStack
 from repro.serving.gateway import (
     AsyncGateway,
     GatewayRequest,
@@ -75,7 +74,6 @@ __all__ = [
     "ClusterLookup",
     "ClusterRouter",
     "CompletionProvider",
-    "ConcurrentStack",
     "GatewayRequest",
     "GatewayResult",
     "GatewayTicket",

@@ -52,10 +52,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import CacheEntry, CacheStats, EvictionPolicy, SemanticCache
 from repro.core.privacy.sharing import CacheSharingGate
-from repro.errors import BudgetExceededError, QuotaExceededError
-from repro.llm.client import Completion, Usage
+from repro.errors import BudgetExceededError, QuotaExceededError, SchedulerClosedError
+from repro.llm.client import Completion
 from repro.llm.embeddings import EmbeddingModel
 from repro.llm.provider import CompletionProvider, make_client
+from repro.serving.middleware import augmented_prompt, cached_completion, counted_probe
 from repro.serving.stack import ServingStack, build_stack
 from repro.serving.stats import ServiceStats
 from repro.vectordb.partition import PartitionSpec
@@ -593,34 +594,6 @@ class ServingCluster:
             ledger.requests += 1
         return ledger
 
-    def _replay(self, owner: str, entry: CacheEntry, similarity: float, shared: bool) -> Completion:
-        marker: Dict[str, object] = {
-            "tier": "reuse",
-            "similarity": round(similarity, 6),
-        }
-        if shared:
-            marker["shared_from"] = owner
-        original = self._completions.get((owner, entry.key))
-        if original is not None:
-            metadata = dict(original.metadata)
-            metadata["serving.cache"] = marker
-            return original.with_usage(
-                Usage(prompt_tokens=0, completion_tokens=0),
-                0.0,
-                latency_ms=0.0,
-                metadata=metadata,
-            )
-        return Completion(
-            text=entry.response,
-            model="cache",
-            usage=Usage(prompt_tokens=0, completion_tokens=0),
-            cost=0.0,
-            latency_ms=0.0,
-            confidence=1.0,
-            engine="cache",
-            metadata={"serving.cache": marker},
-        )
-
     def _serve(self, prompt: str, tenant: str, model: Optional[str]) -> Completion:
         ledger = self._admit(tenant)
         policy = self.policy_for(tenant)
@@ -628,34 +601,24 @@ class ServingCluster:
         key = self.key_fn(prompt) if self.key_fn is not None else prompt
         effective_prompt = prompt
         if self.cache is not None:
-            probe_start = time.perf_counter()
-            found = self.cache.lookup(tenant, key)
-            probe_ms = (time.perf_counter() - probe_start) * 1000.0
-            for section in (self.stats, tstats):
-                with section.lock:
-                    section.cache_lookups += 1
-                    section.cache_lookup_ms += probe_ms
-                    if found.tier == "reuse" and found.entry is not None:
-                        section.cache_reuse_hits += 1
-                        section.cache_cost_saved += found.entry.cost_of_miss
-                    elif found.tier == "augment" and found.entry is not None:
-                        section.cache_augment_hits += 1
-                    else:
-                        section.cache_misses += 1
+            found = counted_probe(self.cache.lookup, (tenant, key), (self.stats, tstats))
             if found.tier == "reuse" and found.entry is not None:
                 with self._lock:
                     ledger.cache_hits += 1
-                return self._replay(
-                    found.owner_tenant if found.owner_tenant is not None else tenant,
-                    found.entry,
-                    found.similarity,
-                    found.shared,
+                owner = found.owner_tenant if found.owner_tenant is not None else tenant
+                marker: Dict[str, object] = {
+                    "tier": "reuse",
+                    "similarity": round(found.similarity, 6),
+                }
+                if found.shared:
+                    marker["shared_from"] = owner
+                return cached_completion(
+                    found.entry.response,
+                    {"serving.cache": marker},
+                    original=self._completions.get((owner, found.entry.key)),
                 )
             if found.tier == "augment" and found.entry is not None:
-                effective_prompt = (
-                    f"Example: Question: {found.entry.key} "
-                    f"Answer: {found.entry.response}\n" + prompt
-                )
+                effective_prompt = augmented_prompt(found.entry, prompt)
         if policy.budget_usd is not None:
             with self._lock:
                 spent = ledger.spent_usd
@@ -704,17 +667,17 @@ class ServingCluster:
         return completion
 
     def complete(
-        self, prompt: str, tenant: str = DEFAULT_TENANT, model: Optional[str] = None
+        self, prompt: str, model: Optional[str] = None, *, tenant: Optional[str] = None
     ) -> Completion:
         """Serve one request inline on the calling thread (serial mode)."""
-        return self._serve(prompt, tenant, model)
+        return self._serve(prompt, tenant or DEFAULT_TENANT, model)
 
     # -------------------------------------------------------- concurrency
 
     def _ensure_workers(self) -> Dict[str, _ShardWorker]:
         with self._lock:
             if self._closed:
-                raise RuntimeError("cluster is closed")
+                raise SchedulerClosedError("cluster is closed")
             if self._workers is None:
                 self._workers = {}
                 for shard in self.router.shards:
@@ -724,24 +687,17 @@ class ServingCluster:
             return self._workers
 
     def submit(
-        self, prompt: str, tenant: str = DEFAULT_TENANT, model: Optional[str] = None
+        self, prompt: str, model: Optional[str] = None, *, tenant: Optional[str] = None
     ) -> "Future[Completion]":
-        """Enqueue one request on its shard's dispatch worker."""
+        """Enqueue one request on its shard's dispatch worker
+        (``tenant=None`` is the default tenant). Raises
+        :class:`~repro.errors.SchedulerClosedError` once closed."""
+        tenant = tenant or DEFAULT_TENANT
         key = self.key_fn(prompt) if self.key_fn is not None else prompt
         shard = self.router.route_request(tenant, key)
         future: "Future[Completion]" = Future()
         self._ensure_workers()[shard].requests.put((prompt, tenant, model, future))
         return future
-
-    def complete_many(
-        self,
-        requests: Sequence[Tuple[str, str]],
-        model: Optional[str] = None,
-    ) -> List[Completion]:
-        """Serve ``(tenant, prompt)`` pairs across the shard workers;
-        results come back in request order (first failure re-raises)."""
-        futures = [self.submit(prompt, tenant=tenant, model=model) for tenant, prompt in requests]
-        return [future.result() for future in futures]
 
     def close(self) -> None:
         """Stop the shard workers (idempotent)."""

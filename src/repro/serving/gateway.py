@@ -30,19 +30,20 @@ whether to *serve*, *wait*, *degrade* or *shed*:
 
 Determinism contract: the pump forwards requests to the backend in a
 total order that is a pure function of (class priority, deadline,
-submission sequence). With ``workers=1`` and no deadlines, the forward
-order *is* the submission order, so the gateway is bit-identical to a
-serial ``ServingStack.complete`` loop over the same request stream —
+submission sequence). With a single-worker backend and no deadlines, the
+forward order *is* the submission order, so the gateway is bit-identical
+to a serial ``ServingStack.complete`` loop over the same request stream —
 every stateful layer (cache, budget, meter) mutates in exactly the same
 sequence. The latency-under-load benchmark
 (:mod:`repro.bench.gateway`) re-proves this equivalence on every run.
 
-The backend can be anything with a future-returning ``submit``
-(:class:`~repro.serving.scheduler.BatchingScheduler`,
-:class:`~repro.serving.concurrent.ConcurrentStack`,
-:class:`~repro.serving.cluster.ServingCluster`) or any plain
-:class:`~repro.llm.provider.CompletionProvider`, which the gateway wraps
-in its own single-worker scheduler.
+The backend is a :class:`~repro.llm.provider.Submitter` — a
+:class:`~repro.serving.scheduler.BatchingScheduler` or a
+:class:`~repro.serving.cluster.ServingCluster`, built and closed by the
+caller — and every request is forwarded as ``backend.submit(prompt,
+model=, tenant=)``, nothing else. A plain
+:class:`~repro.llm.provider.CompletionProvider` is wrapped in an owned
+single-worker, flush-at-once scheduler (the deterministic path).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from typing import (
 
 from repro.errors import DeadlineExceededError, SchedulerClosedError
 from repro.llm.client import Completion
-from repro.serving.cluster import DEFAULT_TENANT, ServingCluster
 from repro.serving.resilience import ResilienceMiddleware
 from repro.serving.scheduler import BatchingScheduler
 from repro.serving.stats import ServiceStats
@@ -82,8 +82,8 @@ class GatewayRequest:
     ``deadline_ms`` is relative to submission time (simulated SLO):
     ``None`` means "no deadline — never shed, never degraded".
     ``priority`` must name one of the gateway's classes; ``None`` uses
-    the gateway's default class. ``tenant`` is forwarded when the
-    backend is a :class:`~repro.serving.cluster.ServingCluster`.
+    the gateway's default class. ``tenant`` is forwarded to the backend
+    (``None`` is its default tenant; a single-stack scheduler ignores it).
     """
 
     prompt: str
@@ -149,10 +149,11 @@ class AsyncGateway:
     Parameters
     ----------
     backend:
-        A future-returning scheduler-like object (``submit`` →
-        ``concurrent.futures.Future``), a :class:`ServingCluster`, or a
-        plain completion provider (wrapped in an internally owned
-        ``BatchingScheduler`` that the gateway closes with itself).
+        A :class:`~repro.llm.provider.Submitter` the caller builds and
+        closes (a ``BatchingScheduler`` or a ``ServingCluster``), or a
+        plain completion provider, which is wrapped in an owned
+        ``BatchingScheduler(provider, max_wait_ms=0.0)`` that the gateway
+        closes with itself.
     classes:
         Priority classes, highest priority first.
     default_class:
@@ -176,9 +177,6 @@ class AsyncGateway:
         Completion`` callable.
     clock:
         Monotonic-seconds callable; injectable for deterministic tests.
-    workers, max_batch_size, max_wait_ms, combine, max_queue, seed_stride:
-        Passed to the internally owned scheduler when ``backend`` is a
-        plain provider; ignored otherwise.
     """
 
     def __init__(
@@ -188,17 +186,11 @@ class AsyncGateway:
         classes: Sequence[str] = DEFAULT_CLASSES,
         default_class: Optional[str] = None,
         max_queue_per_class: int = 256,
-        max_inflight: Optional[int] = None,
+        max_inflight: int = 64,
         shed_expired: bool = True,
         degrader: Union[str, None, ResilienceMiddleware, Callable] = "auto",
         clock: Callable[[], float] = time.monotonic,
         stats: Optional[ServiceStats] = None,
-        workers: int = 1,
-        max_batch_size: int = 8,
-        max_wait_ms: float = 0.0,
-        combine: bool = False,
-        max_queue: int = 1024,
-        seed_stride: int = 0,
     ) -> None:
         if not classes:
             raise ValueError("at least one priority class is required")
@@ -216,59 +208,10 @@ class AsyncGateway:
         self.shed_expired = shed_expired
         self._clock = clock
 
-        # ---- backend wiring -------------------------------------------
-        self._owns_backend = False
-        backend_queue_bound: Optional[int] = None
-        if isinstance(backend, ServingCluster):
-            self._backend = backend
-
-            def forward(req: GatewayRequest):
-                return backend.submit(
-                    req.prompt, tenant=req.tenant or DEFAULT_TENANT, model=req.model
-                )
-
-        elif hasattr(backend, "submit"):
-            self._backend = backend
-            scheduler = getattr(backend, "scheduler", backend)
-            backend_queue_bound = getattr(scheduler, "max_queue", None)
-
-            def forward(req: GatewayRequest):
-                return backend.submit(req.prompt, model=req.model)
-
-        else:  # plain provider: own a single-worker scheduler
-            owned = BatchingScheduler(
-                backend,
-                max_batch_size=max_batch_size,
-                max_wait_ms=max_wait_ms,
-                workers=workers,
-                max_queue=max_queue,
-                combine=combine,
-                seed_stride=seed_stride,
-                stats=stats or getattr(backend, "stats", None),
-            )
-            self._backend = owned
-            self._owns_backend = True
-            backend_queue_bound = owned.max_queue
-
-            def forward(req: GatewayRequest):
-                return owned.submit(req.prompt, model=req.model)
-
-        self._forward = forward
-        if max_inflight is None:
-            max_inflight = 64
-        if backend_queue_bound is not None:
-            max_inflight = min(max_inflight, backend_queue_bound)
-        self.max_inflight = max(1, max_inflight)
-
         # ---- degradation wiring ---------------------------------------
         self._degrade_fn: Optional[Callable[[str, Optional[str]], Completion]] = None
         if degrader == "auto":
-            root = getattr(self._backend, "provider", None) or getattr(
-                self._backend, "stack", None
-            )
-            if root is None and not isinstance(backend, ServingCluster):
-                root = backend
-            layer = _find_resilience(root) if root is not None else None
+            layer = _find_resilience(backend)
             if layer is not None:
                 self._degrade_fn = layer.degrade
         elif isinstance(degrader, ResilienceMiddleware):
@@ -278,7 +221,18 @@ class AsyncGateway:
         elif degrader is not None:
             raise ValueError(f"unsupported degrader: {degrader!r}")
 
-        self.stats = stats or getattr(self._backend, "stats", None) or ServiceStats()
+        # ---- backend wiring -------------------------------------------
+        self._owns_backend = not hasattr(backend, "submit")
+        if self._owns_backend:  # plain provider: own a single-worker scheduler
+            backend = BatchingScheduler(backend, max_wait_ms=0.0, stats=stats)
+        self._backend = backend
+        # A bounded backend queue blocks its submitter when full; never
+        # forward more than it can take without blocking the event loop.
+        backend_queue_bound = getattr(backend, "max_queue", None)
+        if backend_queue_bound is not None:
+            max_inflight = min(max_inflight, backend_queue_bound)
+        self.max_inflight = max(1, max_inflight)
+        self.stats = stats if stats is not None else backend.stats
 
         # ---- queueing state (event-loop thread only) ------------------
         # Per class: min-heap of (abs_deadline | +inf, seq, ticket) — EDF
@@ -590,19 +544,50 @@ class AsyncGateway:
                 waiter.set_result(None)
                 return
 
+    def _settle(
+        self,
+        ticket: GatewayTicket,
+        status: str,
+        outcome: Union[Completion, BaseException],
+        *,
+        counted_as: Optional[str] = None,
+    ) -> None:
+        """The one place a ticket ends: status, outcome counter, future."""
+        ticket.status = status
+        self.stats.record_gateway_outcome(
+            ticket.priority, counted_as or status, queue_wait_ms=ticket.queue_ms, late=ticket.late
+        )
+        if not ticket.future.done():
+            if isinstance(outcome, BaseException):
+                ticket.future.set_exception(outcome)
+            else:
+                ticket.future.set_result(outcome)
+
+    @staticmethod
+    def _annotated(completion: Completion, ticket: GatewayTicket, **marker: object) -> Completion:
+        """``completion`` with a ``serving.gateway`` metadata entry saying
+        what the gateway did to it (``late=True`` / ``degraded=True``)."""
+        metadata = dict(completion.metadata)
+        metadata["serving.gateway"] = {
+            **marker,
+            "deadline_ms": ticket.request.deadline_ms,
+            "queue_ms": round(ticket.queue_ms, 4),
+        }
+        return completion.with_usage(completion.usage, completion.cost, metadata=metadata)
+
     def _dispatch(self, ticket: GatewayTicket, now: float) -> None:
         self._inflight += 1
         ticket.queue_ms = (now - ticket.enqueued_at) * 1000.0
+        request = ticket.request
         try:
-            backend_future = self._forward(ticket.request)
+            # Looked up per call: what serves the request is whatever
+            # ``submit`` the backend has *now*.
+            backend_future = self._backend.submit(
+                request.prompt, model=request.model, tenant=request.tenant
+            )
         except Exception as exc:
             self._inflight -= 1
-            ticket.status = "error"
-            self.stats.record_gateway_outcome(
-                ticket.priority, "error", queue_wait_ms=ticket.queue_ms
-            )
-            if not ticket.future.done():
-                ticket.future.set_exception(exc)
+            self._settle(ticket, "error", exc)
             return
         assert self._loop is not None
         backend_future.add_done_callback(
@@ -613,12 +598,7 @@ class AsyncGateway:
         self._inflight -= 1
         exc = backend_future.exception()
         if exc is not None:
-            ticket.status = "error"
-            self.stats.record_gateway_outcome(
-                ticket.priority, "error", queue_wait_ms=ticket.queue_ms
-            )
-            if not ticket.future.done():
-                ticket.future.set_exception(exc)
+            self._settle(ticket, "error", exc)
         else:
             completion = backend_future.result()
             if ticket.abs_deadline is not None and self._clock() > ticket.abs_deadline:
@@ -626,21 +606,8 @@ class AsyncGateway:
                 # (and goodput accounting) can tell. No-deadline requests
                 # are returned untouched — that is the determinism path.
                 ticket.late = True
-                metadata = dict(completion.metadata)
-                metadata["serving.gateway"] = {
-                    "late": True,
-                    "deadline_ms": ticket.request.deadline_ms,
-                    "queue_ms": round(ticket.queue_ms, 4),
-                }
-                completion = completion.with_usage(
-                    completion.usage, completion.cost, metadata=metadata
-                )
-            ticket.status = "ok"
-            self.stats.record_gateway_outcome(
-                ticket.priority, "ok", queue_wait_ms=ticket.queue_ms, late=ticket.late
-            )
-            if not ticket.future.done():
-                ticket.future.set_result(completion)
+                completion = self._annotated(completion, ticket, late=True)
+            self._settle(ticket, "ok", completion)
         assert self._wake is not None
         self._wake.set()
 
@@ -649,19 +616,14 @@ class AsyncGateway:
     def _resolve_shed(
         self, ticket: GatewayTicket, status: str, waited_ms: float
     ) -> None:
-        ticket.status = "shed"
         ticket.queue_ms = waited_ms
-        self.stats.record_gateway_outcome(
-            ticket.priority, status, queue_wait_ms=waited_ms
-        )
         error = DeadlineExceededError(
             f"request shed: deadline of {ticket.request.deadline_ms}ms expired "
             f"after waiting {waited_ms:.1f}ms in class {ticket.priority!r}",
             deadline_ms=ticket.request.deadline_ms or 0.0,
             waited_ms=waited_ms,
         )
-        if not ticket.future.done():
-            ticket.future.set_exception(error)
+        self._settle(ticket, "shed", error, counted_as=status)
 
     def _expire(self, ticket: GatewayTicket, now: float) -> None:
         """Deadline lapsed in queue: degrade through the resilience chain
@@ -676,49 +638,30 @@ class AsyncGateway:
         degrade_future = self._loop.run_in_executor(
             None, self._degrade_fn, ticket.request.prompt, ticket.request.model
         )
-        degrade_future.add_done_callback(
-            lambda f: self._on_degrade_done(ticket, waited_ms, f)
-        )
+        degrade_future.add_done_callback(lambda f: self._on_degrade_done(ticket, f))
 
-    def _on_degrade_done(
-        self, ticket: GatewayTicket, waited_ms: float, degrade_future
-    ) -> None:
+    def _on_degrade_done(self, ticket: GatewayTicket, degrade_future) -> None:
         self._inflight -= 1
         exc = degrade_future.exception()
         if exc is not None:
             # The fallback chain came up empty too: shed, chaining the
             # exhaustion error as the cause.
-            ticket.status = "shed"
-            self.stats.record_gateway_outcome(
-                ticket.priority, "shed", queue_wait_ms=waited_ms
-            )
             error = DeadlineExceededError(
                 f"request shed: deadline expired in queue and degradation "
                 f"failed ({type(exc).__name__})",
                 deadline_ms=ticket.request.deadline_ms or 0.0,
-                waited_ms=waited_ms,
+                waited_ms=ticket.queue_ms,
             )
             error.__cause__ = exc
-            if not ticket.future.done():
-                ticket.future.set_exception(error)
+            self._settle(ticket, "shed", error)
         else:
-            completion = degrade_future.result()
-            metadata = dict(completion.metadata)
-            metadata["serving.gateway"] = {
-                "degraded": True,
-                "reason": "deadline expired in queue",
-                "deadline_ms": ticket.request.deadline_ms,
-                "queue_ms": round(waited_ms, 4),
-            }
-            completion = completion.with_usage(
-                completion.usage, completion.cost, metadata=metadata
+            completion = self._annotated(
+                degrade_future.result(),
+                ticket,
+                degraded=True,
+                reason="deadline expired in queue",
             )
-            ticket.status = "degraded"
-            self.stats.record_gateway_outcome(
-                ticket.priority, "degraded", queue_wait_ms=waited_ms
-            )
-            if not ticket.future.done():
-                ticket.future.set_result(completion)
+            self._settle(ticket, "degraded", completion)
         assert self._wake is not None
         self._wake.set()
 

@@ -34,11 +34,11 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cache import SemanticCache
+from repro.core.cache import CacheEntry, SemanticCache
 from repro.core.cascade import DEFAULT_CHAIN, CascadeClient
 from repro.errors import BudgetExceededError
 from repro.llm.client import Completion, Usage
@@ -57,6 +57,73 @@ def last_question_key(prompt: str) -> str:
     if prompt.startswith("Question: "):
         return prompt[len("Question: "):]
     return prompt
+
+
+# The cache-aside step (probe, then replay a reuse hit at zero cost or
+# augment the prompt with the cached pair), written once for both
+# cache-fronted tiers: SemanticCacheMiddleware and ServingCluster._serve.
+
+
+def counted_probe(lookup: Callable[..., object], args: Tuple, sections: Sequence[ServiceStats]):
+    """Run ``lookup(*args)`` and count its tier and wall time in every
+    stats section (a stack has one; the cluster adds the tenant's).
+
+    The result needs ``tier`` and ``entry`` — :class:`~repro.core.cache.CacheLookup`
+    and :class:`~repro.serving.cluster.ClusterLookup` both qualify."""
+    probe_start = time.perf_counter()
+    found = lookup(*args)
+    probe_ms = (time.perf_counter() - probe_start) * 1000.0
+    tier = found.tier if found.entry is not None else "miss"
+    for section in sections:
+        with section.lock:
+            section.cache_lookups += 1
+            section.cache_lookup_ms += probe_ms
+            if tier == "reuse":
+                section.cache_reuse_hits += 1
+                section.cache_cost_saved += found.entry.cost_of_miss
+            elif tier == "augment":
+                section.cache_augment_hits += 1
+            else:
+                section.cache_misses += 1
+    return found
+
+
+def augmented_prompt(entry: CacheEntry, prompt: str) -> str:
+    """The paper's case (2): the cached (query, response) pair rides along
+    as an extra example in front of the new prompt."""
+    return f"Example: Question: {entry.key} Answer: {entry.response}\n" + prompt
+
+
+def cached_completion(
+    text: str,
+    metadata: Mapping[str, object],
+    *,
+    original: Optional[Completion] = None,
+    latency_ms: float = 0.0,
+    confidence: float = 1.0,
+    engine: str = "cache",
+) -> Completion:
+    """The zero-cost completion for an answer served from a cache.
+
+    With the ``original`` completion at hand it is replayed in full (model,
+    confidence, engine) with usage and cost zeroed and ``metadata`` merged
+    over its own; otherwise a minimal completion is synthesized from the
+    cached ``text``."""
+    usage = Usage(prompt_tokens=0, completion_tokens=0)
+    if original is not None:
+        return original.with_usage(
+            usage, 0.0, latency_ms=latency_ms, metadata={**original.metadata, **metadata}
+        )
+    return Completion(
+        text=text,
+        model="cache",
+        usage=usage,
+        cost=0.0,
+        latency_ms=latency_ms,
+        confidence=confidence,
+        engine=engine,
+        metadata=dict(metadata),
+    )
 
 
 class Middleware:
@@ -161,27 +228,19 @@ class SemanticCacheMiddleware(Middleware):
 
     def complete(self, prompt: str, model: Optional[str] = None) -> Completion:
         key = self.key_fn(prompt) if self.key_fn is not None else prompt
-        probe_start = time.perf_counter()
-        lookup = self.cache.lookup(key)
-        probe_ms = (time.perf_counter() - probe_start) * 1000.0
-        with self.stats.lock:
-            self.stats.cache_lookups += 1
-            self.stats.cache_lookup_ms += probe_ms
-            if lookup.tier == "reuse" and lookup.entry is not None:
-                self.stats.cache_reuse_hits += 1
-                self.stats.cache_cost_saved += lookup.entry.cost_of_miss
-            elif lookup.tier == "augment" and lookup.entry is not None:
-                self.stats.cache_augment_hits += 1
-            else:
-                self.stats.cache_misses += 1
-        if lookup.tier == "reuse" and lookup.entry is not None:
-            return self._replay(lookup.entry.key, lookup.entry.response, lookup.similarity)
-        effective_prompt = prompt
-        if lookup.tier == "augment" and lookup.entry is not None:
-            effective_prompt = (
-                f"Example: Question: {lookup.entry.key} Answer: {lookup.entry.response}\n"
-                + prompt
+        lookup = counted_probe(self.cache.lookup, (key,), (self.stats,))
+        entry = lookup.entry
+        if lookup.tier == "reuse" and entry is not None:
+            # No original in the replay store means it was pruned after an
+            # eviction, or the entry predates this layer.
+            return cached_completion(
+                entry.response,
+                {"serving.cache": {"tier": "reuse", "similarity": round(lookup.similarity, 6)}},
+                original=self._completions.get(entry.key),
             )
+        effective_prompt = prompt
+        if lookup.tier == "augment" and entry is not None:
+            effective_prompt = augmented_prompt(entry, prompt)
         completion = self.inner.complete(effective_prompt, model=model)
         put_start = time.perf_counter()
         admitted = self.cache.put(key, completion.text, kind=self.cache_kind, cost=completion.cost)
@@ -194,35 +253,10 @@ class SemanticCacheMiddleware(Middleware):
                 self._prune_replay_store()
         return completion
 
-    def _replay(self, key: str, response: str, similarity: float) -> Completion:
-        marker = {"tier": "reuse", "similarity": round(similarity, 6)}
-        original = self._completions.get(key)
-        if original is not None:
-            metadata = dict(original.metadata)
-            metadata["serving.cache"] = marker
-            return original.with_usage(
-                Usage(prompt_tokens=0, completion_tokens=0),
-                0.0,
-                latency_ms=0.0,
-                metadata=metadata,
-            )
-        # The source completion was evicted from the replay store (or the
-        # entry predates this layer): synthesize a minimal completion.
-        return Completion(
-            text=response,
-            model="cache",
-            usage=Usage(prompt_tokens=0, completion_tokens=0),
-            cost=0.0,
-            latency_ms=0.0,
-            confidence=1.0,
-            engine="cache",
-            metadata={"serving.cache": marker},
-        )
-
     def _prune_replay_store(self) -> None:
         # Keep the replay store aligned with the cache after evictions.
         # Callers hold _replay_lock; the rebuilt dict is swapped in whole so
-        # lock-free readers (_replay) always see a consistent mapping.
+        # the lock-free read in complete() always sees a consistent mapping.
         if len(self._completions) > 2 * self.cache.capacity:
             self._completions = {
                 key: completion

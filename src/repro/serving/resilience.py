@@ -42,14 +42,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.cache import SemanticCache
 from repro.errors import ResilienceExhaustedError, TransientLLMError
-from repro.llm.client import Completion, Usage
+from repro.llm.client import Completion
 from repro.llm.faults import resolve_model_name
 from repro.llm.provider import CompletionProvider
-from repro.serving.middleware import Middleware
+from repro.serving.middleware import Middleware, cached_completion
 from repro.serving.stats import ServiceStats
 
 
@@ -199,6 +199,68 @@ class ResilienceMiddleware(Middleware):
 
     # ------------------------------------------------------------ completion
 
+    def _attempt(
+        self,
+        breaker: _Breaker,
+        attempts: int,
+        call: Callable[[CompletionProvider], object],
+    ) -> Tuple[object, int, float, Optional[TransientLLMError]]:
+        """The retry loop: ``call(provider)`` up to ``attempts`` times.
+
+        Attempt 0 goes to ``inner`` itself, retry ``k`` to
+        ``inner.reseeded(k * seed_step)``. Counts every transient error,
+        the simulated backoff between attempts, and the breaker
+        transitions. Returns ``(result, retries, added_ms, None)`` on
+        success or ``(None, attempts, added_ms, last_error)`` once the
+        budget is exhausted; ``added_ms`` is what the doomed attempts and
+        their backoffs cost."""
+        added_ms = 0.0
+        last_error: Optional[TransientLLMError] = None
+        for attempt in range(attempts):
+            provider = self.inner
+            if attempt > 0 and hasattr(self.inner, "reseeded"):
+                provider = self.inner.reseeded(attempt * self.config.seed_step)
+            try:
+                result = call(provider)
+            except TransientLLMError as error:
+                self._count_error(error)
+                last_error = error
+                retrying = attempt + 1 < attempts
+                backoff = self.config.backoff_ms(attempt + 1) if retrying else 0.0
+                added_ms += error.latency_ms  # two adds, in this order: the
+                added_ms += backoff  # float sum complete() has always produced
+                with self.stats.lock:
+                    self.stats.backoff_ms += error.latency_ms + backoff
+                    if retrying:
+                        self.stats.resilience_retries += 1
+                if attempt > 0 and not hasattr(self.inner, "reseeded"):
+                    break  # an identical re-request can only fail again
+                continue
+            if breaker.record_success():
+                with self.stats.lock:
+                    self.stats.breaker_closes += 1
+            if attempt > 0:
+                with self.stats.lock:
+                    self.stats.resilience_recoveries += 1
+            return result, attempt, added_ms, None
+        if breaker.record_failure():
+            with self.stats.lock:
+                self.stats.breaker_opens += 1
+        return None, attempts, added_ms, last_error
+
+    @staticmethod
+    def _recovered(completion: Completion, added_ms: float, **how: object) -> Completion:
+        """``completion`` marked with ``how`` it was recovered and charged
+        the ``added_ms`` the failed attempts before it burned."""
+        metadata = dict(completion.metadata)
+        metadata["serving.resilience"] = {**how, "added_ms": round(added_ms, 4)}
+        return completion.with_usage(
+            completion.usage,
+            completion.cost,
+            latency_ms=completion.latency_ms + added_ms,
+            metadata=metadata,
+        )
+
     def complete(self, prompt: str, model: Optional[str] = None) -> Completion:
         model_name = resolve_model_name(self.inner, model)
         breaker = self.breaker_for(model_name)
@@ -213,52 +275,14 @@ class ResilienceMiddleware(Middleware):
         # A probe gets a single attempt: one request must not re-hammer a
         # backend the breaker just finished shedding load from.
         attempts = 1 if admission == "probe" else self.config.max_attempts
-        added_ms = 0.0
-        last_error: Optional[TransientLLMError] = None
-        for attempt in range(attempts):
-            provider = self.inner
-            if attempt > 0 and hasattr(self.inner, "reseeded"):
-                provider = self.inner.reseeded(attempt * self.config.seed_step)
-            try:
-                completion = provider.complete(prompt, model=model)
-            except TransientLLMError as error:
-                self._count_error(error)
-                added_ms += error.latency_ms
-                last_error = error
-                if attempt + 1 < attempts:
-                    backoff = self.config.backoff_ms(attempt + 1)
-                    added_ms += backoff
-                    with self.stats.lock:
-                        self.stats.resilience_retries += 1
-                        self.stats.backoff_ms += error.latency_ms + backoff
-                else:
-                    with self.stats.lock:
-                        self.stats.backoff_ms += error.latency_ms
-                if attempt > 0 and not hasattr(self.inner, "reseeded"):
-                    break  # an identical re-request can only fail again
-                continue
-            if breaker.record_success():
-                with self.stats.lock:
-                    self.stats.breaker_closes += 1
-            if attempt == 0:
-                return completion  # fault-free fast path: untouched
-            with self.stats.lock:
-                self.stats.resilience_recoveries += 1
-            metadata = dict(completion.metadata)
-            metadata["serving.resilience"] = {
-                "retries": attempt,
-                "added_ms": round(added_ms, 4),
-            }
-            return completion.with_usage(
-                completion.usage,
-                completion.cost,
-                latency_ms=completion.latency_ms + added_ms,
-                metadata=metadata,
-            )
-        if breaker.record_failure():
-            with self.stats.lock:
-                self.stats.breaker_opens += 1
-        return self._degrade(prompt, model_name, added_ms, last_error)
+        completion, retries, added_ms, last_error = self._attempt(
+            breaker, attempts, lambda provider: provider.complete(prompt, model=model)
+        )
+        if completion is None:
+            return self._degrade(prompt, model_name, added_ms, last_error)
+        if retries == 0:
+            return completion  # fault-free fast path: untouched
+        return self._recovered(completion, added_ms, retries=retries)
 
     def complete_batch(
         self,
@@ -270,60 +294,18 @@ class ResilienceMiddleware(Middleware):
         budget runs dry, degrade to per-item :meth:`complete` calls so
         each item gets the full fallback chain (losing the shared-prefix
         refund — the price of answering at all)."""
-        model_name = resolve_model_name(self.inner, model)
-        breaker = self.breaker_for(model_name)
-        added_ms = 0.0
+        breaker = self.breaker_for(resolve_model_name(self.inner, model))
         if breaker.admit() != "shed":
-            for attempt in range(self.config.max_attempts):
-                provider = self.inner
-                if attempt > 0 and hasattr(self.inner, "reseeded"):
-                    provider = self.inner.reseeded(attempt * self.config.seed_step)
-                try:
-                    completions = provider.complete_batch(
-                        shared_prefix, items, model=model
-                    )
-                except TransientLLMError as error:
-                    self._count_error(error)
-                    backoff = (
-                        self.config.backoff_ms(attempt + 1)
-                        if attempt + 1 < self.config.max_attempts
-                        else 0.0
-                    )
-                    added_ms += error.latency_ms + backoff
-                    with self.stats.lock:
-                        self.stats.backoff_ms += error.latency_ms + backoff
-                        if backoff:
-                            self.stats.resilience_retries += 1
-                    if attempt > 0 and not hasattr(self.inner, "reseeded"):
-                        break
-                    continue
-                if breaker.record_success():
-                    with self.stats.lock:
-                        self.stats.breaker_closes += 1
-                if attempt == 0:
+            completions, retries, added_ms, _error = self._attempt(
+                breaker,
+                self.config.max_attempts,
+                lambda provider: provider.complete_batch(shared_prefix, items, model=model),
+            )
+            if completions is not None:
+                if retries == 0:
                     return completions
-                with self.stats.lock:
-                    self.stats.resilience_recoveries += 1
                 share = added_ms / max(len(completions), 1)
-                decorated = []
-                for completion in completions:
-                    metadata = dict(completion.metadata)
-                    metadata["serving.resilience"] = {
-                        "retries": attempt,
-                        "added_ms": round(share, 4),
-                    }
-                    decorated.append(
-                        completion.with_usage(
-                            completion.usage,
-                            completion.cost,
-                            latency_ms=completion.latency_ms + share,
-                            metadata=metadata,
-                        )
-                    )
-                return decorated
-            if breaker.record_failure():
-                with self.stats.lock:
-                    self.stats.breaker_opens += 1
+                return [self._recovered(c, share, retries=retries) for c in completions]
         else:
             with self.stats.lock:
                 self.stats.breaker_short_circuits += 1
@@ -366,17 +348,8 @@ class ResilienceMiddleware(Middleware):
                 continue
             with self.stats.lock:
                 self.stats.fallback_model_answers += 1
-            metadata = dict(completion.metadata)
-            metadata["serving.resilience"] = {
-                "fallback": "model",
-                "degraded_from": model_name,
-                "added_ms": round(added_ms, 4),
-            }
-            return completion.with_usage(
-                completion.usage,
-                completion.cost,
-                latency_ms=completion.latency_ms + added_ms,
-                metadata=metadata,
+            return self._recovered(
+                completion, added_ms, fallback="model", degraded_from=model_name
             )
         if self.fallback_cache is not None:
             key = self.cache_key_fn(prompt) if self.cache_key_fn is not None else prompt
@@ -384,15 +357,9 @@ class ResilienceMiddleware(Middleware):
             if hit.entry is not None:
                 with self.stats.lock:
                     self.stats.fallback_cache_answers += 1
-                return Completion(
-                    text=hit.entry.response,
-                    model="cache",
-                    usage=Usage(prompt_tokens=0, completion_tokens=0),
-                    cost=0.0,
-                    latency_ms=added_ms,
-                    confidence=round(hit.similarity, 6),
-                    engine="fallback",
-                    metadata={
+                return cached_completion(
+                    hit.entry.response,
+                    {
                         "serving.resilience": {
                             "fallback": "cache",
                             "tier": hit.tier,
@@ -400,6 +367,9 @@ class ResilienceMiddleware(Middleware):
                             "added_ms": round(added_ms, 4),
                         }
                     },
+                    latency_ms=added_ms,
+                    confidence=round(hit.similarity, 6),
+                    engine="fallback",
                 )
         with self.stats.lock:
             self.stats.resilience_exhausted += 1

@@ -31,6 +31,17 @@ request's RNG stream from its submission index via ``reseeded(index *
 seed_stride)``, decoupling results from worker assignment when callers
 *want* independent streams per request; the default stride of 0 shares the
 serial stream.
+
+The scheduler is also what applications hold when traffic comes from many
+threads — ``submit()`` for futures, ``complete_many()`` for a whole
+workload — and one of the two :class:`~repro.llm.provider.Submitter`
+implementations :class:`~repro.serving.gateway.AsyncGateway` forwards to:
+
+>>> from repro.llm import LLMClient
+>>> from repro.serving import BatchingScheduler, build_stack
+>>> with BatchingScheduler(build_stack(LLMClient(), cache=True)) as served:
+...     future = served.submit("Question: Who directed The Silent Mirror?")
+...     text = future.result().text
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulerClosedError
 from repro.serving.stats import ServiceStats
@@ -146,7 +157,9 @@ class BatchingScheduler:
         batches (one call answers many indexes).
     stats:
         Shared :class:`ServiceStats`; batch sizes and queue depths are
-        recorded here.
+        recorded here. Defaults to the provider's own ``stats`` (a composed
+        stack has one), so scheduler and middleware counters land in one
+        snapshot.
     dispatch:
         ``"thread"`` (default) runs batches on the dispatcher threads —
         right for I/O-bound providers, and the only mode that can share
@@ -207,6 +220,8 @@ class BatchingScheduler:
         self.max_queue = max_queue
         self.combine = combine
         self.seed_stride = seed_stride
+        if stats is None:
+            stats = getattr(provider, "stats", None)
         self.stats = stats if stats is not None else ServiceStats()
         self.dispatch = dispatch
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -250,11 +265,18 @@ class BatchingScheduler:
     # ------------------------------------------------------------ client API
 
     def submit(
-        self, prompt: str, model: Optional[str] = None, index: Optional[int] = None
+        self,
+        prompt: str,
+        model: Optional[str] = None,
+        *,
+        tenant: Optional[str] = None,
+        index: Optional[int] = None,
     ) -> "Future[Completion]":
         """Enqueue one request; returns the future for its completion.
 
-        ``index`` pins the submission index explicitly — callers that fan
+        ``tenant`` is part of the :class:`~repro.llm.provider.Submitter`
+        contract and ignored here: one scheduler fronts one stack, which
+        serves one tenant. ``index`` pins the submission index explicitly — callers that fan
         one ordered workload out over several submitter threads use this to
         keep the *logical* order independent of thread interleaving.
         Explicit indexes must eventually cover a contiguous range: the
@@ -314,6 +336,47 @@ class BatchingScheduler:
             self._next_auto += n
             return base
 
+    def complete(self, prompt: str, model: Optional[str] = None) -> "Completion":
+        """Synchronous single request through the queue."""
+        return self.submit(prompt, model=model).result()
+
+    def complete_many(
+        self,
+        prompts: Sequence[str],
+        model: Optional[str] = None,
+        submitters: int = 1,
+    ) -> List["Completion"]:
+        """Answer a whole workload; results come back in ``prompts`` order.
+
+        ``submitters`` client threads split the workload round-robin, each
+        submitting with an explicit submission index so the scheduler
+        coalesces in *logical* order however the threads interleave — with
+        ``workers=1`` the result is bit-identical to the serial loop.
+        The first failed request re-raises its exception.
+        """
+        if not prompts:
+            return []
+        submitters = max(1, min(submitters, len(prompts)))
+        base = self.reserve(len(prompts))
+        futures: List[Optional[Future]] = [None] * len(prompts)
+
+        def feed(offset: int) -> None:
+            for i in range(offset, len(prompts), submitters):
+                futures[i] = self.submit(prompts[i], model=model, index=base + i)
+
+        if submitters == 1:
+            feed(0)
+        else:
+            threads = [
+                threading.Thread(target=feed, args=(offset,), daemon=True)
+                for offset in range(submitters)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        return [future.result() for future in futures]
+
     def close(self, wait: bool = True) -> None:
         """Stop accepting requests; drain and join the worker threads.
 
@@ -351,6 +414,15 @@ class BatchingScheduler:
         """Requests accepted but not yet coalesced into a batch."""
         with self._lock:
             return len(self._pending)
+
+    def describe(self) -> str:
+        """The provider's pipeline with the scheduler stage prepended."""
+        inner = (
+            self.provider.describe()
+            if hasattr(self.provider, "describe")
+            else type(self.provider).__name__
+        )
+        return f"scheduler(batch={self.max_batch_size}, workers={self.workers}) -> {inner}"
 
     # ------------------------------------------------------------ collector
 

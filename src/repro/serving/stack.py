@@ -113,17 +113,6 @@ class ServingStack:
             raise ValueError("stack has no durable directory (build_stack(durable_dir=...))")
         return self.durability.recover()
 
-    def concurrent(self, **kwargs: object) -> "ConcurrentStack":
-        """Wrap this stack in a :class:`~repro.serving.concurrent.ConcurrentStack`.
-
-        Keyword arguments are the scheduler knobs (``max_batch_size``,
-        ``max_wait_ms``, ``workers``, ...); the returned facade shares this
-        stack's :class:`ServiceStats`.
-        """
-        from repro.serving.concurrent import ConcurrentStack
-
-        return ConcurrentStack(self, **kwargs)
-
     def describe(self) -> str:
         """The layer chain, outermost first (e.g. for example scripts)."""
         return " -> ".join(self.layers)

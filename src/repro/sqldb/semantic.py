@@ -12,9 +12,7 @@ The runtime has two modes:
   :class:`~repro.core.cache.SemanticCache` configured for *exact* reuse,
   and dispatches the misses as ONE ``complete_batch`` call whose shared
   prefix (instruction + predicate text) is metered once. Per-row
-  evaluation afterwards hits the cache. A
-  :class:`~repro.serving.BatchingScheduler` can stand between the runtime
-  and the provider for cross-query coalescing.
+  evaluation afterwards hits the cache.
 * **naive** (:meth:`SemanticRuntime.naive`) — the reference evaluator:
   one ``complete`` per row, no dedupe, no cache, no batching.
 
@@ -29,20 +27,19 @@ the naive one — ``benchmarks/bench_semantic_sql.py`` enforces this on
 every run.
 
 Latency accounting: the runtime charges a simulated
-``call_overhead_ms + per_item_ms * items`` per provider call (mirroring
+``CALL_OVERHEAD_MS + PER_ITEM_MS * items`` per provider call (mirroring
 :class:`repro.bench.perf.SimulatedServiceProvider`'s cost model without
 sleeping), so benchmarks can compare plans deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.cache import SemanticCache
     from repro.llm.provider import CompletionProvider
-    from repro.serving.scheduler import BatchingScheduler
 
 #: Semantic operators default to the strongest simulated model: per-call
 #: cost dwarfs per-token cost, so there is no cascade to climb.
@@ -134,26 +131,6 @@ class SemanticStats:
     cache_hits: int = 0  # answered from the semantic cache
     simulated_ms: float = 0.0  # per-call latency model, no sleeping
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "prompts": self.prompts,
-            "provider_calls": self.provider_calls,
-            "provider_items": self.provider_items,
-            "batches": self.batches,
-            "cache_hits": self.cache_hits,
-            "simulated_ms": round(self.simulated_ms, 3),
-        }
-
-
-@dataclass
-class _StatsSnapshot:
-    prompts: int
-    provider_calls: int
-    provider_items: int
-    batches: int
-    cache_hits: int
-    simulated_ms: float
-
 
 class SemanticRuntime:
     """Answers semantic-operator prompts through a completion provider.
@@ -173,10 +150,6 @@ class SemanticRuntime:
         ``True`` (optimized): dedupe + cache + one ``complete_batch`` per
         prefetch. ``False`` (naive reference): one ``complete`` per prompt,
         in row order, nothing shared.
-    scheduler:
-        Optional :class:`~repro.serving.BatchingScheduler`; when set,
-        cache misses are submitted to it instead of being dispatched as a
-        direct ``complete_batch`` (the scheduler coalesces and combines).
     """
 
     def __init__(
@@ -186,17 +159,11 @@ class SemanticRuntime:
         cache: Optional["SemanticCache"] = None,
         model: str = DEFAULT_SEMANTIC_MODEL,
         batch: bool = True,
-        scheduler: Optional["BatchingScheduler"] = None,
-        call_overhead_ms: float = CALL_OVERHEAD_MS,
-        per_item_ms: float = PER_ITEM_MS,
     ) -> None:
         self._provider = provider
         self._cache = cache
         self.model = model
         self.batch = batch
-        self.scheduler = scheduler
-        self.call_overhead_ms = call_overhead_ms
-        self.per_item_ms = per_item_ms
         self.stats = SemanticStats()
 
     @classmethod
@@ -254,7 +221,7 @@ class SemanticRuntime:
     def answer_many(self, prompts: List[str]) -> List[str]:
         self.stats.prompts += len(prompts)
         if not self.batch:
-            return [self._complete_one(p) for p in prompts]
+            return [self._dispatch([p])[0].text for p in prompts]
 
         cache = self.cache
         assert cache is not None
@@ -276,11 +243,8 @@ class SemanticRuntime:
         return [answers[p] for p in prompts]
 
     def _dispatch(self, misses: List[str]):
-        """One provider round-trip for the deduped cache misses."""
-        if self.scheduler is not None:
-            futures = [self.scheduler.submit(p, model=self.model) for p in misses]
-            self._charge(len(misses), batched=len(misses) > 1)
-            return [f.result() for f in futures]
+        """One provider round-trip: a batch for several prompts (the deduped
+        cache misses), a plain ``complete`` for one (every naive-mode row)."""
         if len(misses) > 1:
             from repro.serving.scheduler import shared_prefix
 
@@ -293,32 +257,20 @@ class SemanticRuntime:
         self._charge(1, batched=False)
         return [self.provider.complete(misses[0], model=self.model)]
 
-    def _complete_one(self, prompt: str) -> str:
-        completion = self.provider.complete(prompt, model=self.model)
-        self._charge(1, batched=False)
-        return completion.text
-
     def _charge(self, items: int, batched: bool) -> None:
         self.stats.provider_calls += 1
         self.stats.provider_items += items
         if batched:
             self.stats.batches += 1
-        self.stats.simulated_ms += self.call_overhead_ms + self.per_item_ms * items
+        self.stats.simulated_ms += CALL_OVERHEAD_MS + PER_ITEM_MS * items
 
     # --------------------------------------------------------------- metrics
 
-    def snapshot(self) -> _StatsSnapshot:
-        s = self.stats
-        return _StatsSnapshot(
-            s.prompts,
-            s.provider_calls,
-            s.provider_items,
-            s.batches,
-            s.cache_hits,
-            s.simulated_ms,
-        )
+    def snapshot(self) -> SemanticStats:
+        """A copy of the counters, for a later :meth:`delta`."""
+        return replace(self.stats)
 
-    def delta(self, since: _StatsSnapshot) -> SemanticStats:
+    def delta(self, since: SemanticStats) -> SemanticStats:
         s = self.stats
         return SemanticStats(
             prompts=s.prompts - since.prompts,

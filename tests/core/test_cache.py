@@ -5,11 +5,11 @@ import pytest
 from repro.core.cache import (
     AUGMENT_WEIGHT,
     REUSE_WEIGHT,
-    CachedLLMClient,
     EvictionPolicy,
     SemanticCache,
 )
 from repro.llm import LLMClient
+from repro.serving import build_stack, last_question_key
 
 
 class TestLookupTiers:
@@ -121,35 +121,40 @@ class TestEviction:
         assert cache.lookup("q").entry.response == "new"
 
 
-class TestCachedLLMClient:
+class TestCacheInFrontOfClient:
+    """The cache-aside behaviours, on the one surviving implementation:
+    ``build_stack(client, cache=...)``."""
+
     def test_second_call_hits_cache(self):
         client = LLMClient(model="gpt-4")
-        cached = CachedLLMClient(client)
+        cached = build_stack(client, cache=True)
         prompt = "Question: Who directed The Silent Mirror?"
-        text1, source1 = cached.complete(prompt)
+        first = cached.complete(prompt)
         cost_after_first = client.meter.cost
-        text2, source2 = cached.complete(prompt)
-        assert (source1, source2) == ("llm", "cache")
-        assert text1 == text2
+        second = cached.complete(prompt)
+        assert "serving.cache" not in first.metadata  # answered by the LLM
+        assert second.metadata["serving.cache"]["tier"] == "reuse"
+        assert first.text == second.text
+        assert second.cost == 0.0
         assert client.meter.cost == cost_after_first  # no new spend
 
     def test_cache_key_override(self):
         client = LLMClient(model="gpt-4")
-        cached = CachedLLMClient(client)
-        cached.complete("Context: blah blah\nQuestion: Who directed The Silent Mirror?",
-                        cache_key="Who directed The Silent Mirror?")
-        _text, source = cached.complete(
-            "Different framing\nQuestion: Who directed The Silent Mirror?",
-            cache_key="Who directed The Silent Mirror?",
-        )
-        assert source == "cache"
+        cached = build_stack(client, cache=True, cache_key_fn=last_question_key)
+        cached.complete("Context: blah blah\nQuestion: Who directed The Silent Mirror?")
+        spent = client.meter.cost
+        again = cached.complete("Different framing\nQuestion: Who directed The Silent Mirror?")
+        assert again.metadata["serving.cache"]["tier"] == "reuse"
+        assert client.meter.cost == spent
 
     def test_augment_tier_adds_example(self):
         client = LLMClient(model="gpt-4")
         cache = SemanticCache(reuse_threshold=0.999, augment_threshold=0.4)
-        cached = CachedLLMClient(client, cache=cache)
+        cached = build_stack(client, cache=cache)
         cached.complete("Question: Who was born earlier, Ada Lovelace or Bob Noyce?")
+        calls = client.meter.calls
         # Paraphrase-ish second query: augment tier → still calls the LLM.
-        _text, source = cached.complete("Question: Who was born earlier, Ada Lovelace or Cy Noyce?")
-        assert source == "llm"
+        second = cached.complete("Question: Who was born earlier, Ada Lovelace or Cy Noyce?")
+        assert "serving.cache" not in second.metadata
+        assert client.meter.calls == calls + 1
         assert cache.stats.augment_hits == 1

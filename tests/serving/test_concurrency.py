@@ -15,7 +15,7 @@ import pytest
 from repro.core.cache import AdmissionPredictor, SemanticCache
 from repro.llm.client import LLMClient, Usage, UsageMeter
 from repro.llm.embeddings import EmbeddingModel, embed_text
-from repro.serving import ConcurrentStack, ServiceStats, build_stack
+from repro.serving import BatchingScheduler, ServiceStats, build_stack
 
 N_THREADS = 8
 
@@ -176,7 +176,7 @@ class TestFullStackConcurrency:
             cache=SemanticCache(capacity=64, reuse_threshold=0.9, augment_threshold=0.7),
         )
         prompts = [f"Question: stress item {i % 24}?" for i in range(96)]
-        with ConcurrentStack(stack, max_batch_size=4, workers=4) as served:
+        with BatchingScheduler(stack, max_batch_size=4, workers=4) as served:
             completions = served.complete_many(prompts, submitters=N_THREADS)
         assert len(completions) == len(prompts)
         assert all(c.text for c in completions)

@@ -130,9 +130,7 @@ class TestDeterminism:
         gateway_stack = build_stack(LLMClient(), cache=True)
 
         async def run():
-            async with AsyncGateway(
-                gateway_stack, classes=("all",), workers=1
-            ) as gateway:
+            async with AsyncGateway(gateway_stack, classes=("all",)) as gateway:
                 return await gateway.complete_all(prompts)
 
         got = asyncio.run(run())
@@ -393,7 +391,7 @@ def test_property_class_interleavings_match_serial(assignment):
     expected = {p: serial.complete(p) for p in prompts}
 
     async def run():
-        async with AsyncGateway(LLMClient(seed=7), workers=1) as gateway:
+        async with AsyncGateway(LLMClient(seed=7)) as gateway:
             reqs = [
                 GatewayRequest(p, priority=classes[k])
                 for p, k in zip(prompts, assignment)
@@ -420,7 +418,7 @@ def test_property_single_class_cache_stack_matches_serial(picks):
     gateway_stack = build_stack(LLMClient(), cache=True)
 
     async def run():
-        async with AsyncGateway(gateway_stack, classes=("all",), workers=1) as gateway:
+        async with AsyncGateway(gateway_stack, classes=("all",)) as gateway:
             return await gateway.complete_all(prompts)
 
     assert asyncio.run(run()) == expected

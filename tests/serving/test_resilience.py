@@ -10,7 +10,7 @@ from repro.errors import (
 )
 from repro.llm import FaultInjectingProvider, LLMClient
 from repro.serving import (
-    ConcurrentStack,
+    BatchingScheduler,
     ResilienceConfig,
     ResilienceMiddleware,
     ServiceStats,
@@ -285,7 +285,7 @@ class TestStackIntegration:
         flaky = FaultInjectingProvider(LLMClient(), default_rate=0.3, seed=4)
         stack = build_stack(flaky, resilience=True)
         prompts = [f"Question: item {i}?" for i in range(24)]
-        with ConcurrentStack(stack, max_batch_size=4, workers=4) as served:
+        with BatchingScheduler(stack, max_batch_size=4, workers=4) as served:
             completions = served.complete_many(prompts)
         assert len(completions) == len(prompts)
         assert all(completion.text for completion in completions)

@@ -1,4 +1,4 @@
-"""Unit tests for the micro-batching scheduler and the concurrent facade."""
+"""Unit tests for the micro-batching scheduler and its workload methods."""
 
 import threading
 import time
@@ -9,7 +9,6 @@ from repro.errors import SchedulerClosedError
 from repro.llm.client import LLMClient
 from repro.serving import (
     BatchingScheduler,
-    ConcurrentStack,
     LatencyHistogram,
     ServiceStats,
     build_stack,
@@ -309,29 +308,32 @@ class TestBatchingScheduler:
             BatchingScheduler(provider, max_queue=0)
 
 
-class TestConcurrentStack:
+class TestSchedulerFacade:
+    """``complete`` / ``complete_many`` / ``describe`` and the shared stats:
+    what applications use when they hold the scheduler directly."""
+
     def test_complete_many_matches_serial_loop(self):
         prompts = [f"Question: who is number {i}?" for i in range(10)]
         client = LLMClient()
         serial = [client.complete(p).text for p in prompts]
         for submitters in (1, 4):
-            with ConcurrentStack(LLMClient()) as served:
+            with BatchingScheduler(LLMClient()) as served:
                 texts = [c.text for c in served.complete_many(prompts, submitters=submitters)]
             assert texts == serial
 
     def test_complete_many_empty(self):
-        with ConcurrentStack(LLMClient()) as served:
+        with BatchingScheduler(LLMClient()) as served:
             assert served.complete_many([]) == []
 
     def test_single_complete_and_submit(self):
-        with ConcurrentStack(LLMClient()) as served:
+        with BatchingScheduler(LLMClient()) as served:
             direct = served.complete("Question: direct?")
             queued = served.submit("Question: queued?").result(timeout=10)
         assert direct.text and queued.text
 
     def test_shares_stack_stats(self):
         stack = build_stack(LLMClient(), cache=True)
-        with ConcurrentStack(stack, max_batch_size=2) as served:
+        with BatchingScheduler(stack, max_batch_size=2) as served:
             served.complete_many([f"Question: s{i}?" for i in range(4)])
         assert served.stats is stack.stats
         assert stack.stats.scheduler_submitted == 4
@@ -340,18 +342,23 @@ class TestConcurrentStack:
 
     def test_describe_and_report(self):
         stack = build_stack(LLMClient(), cache=True)
-        with stack.concurrent(max_batch_size=4, workers=2) as served:
+        with BatchingScheduler(stack, max_batch_size=4, workers=2) as served:
             served.complete("Question: describe?")
             description = served.describe()
-            report = served.report()
+            report = served.stats.render()
         assert description.startswith("scheduler(batch=4, workers=2) -> cache")
         assert "scheduler" in report
 
     def test_embed_passthrough(self):
         client = LLMClient()
-        with ConcurrentStack(client) as served:
-            vec = served.embed("some text")
+        with BatchingScheduler(client) as served:
+            vec = served.provider.embed("some text")
         assert vec.shape == client.embed("some text").shape
+
+    def test_provider_without_stats_gets_private_stats(self):
+        with BatchingScheduler(RecordingProvider()) as served:
+            served.complete("Question: private?")
+        assert served.stats.scheduler_completed == 1
 
 
 class TestLatencyHistogram:

@@ -18,7 +18,6 @@ from repro.apps.transform import (
 )
 from repro.apps.transform.tables import render_json_records
 from repro.apps.transform.transaction import make_accounts_db
-from repro.core.cache import CachedLLMClient
 from repro.core.cascade import CascadeClient
 from repro.core.decompose import QueryOptimizer
 from repro.core.prompts.templates import qa_prompt
@@ -32,6 +31,7 @@ from repro.datasets import (
 from repro.datasets.spider import execution_match
 from repro.llm import LLMClient
 from repro.llm.client import default_world
+from repro.serving import build_stack
 
 
 class TestFig1Pipeline:
@@ -99,12 +99,14 @@ class TestCostStackComposition:
         assert accuracy >= 0.8
 
     def test_semantic_cache_in_front_of_llm(self, gpt4):
-        cached = CachedLLMClient(gpt4)
+        cached = build_stack(gpt4, cache=True)
         prompt = qa_prompt("Who directed The Silent Mirror?")
-        first_text, first_source = cached.complete(prompt)
-        second_text, second_source = cached.complete(prompt)
-        assert (first_source, second_source) == ("llm", "cache")
-        assert first_text == second_text
+        first = cached.complete(prompt)
+        second = cached.complete(prompt)
+        assert "serving.cache" not in first.metadata
+        assert second.metadata["serving.cache"]["tier"] == "reuse"
+        assert (first.cost > 0, second.cost) == (True, 0.0)
+        assert first.text == second.text
 
 
 class TestHealthcareFlow:
