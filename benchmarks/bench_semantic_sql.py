@@ -3,8 +3,10 @@
 Builds two identical databases, runs the semantic-operator workload
 (SEMANTIC_FILTER / SEMANTIC_JOIN...MATCHES / LLM_CLASSIFY / LLM_EXTRACT)
 under the optimized pipeline (conjunct reordering + predicate pushdown +
-set-at-a-time batched dispatch + exact-reuse semantic cache) and under the
-naive per-row reference evaluator, and writes ``BENCH_semsql.json``.
+set-at-a-time batched dispatch + exact-match semantic cache) and under the
+naive per-row reference evaluator, and writes ``BENCH_semsql.json``
+(``--smoke``: ``BENCH_semsql.smoke.json``, so the committed full-size
+artifact is never clobbered by a CI-sized run).
 Every query's rows are compared bit-exactly; any divergence fails the run:
 the plan rewrite must not cost correctness.
 
@@ -24,8 +26,13 @@ import sys
 from repro.bench.semsql import DEFAULT_SEMSQL_REPORT_PATH, run_semantic_sql
 
 
-def _report_path() -> str:
-    return os.environ.get("REPRO_BENCH_SEMSQL_PATH", DEFAULT_SEMSQL_REPORT_PATH)
+def _report_path(smoke: bool = False) -> str:
+    default = (
+        DEFAULT_SEMSQL_REPORT_PATH.replace(".json", ".smoke.json")
+        if smoke
+        else DEFAULT_SEMSQL_REPORT_PATH
+    )
+    return os.environ.get("REPRO_BENCH_SEMSQL_PATH", default)
 
 
 def _run(smoke: bool, write: bool = True):
@@ -34,7 +41,7 @@ def _run(smoke: bool, write: bool = True):
         n_reviews=12 if smoke else 48,
     )
     if write:
-        report.write(_report_path())
+        report.write(_report_path(smoke))
     return report
 
 
@@ -59,7 +66,7 @@ def main(argv) -> int:
     smoke = "--smoke" in argv
     report = _run(smoke)
     print(report.render())
-    print(f"wrote {_report_path()}")
+    print(f"wrote {_report_path(smoke)}")
     if report.diverged != 0:
         print(
             "FAIL: optimized semantic plan diverged from the per-row "
@@ -75,7 +82,7 @@ def main(argv) -> int:
         print("FAIL: optimized plan did not reduce simulated latency", file=sys.stderr)
         return 1
     # Validate the report round-trips as JSON.
-    with open(_report_path(), "r", encoding="utf-8") as handle:
+    with open(_report_path(smoke), "r", encoding="utf-8") as handle:
         json.load(handle)
     return 0
 

@@ -3,8 +3,10 @@
 Differences from a conventional exact-match cache, following the paper:
 
 * **Similarity matching** — queries are embedded; a cached entry hits when
-  its cosine similarity to the new query clears a configurable threshold
-  (1.0 degenerates to exact matching).
+  its cosine similarity to the new query clears a configurable threshold.
+  With both thresholds at 1.0 the cache *is* an exact-match cache: hits
+  are decided by key equality alone and no vector is ever computed,
+  stored or searched.
 * **Two hit tiers** — a *reuse* hit (similarity ≥ ``reuse_threshold``)
   returns the cached response without calling the LLM; an *augment* hit
   (similarity ≥ ``augment_threshold``) cannot be returned directly but the
@@ -59,7 +61,8 @@ class CacheEntry:
 
     key: str
     # None while the entry sits in the cache's write-behind put buffer;
-    # set (batched) by the first probe's flush.
+    # set (batched) by the first probe's flush. An exact-match cache
+    # (both thresholds 1.0) never sets it.
     embedding: Optional[np.ndarray]
     response: str
     kind: str = "original"  # 'original' | 'sub'
@@ -270,6 +273,12 @@ class SemanticCache:
     the true nearest entry but runs sublinearly. A prebuilt index object
     (anything with ``add``/``remove``/``search``) is accepted too.
 
+    Exact-match contract: ``reuse_threshold == augment_threshold == 1.0``
+    means key equality and no vectors — a lookup is one dict probe, a
+    non-key is a miss, and neither ``lookup``/``peek``/``batch_probe`` nor
+    ``put`` ever calls the embedder or the index (distinct texts may share
+    one embedding, so a similarity of 1.0 does *not* imply the same text).
+
     Thread safety: every probe and mutation holds one re-entrant cache
     lock, so concurrent callers can never observe a torn state (an entry
     in ``entries`` missing from the index, a half-compacted FlatIndex
@@ -332,6 +341,11 @@ class SemanticCache:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @property
+    def _exact_match(self) -> bool:
+        """Both thresholds are 1.0 (``augment <= reuse <= 1`` is validated)."""
+        return self.augment_threshold >= 1.0
+
     def __contains__(self, key: str) -> bool:
         return key in self.entries
 
@@ -366,10 +380,11 @@ class SemanticCache:
         back to the full scan); correctness never depends on the probe.
 
         Returns the probe (also threaded through ``_probe_local``), or
-        ``None`` when the index can't batch (no ``search_top1_many``).
-        Call :meth:`end_probe` when the batch is done.
+        ``None`` when there is nothing to precompute: an exact-match cache
+        has no similarities, or the index can't batch (no
+        ``search_top1_many``). Call :meth:`end_probe` when the batch is done.
         """
-        if not hasattr(self.index, "search_top1_many"):
+        if self._exact_match or not hasattr(self.index, "search_top1_many"):
             return None
         if getattr(self.index, "metric", Metric.COSINE) is not Metric.COSINE:
             return None  # delta merge below assumes cosine scalar sims
@@ -409,9 +424,8 @@ class SemanticCache:
 
         Must be called under the cache lock."""
         if query in self.entries:
-            # Exact requery returns its own entry: distinct texts can share
-            # one embedding (same feature multiset), and a similarity scan
-            # would tie-break to whichever was inserted first.
+            # Inserted by another thread since _key_probe ran off this lock
+            # section: the exact-requery rule still applies.
             return query, 1.0
         if self._pending_puts:
             self._flush_puts()
@@ -440,58 +454,76 @@ class SemanticCache:
             return best_key, float(best_sim)
         return best
 
+    def _key_probe(self, query: str) -> Optional[CacheLookup]:
+        """The part of a probe that needs no vectors (under the cache lock);
+        None when the similarity scan has to decide.
+
+        An exact key is a reuse hit at similarity 1.0 whatever the
+        thresholds: distinct texts can share one embedding (same feature
+        multiset), and a similarity scan would tie-break to whichever was
+        inserted first. In an exact-match cache that is the whole probe —
+        no other text may be returned, so a non-key is a miss."""
+        entry = self.entries.get(query)
+        if entry is not None:
+            return CacheLookup(tier="reuse", entry=entry, similarity=1.0)
+        if not self.entries or self._exact_match:
+            return CacheLookup(tier="miss")
+        return None
+
+    def _vector_probe(self, query: str, query_vec: np.ndarray) -> CacheLookup:
+        """Tier ``query`` by its nearest cached entry (under the cache lock)."""
+        best = self._probe_best(query, query_vec) if self.entries else None
+        if best is not None:
+            best_key, best_sim = best
+            if best_sim >= self.reuse_threshold:
+                return CacheLookup("reuse", self.entries[best_key], best_sim)
+            if best_sim >= self.augment_threshold:
+                return CacheLookup("augment", self.entries[best_key], best_sim)
+        return CacheLookup(tier="miss")
+
+    def _record(self, found: CacheLookup) -> CacheLookup:
+        """Apply one lookup's bookkeeping (under the cache lock)."""
+        self._clock += 1
+        self.stats.lookups += 1
+        entry = found.entry
+        if entry is None:
+            self.stats.misses += 1
+            return found
+        entry.last_access = self._clock
+        entry.touch_lrfu(self._clock, self.lrfu_lambda)
+        if found.tier == "reuse":
+            entry.reuse_hits += 1
+            self.stats.reuse_hits += 1
+            self.stats.cost_saved += entry.cost_of_miss
+        else:
+            entry.augment_hits += 1
+            self.stats.augment_hits += 1
+        return found
+
     def lookup(self, query: str) -> CacheLookup:
         """Probe the cache; updates hit statistics."""
-        # Embed before taking the lock: the embedder memoizes under its
-        # own lock and the vector is a pure function of the query text.
+        with self._lock:
+            found = self._key_probe(query)
+            if found is not None:
+                return self._record(found)
+        # Embed off the lock: the embedder memoizes under its own lock and
+        # the vector is a pure function of the query text.
         query_vec = self.embedder.embed(query)
         with self._lock:
-            self._clock += 1
-            self.stats.lookups += 1
-            if not self.entries:
-                self.stats.misses += 1
-                return CacheLookup(tier="miss")
-            best = self._probe_best(query, query_vec)
-            if best is None:
-                self.stats.misses += 1
-                return CacheLookup(tier="miss")
-            best_key, best_sim = best
-            best_entry = self.entries[best_key]
-            if best_sim >= self.reuse_threshold:
-                best_entry.reuse_hits += 1
-                best_entry.last_access = self._clock
-                best_entry.touch_lrfu(self._clock, self.lrfu_lambda)
-                self.stats.reuse_hits += 1
-                self.stats.cost_saved += best_entry.cost_of_miss
-                return CacheLookup(tier="reuse", entry=best_entry, similarity=best_sim)
-            if best_sim >= self.augment_threshold:
-                best_entry.augment_hits += 1
-                best_entry.last_access = self._clock
-                best_entry.touch_lrfu(self._clock, self.lrfu_lambda)
-                self.stats.augment_hits += 1
-                return CacheLookup(tier="augment", entry=best_entry, similarity=best_sim)
-            self.stats.misses += 1
-            return CacheLookup(tier="miss")
+            return self._record(self._vector_probe(query, query_vec))
 
     def peek(self, query: str) -> CacheLookup:
         """Read-only probe: the same tiering as :meth:`lookup`, but no
         statistics, hit counters or eviction-clock updates — the serving
         layer's degraded-answer fallback uses this so failure handling
         never perturbs cache behavior."""
+        with self._lock:
+            found = self._key_probe(query)
+            if found is not None:
+                return found
         query_vec = self.embedder.embed(query)
         with self._lock:
-            if not self.entries:
-                return CacheLookup(tier="miss")
-            best = self._probe_best(query, query_vec)
-            if best is None:
-                return CacheLookup(tier="miss")
-            best_key, best_sim = best
-            best_entry = self.entries[best_key]
-            if best_sim >= self.reuse_threshold:
-                return CacheLookup(tier="reuse", entry=best_entry, similarity=best_sim)
-            if best_sim >= self.augment_threshold:
-                return CacheLookup(tier="augment", entry=best_entry, similarity=best_sim)
-            return CacheLookup(tier="miss")
+            return self._vector_probe(query, query_vec)
 
     def touch_hit(self, key: str, tier: str) -> CacheEntry:
         """Apply a hit decided by an external router to entry ``key``.
@@ -534,6 +566,8 @@ class SemanticCache:
             # parked un-embedded in ``_pending_puts`` and materialized (one
             # batched embed sweep, index adds in insertion order) by the
             # next probe — so a put is a dict insert plus a buffer park.
+            # An exact-match cache parks nothing: no entry of it is ever
+            # embedded or indexed.
             with self._lock:
                 self._clock += 1
                 entry = self.entries.get(query)
@@ -560,8 +594,9 @@ class SemanticCache:
                     crf_updated_at=self._clock,
                 )
                 self.entries[query] = entry
-                self._pending_puts[query] = entry
-                self._insert_log.append(query)
+                if self.augment_threshold < 1.0:  # not self._exact_match, inlined
+                    self._pending_puts[query] = entry
+                    self._insert_log.append(query)
                 return entry
         with self._lock:
             self._clock += 1
@@ -579,7 +614,7 @@ class SemanticCache:
             with self._lock:
                 self.admission_rejects += 1
             return None
-        embedding = self.embedder.embed(query)
+        embedding = None if self._exact_match else self.embedder.embed(query)
         with self._lock:
             if query in self.entries:
                 # Another thread inserted the same key while we were off
@@ -603,10 +638,11 @@ class SemanticCache:
             )
             entry.touch_lrfu(self._clock, self.lrfu_lambda)
             self.entries[query] = entry
-            # Park alongside the fast path's un-embedded entries so index
-            # insertion order always equals entry insertion order.
-            self._pending_puts[query] = entry
-            self._insert_log.append(query)
+            if not self._exact_match:
+                # Park alongside the fast path's un-embedded entries so index
+                # insertion order always equals entry insertion order.
+                self._pending_puts[query] = entry
+                self._insert_log.append(query)
             return entry
 
     def _flush_puts(self) -> None:
@@ -664,7 +700,7 @@ class SemanticCache:
                 key=lambda e: (e.weighted_score(self._clock), e.key),
             )
         del self.entries[victim.key]
-        if self._pending_puts.pop(victim.key, None) is None:
+        if self._pending_puts.pop(victim.key, None) is None and not self._exact_match:
             # Only flushed entries ever reached the index; a victim still
             # in the put buffer just gets retracted from it.
             self.index.remove(victim.key)

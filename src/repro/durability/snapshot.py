@@ -132,7 +132,8 @@ def restore_cache_into(cache: SemanticCache, data: Dict[str, object]) -> None:
     """Load a :func:`snapshot_cache` payload into ``cache``, replacing its
     contents. Entry embeddings are re-derived from the keys (the embedder
     is a pure deterministic function, so the vectors are bit-identical to
-    the ones that were live at snapshot time). The cache's configuration
+    the ones that were live at snapshot time); an exact-match cache (both
+    thresholds 1.0) keeps no vectors and gets none. The cache's configuration
     must match the snapshot's — recovery into a differently-tuned cache
     would silently change behavior, so it raises instead."""
     config_checks = (
@@ -156,10 +157,11 @@ def restore_cache_into(cache: SemanticCache, data: Dict[str, object]) -> None:
         # Rebuild the vector index from scratch in entry insertion order
         # rather than surgically removing rows from the old one.
         cache.index = type(cache.index)(dim=cache.embedder.dim)
+        vectors = not cache._exact_match
         for stored in data["entries"]:  # type: ignore[union-attr]
             entry = CacheEntry(
                 key=stored["key"],
-                embedding=cache.embedder.embed(stored["key"]),
+                embedding=cache.embedder.embed(stored["key"]) if vectors else None,
                 response=stored["response"],
                 kind=stored["kind"],
                 cost_of_miss=stored["cost_of_miss"],
@@ -171,7 +173,8 @@ def restore_cache_into(cache: SemanticCache, data: Dict[str, object]) -> None:
                 crf_updated_at=int(stored["crf_updated_at"]),
             )
             cache.entries[entry.key] = entry
-            cache.index.add(entry.key, entry.embedding)
+            if vectors:
+                cache.index.add(entry.key, entry.embedding)
         # The wholesale replacement invalidates any in-flight batch probe:
         # advance the insert-log base past every recorded probe position so
         # their lookups fall back to a full (fresh-index) scan.

@@ -369,10 +369,13 @@ class AsyncGateway:
             raise SchedulerClosedError("gateway closed while submit waited")
 
         # The deadline aged while we waited for admission; shed now rather
-        # than occupy a slot with a hopeless request.
+        # than occupy a slot with a hopeless request. The slot we were woken
+        # for is still free: hand the wake-up on, or the submitters parked
+        # behind us wait for a dequeue that may never come.
         if self.shed_expired and abs_deadline is not None and self._clock() >= abs_deadline:
             waited = (self._clock() - now) * 1000.0
             self._resolve_shed(ticket, "shed_at_submit", waited_ms=waited)
+            self._release_slot(cls)
             return ticket
 
         ticket.seq = self._seq

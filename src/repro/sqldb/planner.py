@@ -454,6 +454,59 @@ def _push_into_source(
     return walk(source, True)
 
 
+def _take_pushable(
+    conjuncts: List[ast.Expr],
+    eligible: Dict[str, ast.TableName],
+    owners: Dict[str, Optional[str]],
+    opaque: bool,
+    pushed: Dict[str, List[ast.Expr]],
+) -> List[ast.Expr]:
+    """File each relational conjunct that reads exactly one ``eligible``
+    binding under that binding in ``pushed``; return the rest in order."""
+    kept: List[ast.Expr] = []
+    for conjunct in conjuncts:
+        binding = (
+            None
+            if ast.contains_semantic(conjunct)
+            else _conjunct_binding(conjunct, owners, opaque)
+        )
+        if binding is not None and binding in eligible:
+            pushed.setdefault(binding, []).append(conjunct)
+        else:
+            kept.append(conjunct)
+    return kept
+
+
+def _take_join_guards(
+    source: ast.TableRef,
+    owners: Dict[str, Optional[str]],
+    opaque: bool,
+    pushed: Dict[str, List[ast.Expr]],
+) -> ast.TableRef:
+    """Strip the pushable ON conjuncts off every SEMANTIC join in
+    ``source`` (into ``pushed``). A SEMANTIC join is inner, so a guard on
+    one of its own tables holds for a pair iff it holds for that table's
+    row; joins under the right side of a LEFT join keep their ON whole."""
+
+    def walk(ref: ast.TableRef, pushable: bool) -> ast.TableRef:
+        if not isinstance(ref, ast.Join):
+            return ref
+        on = ref.on
+        if ref.kind == "SEMANTIC" and pushable:
+            kept = _take_pushable(
+                ast.conjuncts(on), _pushable_bindings(ref), owners, opaque, pushed
+            )
+            on = ast.conjoin(kept)  # never empty: the parser requires a MATCHES
+        return replace(
+            ref,
+            left=walk(ref.left, pushable),
+            right=walk(ref.right, pushable and ref.kind != "LEFT"),
+            on=on,
+        )
+
+    return walk(source, True)
+
+
 def optimize_semantic(select: ast.Select, catalog: Catalog) -> ast.Select:
     """Rewrite a semantic SELECT so relational work runs before LLM work.
 
@@ -466,38 +519,34 @@ def optimize_semantic(select: ast.Select, catalog: Catalog) -> ast.Select:
     2. **Predicate pushdown** — a relational conjunct reading exactly one
        base table is pushed below the joins into that table's scan
        (wrapping it in a filtered FROM-subquery), shrinking the pair sets
-       a SEMANTIC_JOIN offers to the LLM. Pushing through INNER/CROSS/
-       SEMANTIC joins and the left side of LEFT joins is sound; the right
-       side of a LEFT join is left alone.
+       a SEMANTIC_JOIN offers to the LLM. This applies to WHERE conjuncts
+       and to the ON conjuncts of a SEMANTIC join (a guard such as
+       ``p.id BETWEEN 1 AND 4`` is then checked once per row, not once
+       per pair). Pushing through INNER/CROSS/SEMANTIC joins and the left
+       side of LEFT joins is sound; the right side of a LEFT join is left
+       alone. Conjuncts that read both sides or contain a subquery stay
+       where they were written.
 
     Statements without semantic operators (and compound set-operation
     statements) are returned unchanged. The input is never mutated.
     """
     if select.set_ops or not select_contains_semantic(select):
         return select
-    new_where = select.where
+    relational: List[ast.Expr] = []
+    semantic: List[ast.Expr] = []
+    for conjunct in ast.conjuncts(select.where):
+        (semantic if ast.contains_semantic(conjunct) else relational).append(conjunct)
     new_source = select.source
-    if select.where is not None:
-        relational: List[ast.Expr] = []
-        semantic: List[ast.Expr] = []
-        for conjunct in ast.conjuncts(select.where):
-            (semantic if ast.contains_semantic(conjunct) else relational).append(conjunct)
-        if new_source is not None and relational:
-            eligible = _pushable_bindings(new_source)
-            owners, opaque = _column_owners(new_source, catalog)
-            pushed: Dict[str, List[ast.Expr]] = {}
-            kept: List[ast.Expr] = []
-            for conjunct in relational:
-                binding = _conjunct_binding(conjunct, owners, opaque)
-                if binding is not None and binding in eligible:
-                    pushed.setdefault(binding, []).append(conjunct)
-                else:
-                    kept.append(conjunct)
-            if pushed:
-                new_source = _push_into_source(new_source, pushed)
-                relational = kept
-        new_where = ast.conjoin(relational + semantic)
-    return replace(select, where=new_where, source=new_source)
+    if new_source is not None:
+        owners, opaque = _column_owners(new_source, catalog)
+        pushed: Dict[str, List[ast.Expr]] = {}
+        new_source = _take_join_guards(new_source, owners, opaque, pushed)
+        relational = _take_pushable(
+            relational, _pushable_bindings(new_source), owners, opaque, pushed
+        )
+        if pushed:
+            new_source = _push_into_source(new_source, pushed)
+    return replace(select, where=ast.conjoin(relational + semantic), source=new_source)
 
 
 # ----------------------------------------------------------------- features

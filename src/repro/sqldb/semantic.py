@@ -9,7 +9,7 @@ The runtime has two modes:
 
 * **optimized** (default) — set-at-a-time: the executor prefetches all of
   an operator's row prompts at once; the runtime dedupes them, consults a
-  :class:`~repro.core.cache.SemanticCache` configured for *exact* reuse,
+  :class:`~repro.core.cache.SemanticCache` in exact-match mode,
   and dispatches the misses as ONE ``complete_batch`` call whose shared
   prefix (instruction + predicate text) is metered once. Per-row
   evaluation afterwards hits the cache.
@@ -20,11 +20,15 @@ The runtime has two modes:
 and the simulated provider's completions are pure functions of
 ``(seed, model, prompt)``; ``complete_batch(prefix, items)`` answers each
 item exactly as ``complete(prefix + item)`` (only token metering
-differs). The cache's reuse tier is pinned to threshold 1.0, so it can
-only ever return the text the provider itself would have produced for
-that exact prompt. Hence the optimized plan returns bit-identical rows to
-the naive one — ``benchmarks/bench_semantic_sql.py`` enforces this on
-every run.
+differs). The runtime's cache has both thresholds at 1.0, which makes it
+an exact-match cache: a hit is decided by string equality of the prompt,
+never by embedding similarity (prompts that differ only in case or
+punctuation share one embedding, so a similarity of 1.0 would not be
+enough), and it can therefore only return the text the provider itself
+produced for that exact prompt. Hence the optimized plan returns
+bit-identical rows to the naive one — ``benchmarks/bench_semantic_sql.py``
+enforces this on every run. A caller-supplied cache with lower thresholds
+trades this guarantee for similarity reuse.
 
 Latency accounting: the runtime charges a simulated
 ``CALL_OVERHEAD_MS + PER_ITEM_MS * items`` per provider call (mirroring
@@ -143,7 +147,7 @@ class SemanticRuntime:
         or anything in between.
     cache:
         A :class:`~repro.core.cache.SemanticCache`; defaults to an
-        exact-reuse cache (``reuse_threshold=1.0``). The cache is also the
+        exact-match cache (both thresholds 1.0). The cache is also the
         dataflow channel between set-at-a-time prefetch and per-row
         evaluation, so ``batch=True`` forces a cache.
     batch:
@@ -193,9 +197,8 @@ class SemanticRuntime:
         if self._cache is None:
             from repro.core.cache import SemanticCache
 
-            # Exact-reuse tiers: at threshold 1.0 the cache degenerates to
-            # exact matching, which is what the bit-equivalence guarantee
-            # requires (see module docstring).
+            # Both thresholds 1.0 = key equality, no vectors: what the
+            # bit-equivalence guarantee requires (see module docstring).
             self._cache = SemanticCache(
                 capacity=4096, reuse_threshold=1.0, augment_threshold=1.0
             )
@@ -226,7 +229,7 @@ class SemanticRuntime:
         cache = self.cache
         assert cache is not None
         answers: Dict[str, str] = {}
-        misses: List[str] = []
+        misses: Dict[str, None] = {}  # insertion-ordered: dispatch order
         for prompt in prompts:
             if prompt in answers or prompt in misses:
                 continue  # in-flight dedupe: identical prompts, one answer
@@ -235,9 +238,9 @@ class SemanticRuntime:
                 answers[prompt] = lookup.entry.response
                 self.stats.cache_hits += 1
             else:
-                misses.append(prompt)
+                misses[prompt] = None
         if misses:
-            for prompt, completion in zip(misses, self._dispatch(misses)):
+            for prompt, completion in zip(misses, self._dispatch(list(misses))):
                 answers[prompt] = completion.text
                 cache.put(prompt, completion.text, cost=completion.cost)
         return [answers[p] for p in prompts]

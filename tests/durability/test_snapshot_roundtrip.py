@@ -122,6 +122,34 @@ class TestCacheRoundtrip:
         assert snapshot_cache(restored) == snapshot_cache(cache)
         assert restored.lookup("who directed the film").tier == "reuse"
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        queries=st.lists(query_strategy, min_size=1, max_size=30),
+        probes=st.lists(query_strategy, min_size=1, max_size=10),
+        policy=st.sampled_from(list(EvictionPolicy)),
+    )
+    def test_exact_match_cache_roundtrip_keeps_no_vectors(self, queries, probes, policy):
+        cache = SemanticCache(
+            capacity=4, policy=policy, reuse_threshold=1.0, augment_threshold=1.0
+        )
+        for query in queries:
+            if cache.lookup(query).tier != "reuse":
+                cache.put(query, f"answer for {query}")
+        snapshot = snapshot_cache(cache)
+        restored = fresh_like(cache)
+        restore_cache_into(restored, json_roundtrip(snapshot))
+
+        assert snapshot_cache(restored) == snapshot
+        assert all(entry.embedding is None for entry in restored.entries.values())
+        assert len(restored.index) == 0
+        for probe in probes:
+            mine, theirs = cache.lookup(probe), restored.lookup(probe)
+            assert mine.tier == theirs.tier
+            if mine.tier != "reuse":
+                cache.put(probe, "fresh")  # evicts: the index must not be asked
+                restored.put(probe, "fresh")
+        assert snapshot_cache(restored) == snapshot_cache(cache)
+
     def test_mismatched_config_is_rejected(self):
         cache = SemanticCache(capacity=4)
         snapshot = snapshot_cache(cache)

@@ -62,6 +62,43 @@ def test_sharded_cache_matches_single_cache(n_shards, policy):
     assert len(sharded) == len(single)
 
 
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_sharded_exact_match_cache_matches_single_cache(n_shards):
+    """Thresholds 1.0 (the mode the cluster bench and example run): the
+    partitions keep no vectors and the scatter-probe still equals the
+    unsharded cache — rewordings miss, repeats hit their own entry."""
+    exact = dict(reuse_threshold=1.0, augment_threshold=1.0)
+    single = SemanticCache(capacity=256, **exact)
+    sharded = ShardedSemanticCache(
+        ClusterRouter([f"s{i}" for i in range(n_shards)]), tenant_capacity=256, **exact
+    )
+    embeds = []
+    sharded.embedder.embed = lambda text: embeds.append(text)  # must stay unused
+    tiers = []
+    for i, query in enumerate(_stream()):
+        want = single.lookup(query)
+        got = sharded.lookup("acme", query)
+        tiers.append(got.tier)
+        assert (got.tier, got.similarity) == (want.tier, want.similarity)
+        if want.entry is None:
+            single.put(query, f"answer #{i}", cost=0.01)
+            sharded.put("acme", query, f"answer #{i}", cost=0.01)
+        else:
+            assert got.entry.key == want.entry.key == query
+            assert got.entry.response == want.entry.response
+    assert tiers == ["miss"] * 18 + ["reuse"] * 8
+    assert embeds == []
+    for _shard, partition in sharded.partitions_of("acme"):
+        assert len(partition.index) == 0
+    tstats = sharded.stats_for("acme")
+    assert (tstats.lookups, tstats.reuse_hits, tstats.misses) == (
+        single.stats.lookups,
+        single.stats.reuse_hits,
+        single.stats.misses,
+    )
+    assert tstats.cost_saved == pytest.approx(single.stats.cost_saved)
+
+
 def test_sharded_cache_partitions_land_on_owner_shards():
     router = ClusterRouter(["s0", "s1", "s2", "s3"])
     sharded = ShardedSemanticCache(router, tenant_capacity=64)

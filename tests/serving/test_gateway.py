@@ -301,6 +301,44 @@ class TestBackpressure:
         assert all(c.text for c in completions)
         assert stats.gateway_backpressure_waits >= 1
 
+    def test_parked_submitter_that_wakes_expired_hands_the_slot_on(self):
+        """A in flight, B queued, C and D parked with 20 ms deadlines.
+        Dequeuing B wakes C; C finds itself expired and sheds without
+        taking the slot, so it must wake D — or D parks for ever."""
+        provider = GatedProvider()
+        clock = ManualClock()
+
+        async def run():
+            async with AsyncGateway(
+                provider,
+                classes=("all",),
+                max_queue_per_class=1,
+                max_inflight=1,
+                clock=clock.now,
+                degrader=None,
+            ) as gateway:
+                a = asyncio.ensure_future(gateway.submit("Question: A?"))
+                while gateway._inflight == 0:
+                    await asyncio.sleep(0.001)
+                b = asyncio.ensure_future(gateway.submit("Question: B?"))
+                parked = [
+                    asyncio.ensure_future(gateway.submit(p, deadline_ms=20.0))
+                    for p in ("Question: C?", "Question: D?")
+                ]
+                while len(gateway._waiters["all"]) < 2:
+                    await asyncio.sleep(0.001)
+                clock.advance(0.050)  # C and D expire while parked
+                provider.release.set()
+                shed = await asyncio.wait_for(
+                    asyncio.gather(*parked, return_exceptions=True), 5.0
+                )
+                return await a, await b, shed
+
+        a, b, shed = asyncio.run(run())
+        assert a.text and b.text
+        assert [type(e) for e in shed] == [DeadlineExceededError] * 2
+        assert provider.calls == ["Question: A?", "Question: B?"]
+
     def test_close_wakes_parked_submitters(self):
         provider = GatedProvider()
 

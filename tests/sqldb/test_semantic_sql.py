@@ -216,6 +216,38 @@ class TestPlannerSemanticCost:
         assert not select_contains_semantic(stmt)
         assert optimize_semantic(stmt, db.catalog) is stmt
 
+    def test_optimize_pushes_join_guards_out_of_on(self):
+        db, _ = _pair()
+        stmt = parse_statement(
+            "SELECT p.name FROM products AS p SEMANTIC_JOIN reviews AS r "
+            "ON MATCHES(p.name, r.title) AND p.id BETWEEN 1 AND 1 "
+            "AND r.id BETWEEN 2 AND 4 AND p.id < r.product_id "
+            "AND r.stars > (SELECT MIN(stars) FROM reviews)"
+        )
+        written = str(stmt)
+        rewritten = optimize_semantic(stmt, db.catalog)
+        assert str(stmt) == written  # the input is never mutated
+        join = rewritten.source
+        assert isinstance(join, ast.Join) and join.kind == "SEMANTIC"
+        assert (join.left.alias, join.right.alias) == ("p", "r")
+        assert str(join.left.select.where) == "p.id BETWEEN 1 AND 1"
+        assert str(join.right.select.where) == "r.id BETWEEN 2 AND 4"
+        # Both-sides and subquery conjuncts stay in ON, in written order.
+        kept = [str(c) for c in ast.conjuncts(join.on)]
+        assert kept[0] == "MATCHES(p.name, r.title)"
+        assert kept[1] == "(p.id < r.product_id)"
+        assert "SELECT" in kept[2] and len(kept) == 3
+
+    def test_no_join_guard_push_under_left_join_right_side(self):
+        db, _ = _pair()
+        stmt = parse_statement(
+            "SELECT a.id FROM reviews AS a LEFT JOIN "
+            "(products AS p SEMANTIC_JOIN reviews AS r "
+            "ON MATCHES(p.name, r.title) AND r.id <= 2) ON a.product_id = p.id"
+        )
+        rewritten = optimize_semantic(stmt, db.catalog)
+        assert str(rewritten) == str(stmt)
+
 
 class TestPlannerRegressions:
     def test_from_subquery_tables_not_double_counted(self):
@@ -285,6 +317,26 @@ class TestExplainGoldens:
         assert "SEMANTIC JOIN" in text
         assert "SCAN products (2 rows)" in text
         assert "SEMANTIC JOIN MATCHES(p.name, r.title)" in text
+
+    def test_semantic_join_guards_are_filtered_scans(self):
+        db, _ = _pair()
+        text = explain(
+            "SELECT p.name FROM products AS p SEMANTIC_JOIN reviews AS r "
+            "ON MATCHES(p.name, r.title) AND p.id BETWEEN 1 AND 1 "
+            "AND r.id BETWEEN 2 AND 4",
+            db.catalog,
+        )
+        assert text.splitlines()[2:] == [
+            "  SEMANTIC JOIN",
+            "    SUBQUERY AS p",
+            "      SCAN products (2 rows)",
+            "      FILTER p.id BETWEEN 1 AND 1",
+            "    SUBQUERY AS r",
+            "      SCAN reviews (5 rows)",
+            "      FILTER r.id BETWEEN 2 AND 4",
+            # One guard on each side: (2 * 0.4 -> at least 1) x (5 * 0.4) pairs.
+            "  SEMANTIC JOIN MATCHES(p.name, r.title) (est 2.0 LLM calls, 57.0 ms)",
+        ]
 
     def test_unoptimized_render_keeps_written_order(self):
         db, _ = _pair()
@@ -400,6 +452,54 @@ class TestExecutorEquivalence:
             "SELECT LLM_CLASSIFY(descr, 'electronics', 'kitchen') FROM products ORDER BY id"
         )
         assert all(value in ("electronics", "kitchen") for (value,) in rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p_lo=st.integers(0, 3),
+        p_len=st.integers(-1, 2),
+        r_lo=st.integers(0, 6),
+        r_len=st.integers(-1, 5),
+        both_sides=st.booleans(),
+    )
+    def test_join_guard_pushdown_matches_naive(self, p_lo, p_len, r_lo, r_len, both_sides):
+        db_opt, db_naive = _pair()
+        sql = (
+            "SELECT p.name, r.title FROM products AS p SEMANTIC_JOIN reviews AS r "
+            f"ON MATCHES(p.name, r.title) AND p.id BETWEEN {p_lo} AND {p_lo + p_len} "
+            f"AND r.id BETWEEN {r_lo} AND {r_lo + r_len}"
+            + (" AND p.id < r.product_id" if both_sides else "")
+            + " ORDER BY p.name, r.title"
+        )
+        assert db_opt.query(sql) == db_naive.query(sql)
+        # The LLM saw at most the guarded pairs, each once.
+        guarded = db_naive.query(
+            "SELECT COUNT(*) FROM products AS p, reviews AS r "
+            f"WHERE p.id BETWEEN {p_lo} AND {p_lo + p_len} "
+            f"AND r.id BETWEEN {r_lo} AND {r_lo + r_len}"
+        )[0][0]
+        assert db_opt.semantic.stats.provider_items <= guarded
+
+    def test_case_and_punctuation_variants_are_distinct_prompts(self):
+        """Prompts that differ only in case or punctuation share one
+        embedding; reuse must go by the prompt text, not by similarity 1.0."""
+        script = """
+        CREATE TABLE items (id INTEGER PRIMARY KEY, descr TEXT);
+        INSERT INTO items VALUES
+         (1, 'name: Widget; year: 2015; price: 50'),
+         (2, 'name: Widget; year: 2015; price. 50'),
+         (3, 'name: Widget; year: 2015; PRICE: 50'),
+         (4, 'name: Widget; year: 2015; price: 50');
+        """
+        db_opt = Database.from_script(script, semantic=SemanticRuntime())
+        db_naive = Database.from_script(script, semantic=SemanticRuntime.naive())
+        for row_id in (1, 2, 3, 4):
+            sql = f"SELECT id, LLM_EXTRACT(descr, 'price') FROM items WHERE id = {row_id}"
+            assert db_opt.query(sql) == db_naive.query(sql)
+        assert db_naive.query("SELECT LLM_EXTRACT(descr, 'price') FROM items WHERE id = 2") != (
+            db_naive.query("SELECT LLM_EXTRACT(descr, 'price') FROM items WHERE id = 1")
+        )
+        # One provider item per distinct prompt text: rows 1 and 4 share one.
+        assert db_opt.semantic.stats.provider_items == 3
 
     def test_clone_shares_runtime(self):
         db_opt, _ = _pair()
