@@ -6,8 +6,11 @@ violated:
 
 * ``repro.bench.hotpaths/*``: ``cache_put`` speedup must be >= 1.0
   at every measured size — maintaining the vector index may never make an
-  insert slower than the seed's plain dict put — and every equivalence
-  cell and ANN sweep must report zero divergence/mismatches.
+  insert slower than the seed's plain dict put — every equivalence
+  cell and ANN sweep must report zero divergence/mismatches, and in every
+  ``ann`` / ``ann_text`` cell the cluster-pruned search may cost at most
+  3x the flat scan timed in the same run (an exact index that cannot
+  prune has to fall back to the flat scan's cost, not to a cluster loop).
 * ``repro.bench.cpu/*``: process dispatch must not diverge from the
   serial loop.
 * ``repro.bench.cluster/*``: every scale cell must report zero
@@ -38,6 +41,7 @@ import sys
 from typing import Iterator, List, Tuple
 
 PUT_FLOOR = 1.0
+ANN_PRUNED_OVER_FLAT_CEILING = 3.0  # pruned ms/op over flat ms/op, same run
 CLUSTER_SCALING_FLOOR = 3.0  # QPS at 8 shards over 1 shard, full sweep
 CLUSTER_SMOKE_FLOOR = 1.2  # QPS at 2 shards over 1 shard, smoke sweep
 GATEWAY_GOODPUT_FLOOR = 0.90  # high-priority in-deadline goodput, full sweep
@@ -169,6 +173,16 @@ def check_report(path: str) -> List[str]:
                     f"{path}: cache_put speedup {speedup:.3f} at size {size} "
                     f"below the {PUT_FLOOR:.1f}x floor"
                 )
+        for sweep in ("ann", "ann_text"):
+            cells = report.get(sweep, {})
+            for size, cell in sorted(cells.items(), key=lambda kv: int(kv[0])):
+                ratio = float(cell["pruned_ms_per_op"]) / float(cell["flat_ms_per_op"])
+                if ratio > ANN_PRUNED_OVER_FLAT_CEILING:
+                    problems.append(
+                        f"{path}: {sweep} pruned search costs {ratio:.2f}x the flat "
+                        f"scan at {size} rows (ceiling "
+                        f"{ANN_PRUNED_OVER_FLAT_CEILING:.1f}x)"
+                    )
     return problems
 
 

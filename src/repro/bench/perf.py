@@ -530,15 +530,21 @@ class HotpathReport:
     sizes: List[int]
     ops: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
     equivalence: Dict[str, object] = field(default_factory=dict)
-    # Index-level flat vs cluster-pruned sweep at 100k-1M rows (full runs
-    # only; empty in smoke mode).
+    # Index-level flat vs cluster-pruned sweeps (one small cell each in
+    # smoke mode): ``ann`` on clustered vectors, where the bounds prune,
+    # ``ann_text`` on hash embeddings of prompts, where they cannot.
     ann: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    ann_text: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def diverged(self) -> int:
         total = int(self.equivalence.get("diverged", -1))
         if total >= 0:
-            total += sum(int(cell.get("mismatches", 0)) for cell in self.ann.values())
+            total += sum(
+                int(cell.get("mismatches", 0))
+                for sweep in (self.ann, self.ann_text)
+                for cell in sweep.values()
+            )
         return total
 
     def speedup(self, op: str, size: int) -> float:
@@ -551,6 +557,7 @@ class HotpathReport:
             "ops": self.ops,
             "equivalence": self.equivalence,
             "ann": self.ann,
+            "ann_text": self.ann_text,
         }
 
     def write(self, path: str = DEFAULT_REPORT_PATH) -> str:
@@ -578,23 +585,41 @@ class HotpathReport:
             rows,
             title="Similarity hot paths: linear scan vs vectordb-backed",
         )
-        if self.ann:
-            ann_rows = [
-                (
-                    int(size),
-                    round(cell["flat_ms_per_op"], 3),
-                    round(cell["pruned_ms_per_op"], 3),
-                    round(cell["speedup"], 1),
-                    round(cell["scanned_fraction"], 4),
-                    int(cell["mismatches"]),
-                )
-                for size, cell in sorted(self.ann.items(), key=lambda kv: int(kv[0]))
-            ]
+        ann_rows = [
+            (
+                regime,
+                int(size),
+                round(cell["flat_ms_per_op"], 3),
+                round(cell["pruned_ms_per_op"], 3),
+                round(cell["speedup"], 1),
+                round(cell["scanned_fraction"], 4),
+                int(cell["mismatches"]),
+            )
+            for regime, sweep in (("clustered", self.ann), ("text", self.ann_text))
+            for size, cell in sorted(sweep.items(), key=lambda kv: int(kv[0]))
+        ]
+        if ann_rows:
             table += "\n" + format_table(
-                ["Rows", "Flat ms/op", "Pruned ms/op", "Speedup", "Scanned", "Mismatch"],
+                ["Data", "Rows", "Flat ms/op", "Pruned ms/op", "Speedup", "Scanned", "Mismatch"],
                 ann_rows,
             )
         return table + f"\nEquivalence: diverged={self.diverged} (0 = drop-in)"
+
+
+_SWEEP_PASSES = 5
+
+
+def _best_pass(index, probe_vecs: np.ndarray) -> Tuple[float, list]:
+    """ms per exact top-1 search over ``probe_vecs``, best of a few passes
+    (a pass is milliseconds long, so one preemption would swamp it), and
+    the hits of the last pass."""
+    best_ms = float("inf")
+    for _pass in range(_SWEEP_PASSES):
+        start = time.perf_counter()
+        hits = [index.search_top1(vec, refine_exact=True) for vec in probe_vecs]
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        best_ms = min(best_ms, elapsed_ms / len(probe_vecs))
+    return best_ms, hits
 
 
 def run_index_sweep(
@@ -602,24 +627,40 @@ def run_index_sweep(
     dim: int = 64,
     n_probes: int = 50,
     seed: int = 17,
+    text: bool = False,
 ) -> Dict[str, Dict[str, float]]:
     """FlatIndex vs ExactIVFIndex top-1 search at 100k-1M rows.
 
-    Data is clustered (mixture of random unit centers plus noise) and the
-    probes are near-duplicates of stored rows — the semantic-cache reuse
-    workload the pruned index is built for. Every probe's (id, score) must
-    match the flat scan exactly; ``mismatches`` counts any that don't.
+    By default the data is clustered (mixture of random unit centers plus
+    noise) and the probes are near-duplicates of stored rows — the
+    semantic-cache reuse workload the pruned index is built for. With
+    ``text=True`` the rows are what a cache actually holds: hash embeddings
+    of :func:`make_queries` prompts probed with :func:`make_probe_stream`
+    rewordings, near-orthogonal data on which the cluster bounds prune
+    little or nothing. Every probe's (id, score) must match the flat scan
+    exactly; ``mismatches`` counts any that don't. ``scanned_fraction``
+    counts a row once per pass that reduces it, so it exceeds 1 when a
+    search gathers some clusters and then falls through to the flat pass.
     """
     from repro.vectordb import ExactIVFIndex, FlatIndex, Metric
 
     rng = rng_from(seed)
     sweep: Dict[str, Dict[str, float]] = {}
     for size in sizes:
-        n_centers = max(32, size // 2000)
-        centers = rng.standard_normal((n_centers, dim))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        assign = rng.integers(0, n_centers, size=size)
-        vectors = centers[assign] + 0.10 * rng.standard_normal((size, dim))
+        if text:
+            embedder = EmbeddingModel(dim=dim, memo_size=1)
+            queries = make_queries(size, seed=seed)
+            probes = make_probe_stream(queries, n_probes, seed=seed + 1)
+            vectors = np.asarray(embedder.embed_batch(queries))
+            probe_vecs = np.asarray(embedder.embed_batch(probes))
+        else:
+            n_centers = max(32, size // 2000)
+            centers = rng.standard_normal((n_centers, dim))
+            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+            assign = rng.integers(0, n_centers, size=size)
+            vectors = centers[assign] + 0.10 * rng.standard_normal((size, dim))
+            probe_rows = rng.integers(0, size, size=n_probes)
+            probe_vecs = vectors[probe_rows] + 0.01 * rng.standard_normal((n_probes, dim))
         ids = [f"v{i}" for i in range(size)]
 
         flat = FlatIndex(dim=dim, metric=Metric.COSINE)
@@ -627,26 +668,14 @@ def run_index_sweep(
         pruned = ExactIVFIndex(dim=dim, metric=Metric.COSINE)
         pruned.add_batch(ids, vectors)
 
-        probe_rows = rng.integers(0, size, size=n_probes)
-        probe_vecs = vectors[probe_rows] + 0.01 * rng.standard_normal((n_probes, dim))
-
         # Warm both (flush; train the pruned side) off the clock.
         flat.search_top1(probe_vecs[0], refine_exact=True)
         pruned.search_top1(probe_vecs[0], refine_exact=True)
 
-        flat_hits = []
-        start = time.perf_counter()
-        for vec in probe_vecs:
-            flat_hits.append(flat.search_top1(vec, refine_exact=True))
-        flat_ms = (time.perf_counter() - start) * 1000.0 / n_probes
-
-        pruned_hits = []
-        scanned = 0
-        start = time.perf_counter()
-        for vec in probe_vecs:
-            pruned_hits.append(pruned.search_top1(vec, refine_exact=True))
-            scanned += pruned.last_scanned_rows
-        pruned_ms = (time.perf_counter() - start) * 1000.0 / n_probes
+        flat_ms, flat_hits = _best_pass(flat, probe_vecs)
+        scanned_before = pruned.scanned_rows
+        pruned_ms, pruned_hits = _best_pass(pruned, probe_vecs)
+        scanned = (pruned.scanned_rows - scanned_before) / _SWEEP_PASSES
 
         mismatches = sum(1 for a, b in zip(flat_hits, pruned_hits) if a != b)
         sweep[str(size)] = {
@@ -666,14 +695,16 @@ def run_hotpaths(
     selection_k: int = 8,
     write_path: Optional[str] = None,
     ann_sizes: Sequence[int] = (),
+    ann_text_sizes: Sequence[int] = (),
 ) -> HotpathReport:
     """Time lookup/put/admission/selection at each size, both backends.
 
     Embeddings are pre-warmed into the shared memo before timing, so the
     measured work is the scan/scoring itself — the part this PR vectorizes.
     Pass ``write_path`` to persist the JSON perf trajectory, and
-    ``ann_sizes`` (e.g. ``(100_000, 1_000_000)``) to include the
-    index-level flat-vs-pruned sweep of :func:`run_index_sweep`.
+    ``ann_sizes`` (e.g. ``(100_000, 1_000_000)``) / ``ann_text_sizes`` to
+    include the index-level flat-vs-pruned sweeps of
+    :func:`run_index_sweep` on clustered / text data.
     """
     report = HotpathReport(sizes=list(sizes))
     ops: Dict[str, Dict[str, Dict[str, float]]] = {
@@ -816,6 +847,8 @@ def run_hotpaths(
     report.equivalence = run_equivalence(seed=seed)
     if ann_sizes:
         report.ann = run_index_sweep(sizes=ann_sizes, seed=seed + 6)
+    if ann_text_sizes:
+        report.ann_text = run_index_sweep(sizes=ann_text_sizes, seed=seed + 6, text=True)
     if write_path is not None:
         report.write(write_path)
     return report

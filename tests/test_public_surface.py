@@ -4,8 +4,10 @@ import inspect
 
 import repro.core
 import repro.serving
+import repro.vectordb
 from repro.serving import AsyncGateway
 from repro.sqldb import SemanticRuntime
+from repro.vectordb import ExactIVFIndex
 
 SERVING = [
     "AsyncGateway",
@@ -55,6 +57,26 @@ CORE = [
     "shared_subquery_plan",
 ]
 
+VECTORDB = [
+    "Collection",
+    "ExactIVFIndex",
+    "FLAT_MAX_ENTRIES",
+    "FilterStrategy",
+    "FlatIndex",
+    "HNSWIndex",
+    "IVFIndex",
+    "Metric",
+    "MetadataFilter",
+    "PartitionSpec",
+    "SearchHit",
+    "SearchReport",
+    "TuningResult",
+    "auto_index",
+    "measure_recall",
+    "tune_ef_search",
+    "tune_nprobe",
+]
+
 
 def _options(callable_):
     return [name for name in inspect.signature(callable_).parameters if name != "self"]
@@ -88,3 +110,21 @@ def test_gateway_has_no_scheduler_knobs():
 
 def test_semantic_runtime_options():
     assert _options(SemanticRuntime.__init__) == ["provider", "cache", "model", "batch"]
+
+
+def test_vectordb_exports():
+    assert repro.vectordb.__all__ == VECTORDB
+    assert all(hasattr(repro.vectordb, name) for name in VECTORDB)
+
+
+def test_exact_ivf_index_has_no_search_knob():
+    # How a search scans — cluster groups or one flat pass — is chosen per
+    # query from the bounds it computes, never by the caller.
+    assert _options(ExactIVFIndex.__init__) == [
+        "dim",
+        "metric",
+        "seed",
+        "train_threshold",
+        "train_sample",
+        "retrain_fraction",
+    ]
