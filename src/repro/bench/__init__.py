@@ -28,7 +28,6 @@ from repro.bench.experiments import (
     run_table2,
     run_table3,
 )
-from repro.bench.cluster import ClusterReport, make_tenant_stream, run_cluster
 from repro.bench.perf import (
     HotpathReport,
     LinearScanAdmission,
@@ -40,13 +39,10 @@ from repro.bench.reporting import format_table
 from repro.bench.semsql import SemanticSQLReport, run_semantic_sql
 
 __all__ = [
-    "ClusterReport",
     "HotpathReport",
     "LinearScanAdmission",
     "LinearScanCache",
     "SemanticSQLReport",
-    "make_tenant_stream",
-    "run_cluster",
     "run_equivalence",
     "run_hotpaths",
     "run_semantic_sql",

@@ -1,8 +1,8 @@
 """CPU-heavy dispatch benchmark: thread pool vs process pool.
 
-The serving throughput bench (:func:`repro.bench.perf.run_serving`) models
-an I/O-bound provider (``time.sleep`` releases the GIL, so thread dispatch
-overlaps perfectly). This module measures the opposite regime: a provider
+The end-to-end serving benchmark (``benchmarks/e2e``) models an I/O-bound
+provider (``time.sleep`` releases the GIL, so thread dispatch overlaps
+perfectly). This module measures the opposite regime: a provider
 that *computes* — a deterministic CPU burn per request standing in for
 local inference, tokenization, or re-ranking — where the GIL serializes
 thread dispatch and the scheduler's ``dispatch="process"`` mode is the

@@ -43,8 +43,8 @@ def _served_texts(
     provider carries (cache, budget, meter) — are bit-identical to the
     serial loop. This is the determinism contract the Table I/III
     ``parallel=`` flags rely on; it trades execution overlap for exact
-    reproducibility (use :func:`repro.bench.perf.run_serving` to measure
-    the throughput side instead).
+    reproducibility (the end-to-end benchmark in ``benchmarks/e2e``
+    measures the throughput side instead).
     """
     if not parallel:
         return [provider.complete(prompt).text for prompt in prompts]

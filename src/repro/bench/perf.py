@@ -18,17 +18,12 @@ The references deliberately reuse the (unchanged) ``CacheEntry`` /
 ``CacheStats`` machinery and the same refresh semantics as the current
 cache, so the comparison isolates exactly one variable: the scan strategy.
 
-This module also hosts the *serving* benchmark for the concurrent stack:
+It also keeps :class:`SimulatedServiceProvider`, the sleep-per-call
+provider wrapper the serving examples run on. Serving throughput, gateway
+goodput and cluster accounting are measured end to end by
+``benchmarks/e2e`` (``BENCHMARK.json``), not here.
 
-* :func:`run_serving` — drives a full middleware stack through the
-  micro-batching scheduler at several worker/batch configurations, with a
-  :class:`SimulatedServiceProvider` charging realistic per-call wall-clock,
-  and writes ``BENCH_serving.json`` (QPS + p50/p95/p99 per config).
-* :func:`run_parallel_equivalence` — re-runs Table I/III with
-  ``parallel=True`` at several submitter counts and demands byte-identical
-  rendered output versus the serial run.
-
-And the *chaos* benchmark for the resilience layer:
+And it hosts the *chaos* benchmark for the resilience layer:
 
 * :func:`run_chaos` — injects transient faults at several rates via
   :class:`~repro.llm.faults.FaultInjectingProvider` and compares the
@@ -44,7 +39,6 @@ And the *chaos* benchmark for the resilience layer:
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -66,12 +60,10 @@ from repro.errors import LLMError
 from repro.llm.client import Completion, LLMClient
 from repro.llm.embeddings import EmbeddingModel
 from repro.llm.faults import FaultInjectingProvider
-from repro.serving import BatchingScheduler, ResilienceConfig, build_stack
+from repro.serving import ResilienceConfig, build_stack
 
 DEFAULT_REPORT_PATH = "BENCH_hotpaths.json"
 SCHEMA = "repro.bench.hotpaths/v1"
-DEFAULT_SERVING_REPORT_PATH = "BENCH_serving.json"
-SERVING_SCHEMA = "repro.bench.serving/v1"
 DEFAULT_CHAOS_REPORT_PATH = "BENCH_chaos.json"
 CHAOS_SCHEMA = "repro.bench.chaos/v1"
 
@@ -864,13 +856,8 @@ def _cycler(items: Sequence[str]):
 
 
 # ===========================================================================
-# Concurrent serving throughput
+# Simulated service time
 # ===========================================================================
-
-SERVING_PREAMBLE = (
-    "You are a data management assistant. Answer with a single short "
-    "phrase and no explanation.\nQuestion: "
-)
 
 
 class SimulatedServiceProvider:
@@ -917,279 +904,17 @@ class SimulatedServiceProvider:
         )
 
 
+# ===========================================================================
+# Chaos: fault injection vs the resilience layer
+# ===========================================================================
+
+
 def _exact_percentile(sorted_ms: Sequence[float], p: float) -> float:
     """Exact percentile (nearest-rank) of an ascending latency list."""
     if not sorted_ms:
         return 0.0
     rank = max(1, -(-int(p * len(sorted_ms)) // 100))
     return sorted_ms[min(rank, len(sorted_ms)) - 1]
-
-
-def _latency_summary(latencies_ms: List[float], elapsed_s: float) -> Dict[str, float]:
-    ordered = sorted(latencies_ms)
-    return {
-        "requests": len(ordered),
-        "elapsed_s": round(elapsed_s, 4),
-        "qps": round(len(ordered) / max(elapsed_s, 1e-9), 2),
-        "p50_ms": round(_exact_percentile(ordered, 50), 3),
-        "p95_ms": round(_exact_percentile(ordered, 95), 3),
-        "p99_ms": round(_exact_percentile(ordered, 99), 3),
-        "mean_ms": round(sum(ordered) / max(len(ordered), 1), 3),
-    }
-
-
-@dataclass
-class ServingReport:
-    """Throughput/latency of the concurrent stack vs the serial loop."""
-
-    n_requests: int
-    overhead_ms: float
-    per_item_ms: float
-    baseline: Dict[str, float] = field(default_factory=dict)
-    configs: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    equivalence: Dict[str, object] = field(default_factory=dict)
-
-    def speedup(self, name: str) -> float:
-        return float(self.configs[name]["qps"]) / max(float(self.baseline["qps"]), 1e-9)
-
-    @property
-    def best_speedup(self) -> float:
-        return max((self.speedup(name) for name in self.configs), default=0.0)
-
-    @property
-    def diverged(self) -> int:
-        return int(self.equivalence.get("diverged", -1))
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "schema": SERVING_SCHEMA,
-            "n_requests": self.n_requests,
-            "overhead_ms": self.overhead_ms,
-            "per_item_ms": self.per_item_ms,
-            "baseline": self.baseline,
-            "configs": self.configs,
-            "equivalence": self.equivalence,
-            "best_speedup": round(self.best_speedup, 2),
-        }
-
-    def write(self, path: str = DEFAULT_SERVING_REPORT_PATH) -> str:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.payload(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
-
-    def render(self) -> str:
-        rows = [
-            (
-                "serial",
-                self.baseline["qps"],
-                self.baseline["p50_ms"],
-                self.baseline["p95_ms"],
-                self.baseline["p99_ms"],
-                "-",
-                1.0,
-            )
-        ]
-        for name, cell in self.configs.items():
-            rows.append(
-                (
-                    name,
-                    cell["qps"],
-                    cell["p50_ms"],
-                    cell["p95_ms"],
-                    cell["p99_ms"],
-                    cell["mean_batch_size"],
-                    round(self.speedup(name), 2),
-                )
-            )
-        table = format_table(
-            ["Config", "QPS", "p50 ms", "p95 ms", "p99 ms", "Mean batch", "Speedup"],
-            rows,
-            title=(
-                f"Concurrent serving ({self.n_requests} requests, "
-                f"{self.overhead_ms}ms service overhead)"
-            ),
-        )
-        return table + (
-            f"\nParallel-table equivalence: diverged={self.diverged} (0 = bit-identical)"
-        )
-
-
-def _serving_stack(overhead_ms: float, per_item_ms: float):
-    provider = SimulatedServiceProvider(
-        LLMClient(), overhead_ms=overhead_ms, per_item_ms=per_item_ms
-    )
-    return build_stack(
-        provider,
-        cache=SemanticCache(reuse_threshold=0.9, augment_threshold=0.75, capacity=4096),
-    )
-
-
-def _drive_serial(stack, prompts: Sequence[str]) -> Tuple[List[float], float]:
-    latencies: List[float] = []
-    start = time.perf_counter()
-    for prompt in prompts:
-        t0 = time.perf_counter()
-        stack.complete(prompt)
-        latencies.append((time.perf_counter() - t0) * 1000.0)
-    return latencies, time.perf_counter() - start
-
-
-def _drive_concurrent(
-    stack,
-    prompts: Sequence[str],
-    *,
-    workers: int,
-    batch: int,
-    combine: bool,
-    submitters: int,
-    max_wait_ms: float,
-) -> Tuple[List[float], float, float]:
-    """Feed all prompts from ``submitters`` threads; returns per-request
-    wall-clock latencies, total elapsed seconds, and the mean batch size."""
-    latencies = [0.0] * len(prompts)
-    served = BatchingScheduler(
-        stack,
-        max_batch_size=batch,
-        max_wait_ms=max_wait_ms,
-        workers=workers,
-        combine=combine,
-    )
-    start = time.perf_counter()
-    base = served.reserve(len(prompts))
-
-    def feed(offset: int) -> None:
-        for i in range(offset, len(prompts), submitters):
-            t0 = time.perf_counter()
-            future = served.submit(prompts[i], index=base + i)
-
-            def on_done(_future, i=i, t0=t0):
-                latencies[i] = (time.perf_counter() - t0) * 1000.0
-
-            future.add_done_callback(on_done)
-
-    threads = [
-        threading.Thread(target=feed, args=(offset,), daemon=True)
-        for offset in range(max(1, min(submitters, len(prompts))))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    served.close()  # drains the queue and joins the scheduler threads
-    elapsed = time.perf_counter() - start
-    return latencies, elapsed, served.stats.mean_batch_size
-
-
-def run_serving(
-    n_requests: int = 200,
-    n_queries: int = 48,
-    seed: int = 11,
-    overhead_ms: float = 8.0,
-    per_item_ms: float = 0.5,
-    worker_counts: Sequence[int] = (1, 2, 8),
-    batch_sizes: Sequence[int] = (1, 8),
-    submitters: int = 8,
-    max_wait_ms: float = 2.0,
-    check_equivalence: bool = True,
-    write_path: Optional[str] = None,
-) -> ServingReport:
-    """Benchmark the batching scheduler against the serial serving loop.
-
-    One skewed prompt stream (shared preamble + repeated questions, so both
-    the semantic cache and shared-prefix batching have something to bite
-    on) is served by a fresh cache-fronted stack per configuration:
-
-    * the **serial baseline** completes requests one at a time;
-    * each ``(workers, batch)`` configuration drives the same stream
-      through :class:`~repro.serving.BatchingScheduler` from ``submitters``
-      client threads, with ``combine=True`` whenever ``batch > 1`` so
-      multi-request batches go through ``complete_batch``.
-
-    Latencies are wall-clock from submit to future resolution; QPS is
-    requests over total elapsed. With ``check_equivalence`` the report also
-    embeds :func:`run_parallel_equivalence` so the JSON records that the
-    throughput did not cost determinism.
-    """
-    queries = make_queries(n_queries, seed=seed)
-    stream = make_stream(queries, n_requests, seed=seed + 1)
-    prompts = [SERVING_PREAMBLE + query for query in stream]
-
-    report = ServingReport(
-        n_requests=n_requests, overhead_ms=overhead_ms, per_item_ms=per_item_ms
-    )
-
-    latencies, elapsed = _drive_serial(
-        _serving_stack(overhead_ms, per_item_ms), prompts
-    )
-    report.baseline = _latency_summary(latencies, elapsed)
-
-    for workers in worker_counts:
-        for batch in batch_sizes:
-            combine = batch > 1
-            latencies, elapsed, mean_batch = _drive_concurrent(
-                _serving_stack(overhead_ms, per_item_ms),
-                prompts,
-                workers=workers,
-                batch=batch,
-                combine=combine,
-                submitters=submitters,
-                max_wait_ms=max_wait_ms,
-            )
-            name = f"w{workers}_b{batch}" + ("_combined" if combine else "")
-            cell = _latency_summary(latencies, elapsed)
-            cell["workers"] = workers
-            cell["batch"] = batch
-            cell["combined"] = combine
-            cell["mean_batch_size"] = round(mean_batch, 2)
-            report.configs[name] = cell
-
-    if check_equivalence:
-        report.equivalence = run_parallel_equivalence()
-    if write_path is not None:
-        report.write(write_path)
-    return report
-
-
-def run_parallel_equivalence(
-    worker_counts: Sequence[int] = (1, 2, 8),
-    table1_queries: int = 8,
-    table3_queries: int = 4,
-) -> Dict[str, object]:
-    """Demand byte-identical Table I/III output from parallel serving.
-
-    Runs each table serially once, then with ``parallel=True`` at each
-    submitter count; any rendered-output difference is a divergence. This
-    is the determinism contract of the scheduler's single-worker mode, and
-    CI fails on any non-zero count."""
-    from repro.bench.experiments import run_table1, run_table3
-
-    serial = {
-        "table1": run_table1(n_queries=table1_queries).render(),
-        "table3": run_table3(n_queries=table3_queries).render(),
-    }
-    divergent: List[str] = []
-    for workers in worker_counts:
-        if (
-            run_table1(n_queries=table1_queries, parallel=True, workers=workers).render()
-            != serial["table1"]
-        ):
-            divergent.append(f"table1@workers={workers}")
-        if (
-            run_table3(n_queries=table3_queries, parallel=True, workers=workers).render()
-            != serial["table3"]
-        ):
-            divergent.append(f"table3@workers={workers}")
-    return {
-        "worker_counts": list(worker_counts),
-        "divergent": divergent,
-        "diverged": len(divergent),
-    }
-
-
-# ===========================================================================
-# Chaos: fault injection vs the resilience layer
-# ===========================================================================
 
 
 @dataclass
@@ -1384,7 +1109,7 @@ def run_chaos(
 
 
 # Semantic-SQL benchmark lives in its own module; re-exported here so the
-# perf surface stays one import (matching the hotpaths/serving/chaos runs).
+# perf surface stays one import (matching the hotpaths/chaos runs).
 from repro.bench.semsql import (  # noqa: E402
     DEFAULT_SEMSQL_REPORT_PATH,
     SEMSQL_SCHEMA,
@@ -1398,12 +1123,4 @@ from repro.bench.recovery import (  # noqa: E402
     RECOVERY_SCHEMA,
     RecoveryReport,
     run_recovery,
-)
-
-# Gateway latency-under-load benchmark (open-loop Poisson) likewise.
-from repro.bench.gateway import (  # noqa: E402
-    DEFAULT_GATEWAY_REPORT_PATH,
-    GATEWAY_SCHEMA,
-    GatewayReport,
-    run_gateway,
 )

@@ -28,8 +28,8 @@ Backends fail; :class:`ResilienceMiddleware` (``resilience=True`` in
 :func:`build_stack`) absorbs :class:`~repro.errors.TransientLLMError`
 failures with deterministic capped backoff, per-model circuit breakers
 and a graceful-degradation fallback chain — see
-:mod:`repro.serving.resilience` and the chaos benchmark in
-:mod:`repro.bench.perf`.
+:mod:`repro.serving.resilience` and the chaos benchmark
+(:func:`repro.bench.perf.run_chaos`).
 
 One stack serves one client; :class:`ServingCluster`
 (:mod:`repro.serving.cluster`) is the scale-out tier: N stack replicas

@@ -31,7 +31,8 @@ Determinism: completions are pure functions of (prompt, model, seed) and
 every replica is built by the same factory, so a cluster at any shard
 count serves byte-identical completions to the single-stack (1-shard)
 reference on the same request stream — as long as the workload's semantic
-matches stay within a key (exact repeats; the bench asserts diverged=0).
+matches stay within a key (exact repeats; ``tests/serving/test_cluster.py``
+asserts it, serial and concurrent).
 
 >>> from repro.serving.cluster import ServingCluster, TenantPolicy
 >>> cluster = ServingCluster(n_shards=4, cache=True)

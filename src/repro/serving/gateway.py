@@ -34,8 +34,8 @@ submission sequence). With a single-worker backend and no deadlines, the
 forward order *is* the submission order, so the gateway is bit-identical
 to a serial ``ServingStack.complete`` loop over the same request stream —
 every stateful layer (cache, budget, meter) mutates in exactly the same
-sequence. The latency-under-load benchmark
-(:mod:`repro.bench.gateway`) re-proves this equivalence on every run.
+sequence. ``tests/serving/test_gateway.py`` pins this equivalence with
+hypothesis-generated class interleavings.
 
 The backend is a :class:`~repro.llm.provider.Submitter` — a
 :class:`~repro.serving.scheduler.BatchingScheduler` or a
@@ -168,8 +168,7 @@ class AsyncGateway:
         blocks the event loop.
     shed_expired:
         When False the gateway never sheds or degrades — expired requests
-        are forwarded anyway (the "no admission control" baseline in the
-        benchmark).
+        are forwarded anyway (the "no admission control" baseline).
     degrader:
         ``"auto"`` (find :class:`ResilienceMiddleware` in the backend's
         layer chain), ``None`` (shed instead of degrading), a

@@ -10,7 +10,7 @@ count.
 import pytest
 
 from repro.bench.experiments import run_table1, run_table3
-from repro.bench.perf import SimulatedServiceProvider, run_parallel_equivalence, run_serving
+from repro.bench.perf import SimulatedServiceProvider
 
 
 class TestParallelTables:
@@ -35,38 +35,8 @@ class TestParallelTables:
         assert parallel.rows == serial_table3.rows
         assert parallel.diagnostics == serial_table3.diagnostics
 
-    def test_equivalence_harness_reports_zero_divergence(self):
-        result = run_parallel_equivalence(
-            worker_counts=(2,), table1_queries=4, table3_queries=2
-        )
-        assert result["diverged"] == 0
-        assert result["divergent"] == []
-
 
 class TestRunServingSmoke:
-    def test_report_shape_and_speedup_keys(self, tmp_path):
-        report = run_serving(
-            n_requests=16,
-            n_queries=8,
-            overhead_ms=2.0,
-            worker_counts=(2,),
-            batch_sizes=(1, 4),
-            submitters=4,
-            check_equivalence=False,
-            write_path=str(tmp_path / "BENCH_serving.json"),
-        )
-        assert set(report.configs) == {"w2_b1", "w2_b4_combined"}
-        for cell in report.configs.values():
-            assert cell["requests"] == 16
-            assert cell["qps"] > 0
-            assert cell["p50_ms"] <= cell["p95_ms"] <= cell["p99_ms"]
-        assert report.baseline["requests"] == 16
-        assert report.speedup("w2_b1") > 0
-        payload = report.payload()
-        assert payload["schema"] == "repro.bench.serving/v1"
-        assert (tmp_path / "BENCH_serving.json").exists()
-        assert "Concurrent serving" in report.render()
-
     def test_simulated_provider_delegates(self):
         from repro.llm.client import LLMClient
 

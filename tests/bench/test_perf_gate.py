@@ -2,8 +2,8 @@
 
 check_perf_gate.py is a standalone script (no package), so load it via
 importlib and drive ``check_report``/``main`` directly against synthetic
-artifacts: missing files, pre-schema payloads, and gateway reports on both
-sides of the goodput floor.
+artifacts: missing files, pre-schema payloads, and hotpaths reports on
+both sides of the pruned-vs-flat ceiling.
 """
 
 import importlib.util
@@ -21,32 +21,6 @@ def gate():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _gateway_report(
-    *,
-    smoke=False,
-    top_load="2",
-    gateway_goodput=0.95,
-    baseline_goodput=0.10,
-    diverged=0,
-):
-    return {
-        "schema": "repro.bench.gateway/v1",
-        "smoke": smoke,
-        "high_priority_class": "interactive",
-        "equivalence": {"diverged": diverged},
-        "cells": {
-            top_load: {
-                "gateway": {
-                    "classes": {"interactive": {"goodput": gateway_goodput}}
-                },
-                "baseline": {
-                    "classes": {"interactive": {"goodput": baseline_goodput}}
-                },
-            }
-        },
-    }
 
 
 def _write(tmp_path, name, payload):
@@ -81,76 +55,17 @@ class TestArtifactHygiene:
 
     def test_main_never_tracebacks_on_malformed_report(self, gate, tmp_path, capsys):
         # A shape main()'s per-file try/except has to absorb: schema claims
-        # cluster but cells is a list, so .items() raises deep inside.
+        # hotpaths but cache_put is a list, so .items() raises deep inside.
         path = _write(
             tmp_path,
             "BENCH_malformed.json",
-            {"schema": "repro.bench.cluster/v1", "cells": [1, 2]},
+            {"schema": "repro.bench.hotpaths/v1", "ops": {"cache_put": [1, 2]}},
         )
         rc = gate.main([path])
         err = capsys.readouterr().err
         assert rc == 1
         assert "malformed report" in err
         assert "Traceback" not in err
-
-
-class TestGatewayBranch:
-    def test_good_full_report_passes(self, gate, tmp_path):
-        path = _write(tmp_path, "BENCH_gateway.json", _gateway_report())
-        assert gate.check_report(path) == []
-
-    def test_goodput_below_floor_fails(self, gate, tmp_path):
-        report = _gateway_report(gateway_goodput=0.50)
-        path = _write(tmp_path, "BENCH_gateway.json", report)
-        problems = gate.check_report(path)
-        assert any("below the 0.90 floor" in p for p in problems)
-
-    def test_smoke_floor_is_lower(self, gate, tmp_path):
-        report = _gateway_report(smoke=True, gateway_goodput=0.80)
-        path = _write(tmp_path, "BENCH_gateway.smoke.json", report)
-        assert gate.check_report(path) == []
-
-    def test_baseline_not_worse_fails(self, gate, tmp_path):
-        report = _gateway_report(gateway_goodput=0.95, baseline_goodput=0.97)
-        path = _write(tmp_path, "BENCH_gateway.json", report)
-        problems = gate.check_report(path)
-        assert any("admission control is buying nothing" in p for p in problems)
-
-    def test_full_sweep_baseline_above_floor_fails(self, gate, tmp_path):
-        # Full sweep only: if FIFO also holds the floor, the "overload"
-        # cell is not actually overloaded.
-        report = _gateway_report(gateway_goodput=0.99, baseline_goodput=0.92)
-        path = _write(tmp_path, "BENCH_gateway.json", report)
-        problems = gate.check_report(path)
-        assert any("not actually overloaded" in p for p in problems)
-
-    def test_under_2x_top_cell_flagged(self, gate, tmp_path):
-        report = _gateway_report(top_load="1")
-        path = _write(tmp_path, "BENCH_gateway.json", report)
-        problems = gate.check_report(path)
-        assert any("only meaningful at >= 2x" in p for p in problems)
-
-    def test_diverged_nonzero_fails(self, gate, tmp_path):
-        report = _gateway_report(diverged=3)
-        path = _write(tmp_path, "BENCH_gateway.json", report)
-        problems = gate.check_report(path)
-        assert any("= 3 (must be 0)" in p for p in problems)
-
-    def test_gateway_schema_without_cells_is_older_schema(self, gate, tmp_path):
-        path = _write(
-            tmp_path, "BENCH_gateway.json", {"schema": "repro.bench.gateway/v1"}
-        )
-        problems = gate.check_report(path)
-        assert any("older gateway schema" in p for p in problems)
-
-    def test_cells_without_goodput_is_older_schema(self, gate, tmp_path):
-        report = {
-            "schema": "repro.bench.gateway/v1",
-            "cells": {"2": {"gateway": {}, "baseline": {}}},
-        }
-        path = _write(tmp_path, "BENCH_gateway.json", report)
-        problems = gate.check_report(path)
-        assert any("no per-class goodput" in p for p in problems)
 
 
 def _ann_cell(flat_ms=1.0, pruned_ms=0.25, mismatches=0):

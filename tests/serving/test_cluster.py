@@ -1,5 +1,9 @@
 """Tests for the sharded multi-tenant serving cluster."""
 
+import itertools
+import math
+import threading
+
 import pytest
 
 from repro.core.cache import CacheStats, EvictionPolicy, SemanticCache
@@ -116,6 +120,7 @@ def test_sharded_cache_partitions_land_on_owner_shards():
 
 
 def _run_cluster(n_shards, stream, concurrent=False, thresholds=(0.95, 0.75)):
+    """Serve ``stream``; returns the completions and the (closed) cluster."""
     cluster = ServingCluster(
         lambda shard: make_client(),
         n_shards=n_shards,
@@ -126,10 +131,16 @@ def _run_cluster(n_shards, stream, concurrent=False, thresholds=(0.95, 0.75)):
     try:
         if concurrent:
             futures = [cluster.submit(p, tenant=t) for t, p in stream]
-            return [f.result().text for f in futures]
-        return [cluster.complete(p, tenant=t).text for t, p in stream]
+            completions = [f.result() for f in futures]
+        else:
+            completions = [cluster.complete(p, tenant=t) for t, p in stream]
     finally:
         cluster.close()
+    return completions, cluster
+
+
+def _texts(completions):
+    return [completion.text for completion in completions]
 
 
 def test_cluster_matches_single_shard_reference():
@@ -137,20 +148,63 @@ def test_cluster_matches_single_shard_reference():
     stream = [(f"t{i % 3}", p) for i, p in enumerate(prompts + prompts[:8] + prompts)]
     # Serial: similarity tiers included — the scatter-merge is probe-for-
     # probe identical to the single cache, so augment rewrites match too.
-    reference = _run_cluster(1, stream)
+    reference, _ = _run_cluster(1, stream)
     for n_shards in (2, 4):
-        assert _run_cluster(n_shards, stream) == reference
+        assert _texts(_run_cluster(n_shards, stream)[0]) == _texts(reference)
     # Concurrent: exact-match mode. Cross-key similarity hits depend on
     # which keys are in flight simultaneously (true of any cache shared by
     # parallel workers, one shard or eight), so the concurrency invariant
-    # is gated where hit patterns are key-local — as in the bench.
+    # is gated where hit patterns are key-local.
     exact = (1.0, 1.0)
-    concurrent_reference = _run_cluster(1, stream, thresholds=exact)
+    concurrent_reference, _ = _run_cluster(1, stream, thresholds=exact)
+    reference_costs = {}
+    for (tenant, _prompt), completion in zip(stream, concurrent_reference):
+        reference_costs.setdefault(tenant, []).append(completion.cost)
     for n_shards in (2, 4):
-        assert (
-            _run_cluster(n_shards, stream, concurrent=True, thresholds=exact)
-            == concurrent_reference
+        completions, cluster = _run_cluster(
+            n_shards, stream, concurrent=True, thresholds=exact
         )
+        assert _texts(completions) == _texts(concurrent_reference)
+        # No budget leakage: every tenant's ledger is its own reference
+        # spend, and the tenants together are billed what the cluster spent.
+        # fsum, because shard workers add to a ledger in no fixed order.
+        assert cluster.tenants() == sorted(reference_costs)
+        for tenant, costs in reference_costs.items():
+            assert abs(cluster.spent_usd(tenant) - math.fsum(costs)) <= 1e-9, tenant
+        total = math.fsum(cluster.spent_usd(t) for t in reference_costs)
+        assert abs(total - cluster.stats.cost_usd) <= 1e-9
+
+
+class _BarrierProvider:
+    """Answers only once a second call is in flight: two calls dispatched
+    one after the other break the barrier instead of completing."""
+
+    def __init__(self, barrier):
+        self.barrier = barrier
+        self.inner = make_client()
+
+    def complete(self, prompt, model=None):
+        self.barrier.wait()
+        return self.inner.complete(prompt, model=model)
+
+
+def test_shards_dispatch_concurrently():
+    # Clock-free scale-out check: one request on each of two shards must be
+    # in the provider at the same time, or BrokenBarrierError surfaces
+    # through the futures.
+    barrier = threading.Barrier(2, timeout=5)
+    cluster = ServingCluster(lambda shard: _BarrierProvider(barrier), n_shards=2)
+    try:
+        by_shard = {}
+        for i in itertools.count():
+            prompt = f"Question: overlap {i}?"
+            by_shard.setdefault(cluster.router.route_request("acme", prompt), prompt)
+            if len(by_shard) == 2:
+                break
+        futures = [cluster.submit(prompt, tenant="acme") for prompt in by_shard.values()]
+        assert all(future.result(timeout=10).text for future in futures)
+    finally:
+        cluster.close()
 
 
 def test_requests_spread_across_shards():

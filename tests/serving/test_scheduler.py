@@ -238,6 +238,24 @@ class TestBatchingScheduler:
                 future.result(timeout=10)
         assert done_order == sorted(done_order)
 
+    def test_workers_overlap_provider_calls(self):
+        # Clock-free throughput check: the provider answers only once a
+        # second call is in flight, so two single-request batches must run
+        # on two workers at once — serialised dispatch breaks the barrier
+        # and BrokenBarrierError surfaces through the futures.
+        barrier = threading.Barrier(2, timeout=5)
+
+        class BarrierProvider(RecordingProvider):
+            def complete(self, prompt, model=None):
+                barrier.wait()
+                return super().complete(prompt, model=model)
+
+        with BatchingScheduler(
+            BarrierProvider(), workers=2, max_batch_size=1
+        ) as scheduler:
+            futures = [scheduler.submit(f"Question: overlap {i}?") for i in range(2)]
+            assert all(future.result(timeout=10).text for future in futures)
+
     def test_explicit_index_rejects_reuse(self):
         with BatchingScheduler(RecordingProvider(), max_wait_ms=10_000.0) as scheduler:
             base = scheduler.reserve(2)
