@@ -11,8 +11,6 @@ violated:
   ``ann`` / ``ann_text`` cell the cluster-pruned search may cost at most
   3x the flat scan timed in the same run (an exact index that cannot
   prune has to fall back to the flat scan's cost, not to a cluster loop).
-* ``repro.bench.cpu/*``: process dispatch must not diverge from the
-  serial loop.
 * every other report: its ``diverged`` count (wherever it lives in the
   payload) must be zero.
 
@@ -23,7 +21,8 @@ never a traceback.
 Usage:
 
     PYTHONPATH=src python benchmarks/check_perf_gate.py \
-        BENCH_hotpaths.smoke.json BENCH_chaos.smoke.json BENCH_cpu.smoke.json
+        BENCH_hotpaths.smoke.json BENCH_chaos.smoke.json BENCH_semsql.smoke.json \
+        BENCH_recovery.smoke.json
 """
 
 import json

@@ -47,13 +47,12 @@ implementations :class:`~repro.serving.gateway.AsyncGateway` forwards to:
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import queue
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulerClosedError
 from repro.serving.stats import ServiceStats
@@ -63,36 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.llm.provider import CompletionProvider
 
 _SHUTDOWN = object()
-
-# Provider living inside each worker process of a dispatch="process" pool,
-# built once per process by _process_pool_init. Live providers hold locks
-# and thread state and cannot be pickled, so each worker constructs its own
-# from a module-level factory; determinism holds because completions are
-# pure functions of (seed, model, prompt) and the factory pins the seed.
-_PROCESS_PROVIDER: Optional["CompletionProvider"] = None
-
-
-def _process_pool_init(factory: Callable[..., "CompletionProvider"], kwargs: Dict) -> None:
-    global _PROCESS_PROVIDER
-    _PROCESS_PROVIDER = factory(**kwargs)
-
-
-def _process_run_batch(
-    items: List[Tuple[int, str, Optional[str]]], seed_stride: int
-) -> List[Tuple[str, object]]:
-    """Run one batch inside a worker process; mirrors the thread-mode
-    per-item loop (same reseeding rule, same per-item error isolation)."""
-    provider = _PROCESS_PROVIDER
-    assert provider is not None, "process pool initializer did not run"
-    reseedable = seed_stride and hasattr(provider, "reseeded")
-    outcomes: List[Tuple[str, object]] = []
-    for index, prompt, model in items:
-        try:
-            item_provider = provider.reseeded(index * seed_stride) if reseedable else provider
-            outcomes.append(("ok", item_provider.complete(prompt, model=model)))
-        except Exception as exc:  # per-item isolation, shipped back pickled
-            outcomes.append(("err", exc))
-    return outcomes
 
 
 def shared_prefix(prompts: List[str]) -> str:
@@ -160,22 +129,6 @@ class BatchingScheduler:
         recorded here. Defaults to the provider's own ``stats`` (a composed
         stack has one), so scheduler and middleware counters land in one
         snapshot.
-    dispatch:
-        ``"thread"`` (default) runs batches on the dispatcher threads —
-        right for I/O-bound providers, and the only mode that can share
-        stateful stack layers (cache, budget) across requests.
-        ``"process"`` ships each batch to a spawn-based process pool for
-        CPU-heavy engines the GIL would serialize. Requires
-        ``provider_factory`` (a picklable module-level callable invoked
-        with ``factory_kwargs`` inside each worker process to build its
-        provider); results flow through the same in-order resolution
-        gate, and ``seed_stride`` reseeding applies identically, so a
-        process run is bit-identical to the serial loop whenever the
-        provider is a pure function of ``(seed, model, prompt)``.
-        Incompatible with ``combine=True``.
-    processes:
-        Worker-process count for ``dispatch="process"`` (defaults to
-        ``workers``).
     """
 
     def __init__(
@@ -189,10 +142,6 @@ class BatchingScheduler:
         combine: bool = False,
         seed_stride: int = 0,
         stats: Optional[ServiceStats] = None,
-        dispatch: str = "thread",
-        provider_factory: Optional[Callable[..., "CompletionProvider"]] = None,
-        factory_kwargs: Optional[Dict] = None,
-        processes: Optional[int] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
@@ -202,17 +151,6 @@ class BatchingScheduler:
             raise ValueError("workers must be positive")
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
-        if dispatch not in ("thread", "process"):
-            raise ValueError("dispatch must be 'thread' or 'process'")
-        if dispatch == "process":
-            if provider_factory is None:
-                raise ValueError(
-                    "dispatch='process' needs a picklable module-level "
-                    "provider_factory (worker processes each build their own "
-                    "provider; live providers hold locks and cannot cross)"
-                )
-            if combine:
-                raise ValueError("dispatch='process' does not support combine=True")
         self.provider = provider
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
@@ -223,17 +161,6 @@ class BatchingScheduler:
         if stats is None:
             stats = getattr(provider, "stats", None)
         self.stats = stats if stats is not None else ServiceStats()
-        self.dispatch = dispatch
-        self._pool: Optional[ProcessPoolExecutor] = None
-        if dispatch == "process":
-            # spawn (not fork): worker state must come only from the
-            # factory, never from accidentally inherited parent memory.
-            self._pool = ProcessPoolExecutor(
-                max_workers=processes if processes is not None else workers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_process_pool_init,
-                initargs=(provider_factory, dict(factory_kwargs or {})),
-            )
 
         self._lock = threading.Lock()
         self._new_request = threading.Condition(self._lock)
@@ -352,17 +279,25 @@ class BatchingScheduler:
         submitting with an explicit submission index so the scheduler
         coalesces in *logical* order however the threads interleave — with
         ``workers=1`` the result is bit-identical to the serial loop.
-        The first failed request re-raises its exception.
+        The first failed request re-raises its exception, and so does a
+        failed submission (e.g. :class:`~repro.errors.SchedulerClosedError`
+        when ``close()`` lands mid-workload) whichever thread made it.
         """
         if not prompts:
             return []
         submitters = max(1, min(submitters, len(prompts)))
         base = self.reserve(len(prompts))
         futures: List[Optional[Future]] = [None] * len(prompts)
+        errors: List[Exception] = []
 
         def feed(offset: int) -> None:
-            for i in range(offset, len(prompts), submitters):
-                futures[i] = self.submit(prompts[i], model=model, index=base + i)
+            # A feeder thread that dies takes its exception with it and
+            # leaves its futures unset, so record it for the caller.
+            try:
+                for i in range(offset, len(prompts), submitters):
+                    futures[i] = self.submit(prompts[i], model=model, index=base + i)
+            except Exception as exc:
+                errors.append(exc)
 
         if submitters == 1:
             feed(0)
@@ -375,6 +310,8 @@ class BatchingScheduler:
                 thread.start()
             for thread in threads:
                 thread.join()
+        if errors:
+            raise errors[0]
         return [future.result() for future in futures]
 
     def close(self, wait: bool = True) -> None:
@@ -399,9 +336,6 @@ class BatchingScheduler:
         self._collector.join()
         for thread in self._dispatchers:
             thread.join()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def __enter__(self) -> "BatchingScheduler":
         return self
@@ -499,20 +433,6 @@ class BatchingScheduler:
 
     def _run_batch(self, batch: List[_Request]) -> None:
         self.stats.record_batch(len(batch), self.queue_depth)
-        if self._pool is not None:
-            # Process dispatch: ship the whole batch to one worker process
-            # (batch granularity keeps IPC amortized); the dispatcher
-            # thread blocks on the result and feeds the same in-order
-            # resolution gate as thread dispatch.
-            payload = [(r.index, r.prompt, r.model) for r in batch]
-            try:
-                outcomes = self._pool.submit(
-                    _process_run_batch, payload, self.seed_stride
-                ).result()
-            except Exception as exc:  # pool broken: fail the whole batch
-                outcomes = [("err", exc) for _ in batch]
-            self._resolve(batch, outcomes)
-            return
         outcomes: List[Tuple[str, object]] = []
         combinable = (
             self.combine

@@ -339,6 +339,25 @@ class TestSchedulerFacade:
                 texts = [c.text for c in served.complete_many(prompts, submitters=submitters)]
             assert texts == serial
 
+    @pytest.mark.parametrize("submitters", [1, 2])
+    def test_complete_many_raises_submit_error_from_any_feeder(self, submitters):
+        # Regression: with submitters > 1 a feeder thread's exception died
+        # with the thread, and the unset futures surfaced as AttributeError.
+        served = BatchingScheduler(LLMClient())
+        reserve = served.reserve
+
+        def reserve_then_close(n):
+            base = reserve(n)
+            served.close(wait=False)  # close lands between reserve and submit
+            return base
+
+        served.reserve = reserve_then_close
+        with pytest.raises(SchedulerClosedError):
+            served.complete_many(
+                [f"Question: q{i}?" for i in range(4)], submitters=submitters
+            )
+        served.close()
+
     def test_complete_many_empty(self):
         with BatchingScheduler(LLMClient()) as served:
             assert served.complete_many([]) == []
@@ -417,92 +436,3 @@ class TestLatencyHistogram:
             LatencyHistogram(growth=1.0)
         with pytest.raises(ValueError):
             LatencyHistogram(n_buckets=0)
-
-
-def _make_client(seed=7):
-    """Module-level so spawn-based worker processes can pickle it by ref."""
-    return LLMClient(seed=seed)
-
-
-def _make_failing_client(fail_prompt=""):
-    return _FailingClient(fail_prompt)
-
-
-class _FailingClient:
-    """Picklable-by-construction provider: built inside the worker from the
-    module-level factory above, fails on one designated prompt."""
-
-    def __init__(self, fail_prompt):
-        self.fail_prompt = fail_prompt
-        self.inner = LLMClient()
-
-    def complete(self, prompt, model=None):
-        if prompt == self.fail_prompt:
-            raise ValueError(f"injected failure for {prompt!r}")
-        return self.inner.complete(prompt, model=model)
-
-
-class TestProcessDispatch:
-    def test_requires_factory(self):
-        with pytest.raises(ValueError, match="provider_factory"):
-            BatchingScheduler(None, dispatch="process")
-
-    def test_rejects_combine(self):
-        with pytest.raises(ValueError, match="combine"):
-            BatchingScheduler(
-                None, dispatch="process", provider_factory=_make_client, combine=True
-            )
-
-    def test_rejects_unknown_dispatch(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            BatchingScheduler(LLMClient(), dispatch="fork")
-
-    def test_matches_serial_loop(self):
-        prompts = [f"Question: q{i}?" for i in range(10)]
-        serial = [_make_client().complete(p) for p in prompts]
-        with BatchingScheduler(
-            None,
-            max_batch_size=4,
-            max_wait_ms=5.0,
-            dispatch="process",
-            provider_factory=_make_client,
-            processes=2,
-        ) as scheduler:
-            futures = [scheduler.submit(p) for p in prompts]
-            results = [f.result(timeout=60) for f in futures]
-        assert [c.text for c in results] == [c.text for c in serial]
-        assert [c.model for c in results] == [c.model for c in serial]
-
-    def test_seed_stride_matches_serial_reseeding(self):
-        prompts = [f"Question: q{i}?" for i in range(6)]
-        serial = [
-            _make_client().reseeded(i * 13).complete(p)
-            for i, p in enumerate(prompts)
-        ]
-        with BatchingScheduler(
-            None,
-            max_batch_size=3,
-            max_wait_ms=5.0,
-            seed_stride=13,
-            dispatch="process",
-            provider_factory=_make_client,
-        ) as scheduler:
-            futures = [scheduler.submit(p) for p in prompts]
-            results = [f.result(timeout=60) for f in futures]
-        assert [c.text for c in results] == [c.text for c in serial]
-
-    def test_per_item_error_isolation(self):
-        prompts = [f"Question: q{i}?" for i in range(4)]
-        with BatchingScheduler(
-            None,
-            max_batch_size=4,
-            max_wait_ms=5.0,
-            dispatch="process",
-            provider_factory=_make_failing_client,
-            factory_kwargs={"fail_prompt": prompts[1]},
-        ) as scheduler:
-            futures = [scheduler.submit(p) for p in prompts]
-            with pytest.raises(ValueError, match="injected failure"):
-                futures[1].result(timeout=60)
-            survivors = [futures[i].result(timeout=60) for i in (0, 2, 3)]
-        assert all(c.text for c in survivors)

@@ -6,7 +6,7 @@ import repro.bench
 import repro.core
 import repro.serving
 import repro.vectordb
-from repro.serving import AsyncGateway
+from repro.serving import AsyncGateway, BatchingScheduler
 from repro.sqldb import SemanticRuntime
 from repro.vectordb import ExactIVFIndex
 
@@ -144,6 +144,21 @@ def test_gateway_has_no_scheduler_knobs():
         "shed_expired",
         "degrader",
         "clock",
+        "stats",
+    ]
+
+
+def test_scheduler_options():
+    # One dispatch path: every batch runs on the dispatcher threads over
+    # the provider the scheduler was given.
+    assert _options(BatchingScheduler.__init__) == [
+        "provider",
+        "max_batch_size",
+        "max_wait_ms",
+        "workers",
+        "max_queue",
+        "combine",
+        "seed_stride",
         "stats",
     ]
 
