@@ -108,7 +108,9 @@ class DeadlineExceededError(LLMError):
 
     Raised by the async gateway when a request is shed: either it arrived
     already expired (``deadline_ms <= 0``), or its deadline lapsed while it
-    sat in an admission queue and no degraded answer could be served.
+    sat in an admission queue, or the busy backend was predicted to finish
+    it after the deadline, and no degraded answer could be served. The
+    message says which.
     Carries the deadline and how long the request actually waited so
     callers can distinguish "hopeless on arrival" from "starved in queue".
     """

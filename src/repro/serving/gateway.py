@@ -21,6 +21,11 @@ whether to *serve*, *wait*, *degrade* or *shed*:
   :class:`~repro.errors.DeadlineExceededError`. A request whose deadline
   lapses while it waits in queue is not forwarded to the primary model
   either — serving it would burn capacity on an answer nobody can use.
+  Nor is one the backend cannot finish in time: the gateway keeps a
+  smoothed dispatch-to-resolve time of the backend, and while the backend
+  is busy a popped request with less slack than that is treated as
+  expired. An idle backend is never predicted, so an estimate left high by
+  a slow phase cannot shed isolated requests.
 * **Graceful degradation** — instead of a bare timeout, an
   expired-in-queue request is routed through the existing
   :meth:`~repro.serving.resilience.ResilienceMiddleware.degrade` fallback
@@ -73,6 +78,7 @@ from repro.serving.scheduler import BatchingScheduler
 from repro.serving.stats import ServiceStats
 
 DEFAULT_CLASSES = ("interactive", "standard", "batch")
+_SMOOTHING = 0.2  # weight of the newest sample in the backend-time estimate
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,9 @@ class AsyncGateway:
         }
         self._seq = 0
         self._inflight = 0
+        # Smoothed dispatch -> resolve seconds of the backend; None until
+        # the first completion teaches it.
+        self._backend_s: Optional[float] = None
         self._started = False
         self._closing = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -514,19 +523,28 @@ class AsyncGateway:
 
     def _advance(self) -> None:
         """Forward queued requests while inflight slots are free: strict
-        class priority, EDF within class, shed/degrade expired work."""
+        class priority, EDF within class, shed/degrade work that has expired
+        or that the busy backend is predicted to finish after its deadline."""
         while self._inflight < self.max_inflight:
             ticket = self._pop_next()
             if ticket is None:
                 return
             now = self._clock()
-            if (
-                self.shed_expired
-                and ticket.abs_deadline is not None
-                and now >= ticket.abs_deadline
-            ):
-                self._expire(ticket, now)
-                continue
+            if self.shed_expired and ticket.abs_deadline is not None:
+                slack = ticket.abs_deadline - now
+                if slack <= 0:
+                    self._expire(ticket, now)
+                    continue
+                # Predict only while the backend is busy: an idle backend
+                # starts at once, whatever an earlier slow phase taught.
+                predicted = self._backend_s if self._inflight > 0 else None
+                if predicted is not None and slack < predicted:
+                    reason = (
+                        f"predicted backend time {predicted * 1000.0:.1f}ms exceeds "
+                        f"remaining slack {slack * 1000.0:.1f}ms"
+                    )
+                    self._expire(ticket, now, reason)
+                    continue
             self._dispatch(ticket, now)
 
     def _pop_next(self) -> Optional[GatewayTicket]:
@@ -598,12 +616,16 @@ class AsyncGateway:
 
     def _on_backend_done(self, ticket: GatewayTicket, backend_future) -> None:
         self._inflight -= 1
+        now = self._clock()
+        took = now - (ticket.enqueued_at + ticket.queue_ms / 1000.0)
+        previous = self._backend_s
+        self._backend_s = took if previous is None else previous + _SMOOTHING * (took - previous)
         exc = backend_future.exception()
         if exc is not None:
             self._settle(ticket, "error", exc)
         else:
             completion = backend_future.result()
-            if ticket.abs_deadline is not None and self._clock() > ticket.abs_deadline:
+            if ticket.abs_deadline is not None and now > ticket.abs_deadline:
                 # Delivered, but after the deadline: mark it so callers
                 # (and goodput accounting) can tell. No-deadline requests
                 # are returned untouched — that is the determinism path.
@@ -616,23 +638,30 @@ class AsyncGateway:
     # ------------------------------------------------------ shed / degrade
 
     def _resolve_shed(
-        self, ticket: GatewayTicket, status: str, waited_ms: float
+        self,
+        ticket: GatewayTicket,
+        status: str,
+        waited_ms: float,
+        reason: str = "deadline expired",
     ) -> None:
         ticket.queue_ms = waited_ms
         error = DeadlineExceededError(
-            f"request shed: deadline of {ticket.request.deadline_ms}ms expired "
-            f"after waiting {waited_ms:.1f}ms in class {ticket.priority!r}",
+            f"request shed: {reason} (deadline {ticket.request.deadline_ms}ms, "
+            f"waited {waited_ms:.1f}ms in class {ticket.priority!r})",
             deadline_ms=ticket.request.deadline_ms or 0.0,
             waited_ms=waited_ms,
         )
         self._settle(ticket, "shed", error, counted_as=status)
 
-    def _expire(self, ticket: GatewayTicket, now: float) -> None:
-        """Deadline lapsed in queue: degrade through the resilience chain
-        when one is wired, otherwise shed."""
+    def _expire(
+        self, ticket: GatewayTicket, now: float, reason: str = "deadline expired in queue"
+    ) -> None:
+        """Deadline lapsed, or predicted to lapse, in queue: degrade through
+        the resilience chain when one is wired, otherwise shed. ``reason``
+        says which, in the error message or the degraded marker."""
         waited_ms = (now - ticket.enqueued_at) * 1000.0
         if self._degrade_fn is None:
-            self._resolve_shed(ticket, "shed", waited_ms)
+            self._resolve_shed(ticket, "shed", waited_ms, reason)
             return
         self._inflight += 1  # degradation occupies an inflight slot too
         ticket.queue_ms = waited_ms
@@ -640,17 +669,16 @@ class AsyncGateway:
         degrade_future = self._loop.run_in_executor(
             None, self._degrade_fn, ticket.request.prompt, ticket.request.model
         )
-        degrade_future.add_done_callback(lambda f: self._on_degrade_done(ticket, f))
+        degrade_future.add_done_callback(lambda f: self._on_degrade_done(ticket, f, reason))
 
-    def _on_degrade_done(self, ticket: GatewayTicket, degrade_future) -> None:
+    def _on_degrade_done(self, ticket: GatewayTicket, degrade_future, reason: str) -> None:
         self._inflight -= 1
         exc = degrade_future.exception()
         if exc is not None:
             # The fallback chain came up empty too: shed, chaining the
             # exhaustion error as the cause.
             error = DeadlineExceededError(
-                f"request shed: deadline expired in queue and degradation "
-                f"failed ({type(exc).__name__})",
+                f"request shed: {reason} and degradation failed ({type(exc).__name__})",
                 deadline_ms=ticket.request.deadline_ms or 0.0,
                 waited_ms=ticket.queue_ms,
             )
@@ -658,10 +686,7 @@ class AsyncGateway:
             self._settle(ticket, "shed", error)
         else:
             completion = self._annotated(
-                degrade_future.result(),
-                ticket,
-                degraded=True,
-                reason="deadline expired in queue",
+                degrade_future.result(), ticket, degraded=True, reason=reason
             )
             self._settle(ticket, "degraded", completion)
         assert self._wake is not None

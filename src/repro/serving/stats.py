@@ -157,9 +157,9 @@ class ServiceStats:
     # Gateway (repro.serving.gateway): admission control under overload.
     gateway_submitted: int = 0
     gateway_completed: int = 0
-    gateway_shed: int = 0  # expired requests dropped (includes shed_at_submit)
+    gateway_shed: int = 0  # expired or predicted-late requests dropped (includes shed_at_submit)
     gateway_shed_at_submit: int = 0  # arrived already expired, never queued
-    gateway_degraded: int = 0  # expired in queue, answered via resilience chain
+    gateway_degraded: int = 0  # expired or predicted-late in queue, answered via resilience chain
     gateway_late: int = 0  # full answer delivered after its deadline
     gateway_backpressure_waits: int = 0  # submits parked on a full class queue
     # Per-priority-class breakdown: class -> counter dict.
@@ -295,9 +295,9 @@ class ServiceStats:
     ) -> None:
         """Terminal gateway outcome for one request.
 
-        ``status`` is one of ``ok`` (full answer), ``degraded`` (expired in
-        queue, answered via the resilience fallback chain), ``shed``
-        (expired in queue, dropped), ``shed_at_submit`` (arrived already
+        ``status`` is one of ``ok`` (full answer), ``degraded`` (expired, or
+        predicted to miss, in queue; answered via the resilience fallback
+        chain), ``shed`` (the same, dropped), ``shed_at_submit`` (arrived already
         expired) or ``error`` (backend raised)."""
         with self._lock:
             bucket = self._gateway_class(priority)

@@ -281,6 +281,148 @@ class TestShedAndDegrade:
         assert len(provider.calls) == 1
 
 
+async def wait_until(condition, timeout_s=5.0):
+    for _ in range(int(timeout_s / 0.001)):
+        if condition():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("condition never held")
+
+
+async def teach_backend_time(gateway, provider, clock, seconds):
+    """Serve one no-deadline request that takes ``seconds`` on ``clock``
+    between dispatch and resolve; leaves ``provider`` gated again."""
+    provider.release.clear()
+    ticket = await gateway.enqueue("Question: how long does the backend take?")
+    await wait_until(lambda: gateway._inflight == 1)
+    clock.advance(seconds)
+    provider.release.set()
+    await ticket.future
+    provider.release.clear()
+
+
+async def hold_backend_busy(gateway):
+    """One no-deadline request parked in the gated provider."""
+    ticket = await gateway.enqueue("Question: busy?")
+    await wait_until(lambda: gateway._inflight == 1)
+    return ticket
+
+
+class TestPredictiveShedding:
+    """Once a completion has taught the gateway the backend takes T, a
+    request popped with less than T of slack while the backend is busy is
+    shed (or degraded) at dispatch instead of being served late."""
+
+    def test_predicted_miss_is_shed_and_never_dispatched(self):
+        provider = GatedProvider()
+        clock = ManualClock()
+
+        async def run():
+            async with AsyncGateway(provider, clock=clock.now, degrader=None) as gateway:
+                await teach_backend_time(gateway, provider, clock, 0.200)
+                busy = await hold_backend_busy(gateway)
+                doomed = await gateway.enqueue(
+                    GatewayRequest("Question: doomed?", deadline_ms=100.0)
+                )
+                try:
+                    await wait_until(lambda: not any(gateway.queue_depths().values()))
+                    assert doomed.future.done()  # settled when popped, not by the backend
+                finally:
+                    provider.release.set()
+                with pytest.raises(DeadlineExceededError) as excinfo:
+                    await doomed.future
+                await busy.future
+                return doomed, excinfo.value, gateway.stats
+
+        ticket, error, stats = asyncio.run(run())
+        assert ticket.status == "shed"
+        assert "Question: doomed?" not in provider.calls
+        message = str(error)
+        assert "predicted backend time 200.0ms" in message
+        assert "remaining slack 100.0ms" in message
+        assert "expired" not in message
+        assert error.waited_ms == 0.0 and ticket.queue_ms == 0.0
+        assert stats.gateway_shed == 1
+
+    def test_predicted_miss_degrades_through_resilience(self):
+        provider = GatedProvider()
+        stack = build_stack(provider, resilience=True)
+        clock = ManualClock()
+
+        async def run():
+            async with AsyncGateway(stack, clock=clock.now) as gateway:
+                await teach_backend_time(gateway, provider, clock, 0.200)
+                busy = await hold_backend_busy(gateway)
+                doomed = await gateway.enqueue(
+                    GatewayRequest("Question: doomed?", deadline_ms=100.0)
+                )
+                # Popped and handed to the fallback chain, which the gate
+                # holds like any other provider call.
+                await wait_until(lambda: gateway._inflight == 2)
+                provider.release.set()
+                completion = await doomed.future
+                await busy.future
+                return doomed, completion
+
+        ticket, completion = asyncio.run(run())
+        assert ticket.status == "degraded"
+        marker = completion.metadata["serving.gateway"]
+        assert marker["degraded"] is True
+        assert marker["reason"] == (
+            "predicted backend time 200.0ms exceeds remaining slack 100.0ms"
+        )
+        assert marker["queue_ms"] == 0.0
+        assert stack.stats.fallback_model_answers == 1
+
+    @pytest.mark.parametrize(
+        "shed_expired, deadline_ms", [(True, None), (False, 100.0)]
+    )
+    def test_no_deadline_or_shed_expired_false_never_predicts(self, shed_expired, deadline_ms):
+        provider = GatedProvider()
+        clock = ManualClock()
+
+        async def run():
+            async with AsyncGateway(
+                provider, clock=clock.now, shed_expired=shed_expired, degrader=None
+            ) as gateway:
+                await teach_backend_time(gateway, provider, clock, 0.200)
+                busy = await hold_backend_busy(gateway)
+                ticket = await gateway.enqueue(
+                    GatewayRequest("Question: served?", deadline_ms=deadline_ms)
+                )
+                await wait_until(lambda: gateway._inflight == 2)  # dispatched while busy
+                provider.release.set()
+                completion = await ticket.future
+                await busy.future
+                return ticket, completion
+
+        ticket, completion = asyncio.run(run())
+        assert ticket.status == "ok" and completion.text
+        assert "Question: served?" in provider.calls
+
+    def test_slow_phase_does_not_shed_isolated_requests_at_an_idle_gateway(self):
+        """A slow phase leaves the estimate at 500 ms; the backend then
+        recovers. Requests with 100 ms deadlines sent one at a time find the
+        gateway idle and are served: only a busy backend is predicted."""
+        provider = GatedProvider()
+        clock = ManualClock()
+
+        async def run():
+            async with AsyncGateway(provider, clock=clock.now, degrader=None) as gateway:
+                await teach_backend_time(gateway, provider, clock, 0.500)
+                provider.release.set()  # the backend has recovered
+                return [
+                    await gateway.submit(f"Question: isolated {i}?", deadline_ms=100.0)
+                    for i in range(5)
+                ]
+
+        completions = asyncio.run(run())
+        assert all(c.text for c in completions)
+        assert [p for p in provider.calls if "isolated" in p] == [
+            f"Question: isolated {i}?" for i in range(5)
+        ]
+
+
 class TestBackpressure:
     def test_full_class_queue_parks_then_admits(self):
         provider = GatedProvider()
