@@ -2,8 +2,8 @@
 
 A serving stack built with ``build_stack(durable_dir=...)`` journals every
 acknowledged request and can snapshot its full stateful surface — the
-semantic cache (entries, LRFU clock, stats), the budget and usage
-ledgers, and the service counters — to disk. This script:
+semantic cache (entries, LRFU clock, stats), the usage meter, and the
+service counters, budget spend included — to disk. This script:
 
 1. runs a reference stream with no faults,
 2. re-runs it over a :class:`~repro.llm.faults.CrashPoint` client that

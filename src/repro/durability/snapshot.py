@@ -11,7 +11,8 @@ gets a ``snapshot_*`` / ``restore_*_into`` pair:
   original vectors bit for bit.
 * :class:`~repro.llm.client.UsageMeter` — totals and the per-model ledger.
 * :class:`~repro.serving.stats.ServiceStats` — every counter, including
-  the latency histogram's buckets.
+  the latency histogram's buckets and the budget layer's spend (the only
+  copy of it), and every per-tenant namespace under ``"tenants"``.
 
 All payloads are plain JSON. Python's ``json`` round-trips floats through
 ``repr`` (shortest exact representation), so every float restores to the
@@ -21,13 +22,12 @@ asserts end to end.
 :func:`snapshot_stack_state` / :func:`restore_stack_state` lift the codecs
 to a whole :class:`~repro.serving.stack.ServingStack` by walking its
 middleware chain (``provider.inner…``) and snapshotting whichever stateful
-layers are installed, plus the cache middleware's completion replay store
-and the budget middleware's dollar ledger.
+layers are installed, plus the cache middleware's completion replay store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.core.cache import AdmissionPredictor, CacheEntry, CacheStats, SemanticCache
 from repro.llm.client import Completion, Usage, UsageMeter
@@ -58,7 +58,8 @@ _ENTRY_FIELDS = (
 _METER_FIELDS = ("calls", "prompt_tokens", "completion_tokens", "cost")
 # ServiceStats fields that are not counters (or not serializable).
 # Histogram fields are serialized explicitly (see snapshot_stats).
-_STATS_SKIP = ("_lock", "_reset_hooks", "latency_hist", "gateway_queue_wait_hist")
+# Tenant namespaces are serialized under "tenants" with this same codec.
+_STATS_SKIP = ("_lock", "_tenants", "latency_hist", "gateway_queue_wait_hist")
 # Dict-valued stats fields whose keys are ints (JSON forces string keys).
 _STATS_INT_KEYS = ("scheduler_batch_sizes", "scheduler_queue_depths")
 
@@ -233,7 +234,8 @@ def _restore_histogram(data: Dict[str, object]) -> LatencyHistogram:
 
 
 def snapshot_stats(stats: ServiceStats) -> Dict[str, object]:
-    """Serializable snapshot of every ServiceStats counter."""
+    """Serializable snapshot of every ServiceStats counter, with each
+    per-tenant namespace nested under ``"tenants"``."""
     with stats.lock:
         data: Dict[str, object] = {}
         for name in stats.__dataclass_fields__:
@@ -250,13 +252,17 @@ def snapshot_stats(stats: ServiceStats) -> Dict[str, object]:
         data["gateway_queue_wait_hist"] = _snapshot_histogram(
             stats.gateway_queue_wait_hist
         )
+    data["tenants"] = {
+        name: snapshot_stats(stats.tenant(name)) for name in stats.tenant_names()
+    }
     return data
 
 
 def restore_stats_into(stats: ServiceStats, data: Dict[str, object]) -> None:
     """Load a :func:`snapshot_stats` payload, replacing every counter.
-    The lock and registered reset hooks survive, exactly as in
-    :meth:`~repro.serving.stats.ServiceStats.reset`."""
+    The lock survives, and each tenant payload is loaded into
+    ``stats.tenant(name)``, so a namespace object a layer already holds
+    stays the one it writes to."""
     with stats.lock:
         for name in stats.__dataclass_fields__:
             if name in _STATS_SKIP or name not in data:
@@ -277,6 +283,8 @@ def restore_stats_into(stats: ServiceStats, data: Dict[str, object]) -> None:
             stats.gateway_queue_wait_hist = _restore_histogram(
                 data["gateway_queue_wait_hist"]  # type: ignore[arg-type]
             )
+    for name, child in data.get("tenants", {}).items():  # type: ignore[union-attr]
+        restore_stats_into(stats.tenant(name), child)
 
 
 # ================================================================ Completion
@@ -343,12 +351,12 @@ def snapshot_stack_state(stack: object) -> Dict[str, object]:
 
     The payload's ``state`` section holds one sub-document per component
     found: ``cache`` (+ ``replay``, the cache middleware's completion
-    store), ``budget`` (the dollar ledger), ``meter`` (the terminal
-    client's usage meter) and ``stats``. The ``layers`` list pins the
+    store), ``meter`` (the terminal client's usage meter) and ``stats``,
+    which also carries the budget layer's spend. The ``layers`` list pins the
     stack shape so recovery into a differently-composed stack fails loudly
     instead of silently dropping state.
     """
-    from repro.serving.middleware import BudgetMiddleware, SemanticCacheMiddleware
+    from repro.serving.middleware import SemanticCacheMiddleware
 
     state: Dict[str, object] = {"stats": snapshot_stats(stack.stats)}  # type: ignore[attr-defined]
     cache_mw = _find_layer(stack, SemanticCacheMiddleware)
@@ -358,13 +366,6 @@ def snapshot_stack_state(stack: object) -> Dict[str, object]:
             state["replay"] = {
                 key: completion_to_dict(completion)
                 for key, completion in cache_mw._completions.items()
-            }
-    budget_mw = _find_layer(stack, BudgetMiddleware)
-    if budget_mw is not None:
-        with budget_mw._ledger_lock:
-            state["budget"] = {
-                "limit_usd": budget_mw.budget_usd,
-                "spent_usd": budget_mw._ledger["spent"],
             }
     meter = _find_meter(stack)
     if meter is not None:
@@ -378,8 +379,9 @@ def snapshot_stack_state(stack: object) -> Dict[str, object]:
 
 def restore_stack_state(stack: object, payload: Dict[str, object]) -> None:
     """Load a :func:`snapshot_stack_state` payload into a freshly built
-    stack of the same composition."""
-    from repro.serving.middleware import BudgetMiddleware, SemanticCacheMiddleware
+    stack of the same composition. The ``budget`` section older payloads
+    carry is ignored: their ``stats`` section holds the same spend."""
+    from repro.serving.middleware import SemanticCacheMiddleware
 
     if payload.get("schema") != SNAPSHOT_SCHEMA:
         raise ValueError(f"unknown snapshot schema: {payload.get('schema')!r}")
@@ -404,13 +406,6 @@ def restore_stack_state(stack: object, payload: Dict[str, object]) -> None:
             cache_mw._completions = {
                 key: completion_from_dict(data) for key, data in replay.items()
             }
-    if "budget" in state:
-        budget_mw = _find_layer(stack, BudgetMiddleware)
-        if budget_mw is None:
-            raise ValueError("snapshot has a budget ledger but the stack has no budget layer")
-        with budget_mw._ledger_lock:
-            budget_mw._ledger["spent"] = float(state["budget"]["spent_usd"])  # type: ignore[index]
-        budget_mw._republish()
     if "meter" in state:
         meter = _find_meter(stack)
         if meter is not None:

@@ -194,7 +194,7 @@ class CrashPoint:
         self.inner = inner
         self.crash_at = crash_at
         # One-slot holders so reseeded siblings share the request counter
-        # and the fired flag (copy.copy-style sharing, like the ledger).
+        # and the fired flag (copy.copy shares the holders, not the values).
         self._count = {"value": 0}
         self._fired = {"value": False}
         self._lock = threading.Lock()

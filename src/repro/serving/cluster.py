@@ -48,7 +48,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import CacheEntry, CacheStats, EvictionPolicy, SemanticCache
@@ -423,17 +423,6 @@ class TenantPolicy:
             raise ValueError("max_requests must be non-negative")
 
 
-@dataclass
-class _TenantLedger:
-    """Authoritative per-tenant accounting (survives stats resets)."""
-
-    spent_usd: float = 0.0
-    requests: int = 0
-    rejections: int = 0
-    llm_calls: int = 0
-    cache_hits: int = 0
-
-
 # ===========================================================================
 # The cluster
 # ===========================================================================
@@ -480,9 +469,10 @@ class ServingCluster:
 
     Multi-tenancy: every request names a tenant. The front door enforces
     the tenant's :class:`TenantPolicy` (quota on accept, budget before
-    dispatch), charges its ledger, and mirrors its traffic into a
-    per-tenant :class:`ServiceStats` namespace (``stats.tenant(name)``),
-    so ``snapshot()["tenants"]`` reads like one report per tenant.
+    dispatch) against the tenant's :class:`ServiceStats` namespace
+    (``stats.tenant(name)``), which is the only record of its accepted
+    requests, rejections and spend; ``snapshot()["tenancy"]`` and
+    ``stats.snapshot()["tenants"]`` are both read from it.
     """
 
     def __init__(
@@ -532,80 +522,55 @@ class ServingCluster:
         self.key_fn = key_fn
         self.cache_kind = cache_kind
         self.default_policy = TenantPolicy()
-        self._policies: Dict[str, TenantPolicy] = dict(policies or {})
-        self._ledgers: Dict[str, _TenantLedger] = {}
+        self._policies: Dict[str, TenantPolicy] = {}
         self._completions: Dict[Tuple[str, str], Completion] = {}
         self.requests_by_shard: Dict[str, int] = {shard: 0 for shard in self.router.shards}
         self._lock = threading.RLock()
         self._workers: Optional[Dict[str, _ShardWorker]] = None
         self._closed = False
-        # Ledgers are authoritative; re-publish them into the (freshly
-        # zeroed) tenant namespaces after every stats.reset() — the same
-        # pattern BudgetMiddleware uses for its single-stack ledger.
-        self.stats.register_reset_hook(self._republish_ledgers)
+        for tenant, policy in (policies or {}).items():
+            self.set_policy(tenant, policy)
 
     # ----------------------------------------------------------- tenancy
 
     def set_policy(self, tenant: str, policy: TenantPolicy) -> None:
         with self._lock:
             self._policies[tenant] = policy
-            ledger = self._ledgers.get(tenant)
         tstats = self.stats.tenant(tenant)
         with tstats.lock:
             tstats.budget_limit_usd = policy.budget_usd
-            if ledger is not None:
-                tstats.budget_spent_usd = ledger.spent_usd
 
     def policy_for(self, tenant: str) -> TenantPolicy:
         return self._policies.get(tenant, self.default_policy)
 
-    def ledger_for(self, tenant: str) -> _TenantLedger:
-        with self._lock:
-            return self._ledgers.setdefault(tenant, _TenantLedger())
-
     def spent_usd(self, tenant: str) -> float:
-        return self.ledger_for(tenant).spent_usd
+        return self.stats.tenant(tenant).budget_spent_usd
 
     def tenants(self) -> List[str]:
-        with self._lock:
-            return sorted(self._ledgers)
-
-    def _republish_ledgers(self) -> None:
-        with self._lock:
-            ledgers = dict(self._ledgers)
-        for tenant, ledger in ledgers.items():
-            tstats = self.stats.tenant(tenant)
-            with tstats.lock:
-                tstats.budget_limit_usd = self.policy_for(tenant).budget_usd
-                tstats.budget_spent_usd = ledger.spent_usd
-                tstats.budget_rejections = ledger.rejections
+        return self.stats.tenant_names()
 
     # ----------------------------------------------------------- serving
 
-    def _admit(self, tenant: str) -> _TenantLedger:
+    def _admit(self, tenant: str, tstats: ServiceStats) -> None:
         """Quota check + request accounting (the front door)."""
-        policy = self.policy_for(tenant)
-        with self._lock:
-            ledger = self._ledgers.setdefault(tenant, _TenantLedger())
-            if policy.max_requests is not None and ledger.requests >= policy.max_requests:
-                ledger.rejections += 1
+        quota = self.policy_for(tenant).max_requests
+        with tstats.lock:
+            if quota is not None and tstats.admitted_requests >= quota:
+                tstats.quota_rejections += 1
                 raise QuotaExceededError(
-                    f"tenant {tenant!r} quota of {policy.max_requests} requests exhausted"
+                    f"tenant {tenant!r} quota of {quota} requests exhausted"
                 )
-            ledger.requests += 1
-        return ledger
+            tstats.admitted_requests += 1
 
     def _serve(self, prompt: str, tenant: str, model: Optional[str]) -> Completion:
-        ledger = self._admit(tenant)
-        policy = self.policy_for(tenant)
         tstats = self.stats.tenant(tenant)
+        self._admit(tenant, tstats)
+        budget = self.policy_for(tenant).budget_usd
         key = self.key_fn(prompt) if self.key_fn is not None else prompt
         effective_prompt = prompt
         if self.cache is not None:
             found = counted_probe(self.cache.lookup, (tenant, key), (self.stats, tstats))
             if found.tier == "reuse" and found.entry is not None:
-                with self._lock:
-                    ledger.cache_hits += 1
                 owner = found.owner_tenant if found.owner_tenant is not None else tenant
                 marker: Dict[str, object] = {
                     "tier": "reuse",
@@ -620,30 +585,24 @@ class ServingCluster:
                 )
             if found.tier == "augment" and found.entry is not None:
                 effective_prompt = augmented_prompt(found.entry, prompt)
-        if policy.budget_usd is not None:
-            with self._lock:
-                spent = ledger.spent_usd
-                if spent >= policy.budget_usd:
-                    ledger.rejections += 1
-                    with tstats.lock:
-                        tstats.budget_rejections += 1
+        if budget is not None:
+            with tstats.lock:
+                spent = tstats.budget_spent_usd
+                if spent >= budget:
+                    tstats.budget_rejections += 1
                     raise BudgetExceededError(
-                        f"tenant {tenant!r} budget ${policy.budget_usd:.4f} "
+                        f"tenant {tenant!r} budget ${budget:.4f} "
                         f"exhausted (spent ${spent:.4f})"
                     )
         shard = self.router.route_request(tenant, key)
         completion = self.stacks[shard].complete(effective_prompt, model=model)
         with self._lock:
-            ledger.spent_usd += completion.cost
-            ledger.llm_calls += 1
             self.requests_by_shard[shard] += 1
-            spent = ledger.spent_usd
         with tstats.lock:
-            tstats.budget_limit_usd = policy.budget_usd
-            tstats.budget_spent_usd = spent
-        tstats.record_llm_call(
-            completion.model, completion.usage, completion.cost, completion.latency_ms
-        )
+            tstats.budget_spent_usd += completion.cost
+            tstats.record_llm_call(
+                completion.model, completion.usage, completion.cost, completion.latency_ms
+            )
         if self.cache is not None:
             put_start = time.perf_counter()
             admitted = self.cache.put(
@@ -659,7 +618,7 @@ class ServingCluster:
                     if len(self._completions) > 8 * self.cache.spec.total_capacity:
                         live = {
                             (t, k)
-                            for t in list(self._ledgers)
+                            for t in self.stats.tenant_names()
                             for k in self.cache.entries_of(t)
                         }
                         self._completions = {
@@ -733,19 +692,20 @@ class ServingCluster:
     def snapshot(self) -> Dict[str, object]:
         """Cluster snapshot: shared stack stats (with tenant namespaces)
         plus routing/tenancy dimensions the stacks can't see."""
-        with self._lock:
-            tenancy = {
-                tenant: {
-                    "requests": ledger.requests,
-                    "llm_calls": ledger.llm_calls,
-                    "cache_hits": ledger.cache_hits,
-                    "spent_usd": round(ledger.spent_usd, 6),
-                    "rejections": ledger.rejections,
+        tenancy = {}
+        for tenant in self.tenants():
+            tstats = self.stats.tenant(tenant)
+            with tstats.lock:
+                tenancy[tenant] = {
+                    "requests": tstats.admitted_requests,
+                    "llm_calls": tstats.llm_calls,
+                    "cache_hits": tstats.cache_reuse_hits,
+                    "spent_usd": round(tstats.budget_spent_usd, 6),
+                    "rejections": tstats.budget_rejections + tstats.quota_rejections,
                     "budget_usd": self.policy_for(tenant).budget_usd,
                     "quota": self.policy_for(tenant).max_requests,
                 }
-                for tenant, ledger in sorted(self._ledgers.items())
-            }
+        with self._lock:
             by_shard = dict(sorted(self.requests_by_shard.items()))
         out: Dict[str, object] = {
             "stats": self.stats.snapshot(),

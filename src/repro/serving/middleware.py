@@ -22,11 +22,11 @@ optimizations that previously each wrapped the client ad hoc:
 All layers write their counters into one shared
 :class:`~repro.serving.stats.ServiceStats`, holding its lock around each
 update so a stack can be driven from many threads at once (see
-:mod:`repro.serving.scheduler`). Layer-local mutable state (the cache
-middleware's replay store, the budget ledger) carries its own lock; the
-hot structures underneath — :class:`~repro.core.cache.SemanticCache`, the
-admission predictor, the embedding memo, the usage meter — are locked
-where they live.
+:mod:`repro.serving.scheduler`). The budget layer keeps no state of its
+own: its spend is a stats counter. The cache middleware's replay store
+carries its own lock; the hot structures underneath —
+:class:`~repro.core.cache.SemanticCache`, the admission predictor, the
+embedding memo, the usage meter — are locked where they live.
 """
 
 from __future__ import annotations
@@ -425,14 +425,14 @@ class BudgetMiddleware(Middleware):
     *between* calls: once the observed spend reaches ``budget_usd``,
     further requests raise :class:`~repro.errors.BudgetExceededError`. At
     most one call per in-flight thread can overshoot, by at most its own
-    cost (the ledger is locked, but the check cannot cover a call whose
-    price is unknown until it returns).
+    cost (the check is locked, but it cannot cover a call whose price is
+    unknown until it returns).
 
-    The ledger lives in a holder shared by every ``reseeded`` sibling, so
-    redraws through a seed-shifted clone (validation retries, resilience
-    recoveries) charge the *same* ledger — and it survives
-    :meth:`~repro.serving.stats.ServiceStats.reset`, which re-publishes
-    the live spend instead of reporting zero until the next charge.
+    A budget is per stats section: the spend is
+    ``stats.budget_spent_usd``, checked and charged under ``stats.lock``.
+    Every ``reseeded`` sibling shares the stats object, so redraws through
+    a seed-shifted clone (validation retries, resilience recoveries)
+    charge the *same* number, and a snapshot of the stats carries it.
     """
 
     def __init__(
@@ -445,45 +445,29 @@ class BudgetMiddleware(Middleware):
             raise ValueError("budget_usd must be non-negative")
         super().__init__(inner, stats)
         self.budget_usd = budget_usd
-        # One-slot holder rather than a bare float: Middleware.reseeded
-        # shallow-copies the layer, and clones must share the ledger.
-        self._ledger = {"spent": 0.0}
-        self._ledger_lock = threading.Lock()
         self.stats.budget_limit_usd = budget_usd
-        self.stats.register_reset_hook(self._republish)
 
     @property
     def spent_usd(self) -> float:
-        return self._ledger["spent"]
+        return self.stats.budget_spent_usd
 
     def remaining(self) -> float:
-        with self._ledger_lock:
-            return max(0.0, self.budget_usd - self._ledger["spent"])
-
-    def _republish(self) -> None:
-        """Re-sync the stats view of the ledger (runs after stats.reset)."""
-        with self._ledger_lock:
-            spent = self._ledger["spent"]
         with self.stats.lock:
-            self.stats.budget_limit_usd = self.budget_usd
-            self.stats.budget_spent_usd = spent
+            return max(0.0, self.budget_usd - self.stats.budget_spent_usd)
 
     def _check(self) -> None:
-        with self._ledger_lock:
-            spent = self._ledger["spent"]
+        with self.stats.lock:
+            spent = self.stats.budget_spent_usd
             if spent >= self.budget_usd:
-                with self.stats.lock:
-                    self.stats.budget_rejections += 1
+                self.stats.budget_rejections += 1
                 raise BudgetExceededError(
                     f"serving budget ${self.budget_usd:.4f} exhausted "
                     f"(spent ${spent:.4f})"
                 )
 
     def _charge(self, cost: float) -> None:
-        with self._ledger_lock:
-            self._ledger["spent"] += cost
-            with self.stats.lock:
-                self.stats.budget_spent_usd = self._ledger["spent"]
+        with self.stats.lock:
+            self.stats.budget_spent_usd += cost
 
     def complete(self, prompt: str, model: Optional[str] = None) -> Completion:
         self._check()

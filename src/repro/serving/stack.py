@@ -40,9 +40,9 @@ class ServingStack:
     With ``build_stack(durable_dir=...)`` the stack additionally carries a
     :class:`~repro.durability.StackDurability`: every acknowledged request
     is journaled, :meth:`checkpoint` snapshots the full stateful surface
-    (cache, ledgers, meter, stats) atomically, and :meth:`recover` —
-    called automatically at build time — restores the last checkpoint and
-    replays the journal to the exact pre-crash state.
+    (cache, meter, stats with the budget's spend) atomically, and
+    :meth:`recover` — called automatically at build time — restores the
+    last checkpoint and replays the journal to the exact pre-crash state.
     """
 
     def __init__(
@@ -157,8 +157,8 @@ def build_stack(
     journaled there, ``checkpoint_every=N`` auto-snapshots after every N
     requests (``stack.checkpoint()`` does it on demand), and if the
     directory already holds state from a previous run it is **recovered
-    before the first request** — warm-starting the cache, ledgers and
-    stats to the exact pre-crash values (see :mod:`repro.durability`).
+    before the first request** — warm-starting the cache, the usage meter
+    and stats (budget spend included) to the exact pre-crash values (see :mod:`repro.durability`).
     Recovery requires rebuilding with the same layer composition and
     component configuration as the run that wrote the state.
     ``durable_sync=True`` additionally fsyncs every journal append and

@@ -8,8 +8,12 @@ what the terminal client actually billed.
 
 Stacks may be driven from many threads at once (see
 :mod:`repro.serving.scheduler`), so the instance carries one re-entrant
-``lock`` that every writer takes around its counter updates. Latency is
-additionally tracked as a :class:`LatencyHistogram` of the *simulated*
+``lock`` that every writer takes around its counter updates. Counters are
+never zeroed in place: the budget layer checks its ceiling against
+``budget_spent_usd`` itself, so these counters are enforcement state, not
+only a report of it. Measure an interval by differencing two snapshots.
+
+Latency is additionally tracked as a :class:`LatencyHistogram` of the *simulated*
 per-completion latencies — fixed log-spaced buckets, so p50/p95/p99 are
 deterministic functions of the recorded values with no wall-clock
 nondeterminism — and the batching scheduler records its batch-size and
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.llm.client import Usage
 
@@ -128,10 +132,14 @@ class ServiceStats:
     retries: int = 0
     retry_rescues: int = 0
 
-    # Budget layer.
+    # Budget layer: the spend a ceiling is checked against lives here, and
+    # nowhere else. The cluster's front door also counts a tenant's
+    # accepted requests and quota rejections in the tenant's namespace.
     budget_limit_usd: Optional[float] = None
     budget_spent_usd: float = 0.0
     budget_rejections: int = 0
+    admitted_requests: int = 0
+    quota_rejections: int = 0
 
     # Resilience layer (repro.serving.resilience): failure handling.
     transient_errors: int = 0
@@ -169,24 +177,12 @@ class ServiceStats:
         default_factory=LatencyHistogram, compare=False
     )
 
-    # One lock shared by every layer of the stack; `reset()` deliberately
-    # keeps it (replacing a held lock would break mutual exclusion).
+    # One lock shared by every layer of the stack.
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
-    # Layers holding authoritative state outside this object (the budget
-    # ledger) register a hook here; `reset()` calls the hooks after zeroing
-    # so published counters re-sync with enforcement instead of silently
-    # desyncing until the next update.
-    _reset_hooks: List[Callable[[], None]] = field(
-        default_factory=list, repr=False, compare=False
-    )
     # Per-tenant namespaces (see :meth:`tenant`): child ServiceStats keyed
-    # by tenant name, registered lazily by the multi-tenant cluster. Like
-    # the lock and the hooks, the registry itself survives `reset()` — but
-    # every child is reset *with* the parent, so a cluster-level reset can
-    # never leak stale tenant counters (namespaces registered after
-    # construction included; see the reset() loop).
+    # by tenant name, registered lazily by the multi-tenant cluster.
     _tenants: Dict[str, "ServiceStats"] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -205,8 +201,9 @@ class ServiceStats:
         serving cluster records a tenant's cache traffic, LLM calls and
         budget state into its namespace with the same record methods the
         middleware uses, and :meth:`snapshot`/:meth:`render` thread a
-        ``tenant=`` dimension through the report. Children reset with the
-        parent (see :meth:`reset`)."""
+        ``tenant=`` dimension through the report. The namespace is the only
+        record of the tenant's spend and quota use: the cluster checks its
+        budget and quota against these counters."""
         with self._lock:
             child = self._tenants.get(name)
             if child is None:
@@ -218,14 +215,6 @@ class ServiceStats:
         """Registered tenant namespaces, sorted."""
         with self._lock:
             return sorted(self._tenants)
-
-    def register_reset_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` after every :meth:`reset` (outside the stats lock),
-        so a layer can re-publish externally held state — e.g. the budget
-        middleware re-publishes its ledger, keeping reports in sync with
-        enforcement across resets."""
-        with self._lock:
-            self._reset_hooks.append(hook)
 
     # ------------------------------------------------------------ recording
 
@@ -385,6 +374,8 @@ class ServiceStats:
                     "limit_usd": self.budget_limit_usd,
                     "spent_usd": round(self.budget_spent_usd, 6),
                     "rejections": self.budget_rejections,
+                    "requests": self.admitted_requests,
+                    "quota_rejections": self.quota_rejections,
                 },
                 "resilience": {
                     "transient_errors": self.transient_errors,
@@ -430,37 +421,6 @@ class ServiceStats:
         if tenant_section:
             out["tenants"] = tenant_section
         return out
-
-    def reset(self) -> None:
-        """Zero every counter; the lock, hooks and tenant registry survive.
-
-        Layers holding authoritative state elsewhere (see
-        :meth:`register_reset_hook`) then re-publish it, so e.g.
-        ``budget_spent_usd`` reflects the live ledger — which resets do
-        *not* clear — rather than reading zero until the next charge.
-
-        Per-tenant namespaces (:meth:`tenant`) are reset recursively —
-        including ones registered *after* this instance was constructed —
-        so a cluster-level reset can never leave a tenant reporting stale
-        counters while the parent reads zero. The registry itself (and each
-        child object identity) is kept: layers holding a namespace
-        reference keep writing to the same, now-zeroed, instance."""
-        fresh = ServiceStats()
-        with self._lock:
-            for name in fresh.__dataclass_fields__:
-                if name in ("_lock", "_reset_hooks", "_tenants"):
-                    continue
-                setattr(self, name, getattr(fresh, name))
-            hooks = list(self._reset_hooks)
-            tenants = list(self._tenants.values())
-        # Outside the stats lock: hooks take their own layer locks, and the
-        # charge path acquires (layer lock -> stats lock) — holding the
-        # stats lock here would invert that order and risk deadlock. Tenant
-        # children likewise reset under their own locks.
-        for child in tenants:
-            child.reset()
-        for hook in hooks:
-            hook()
 
     def render(self) -> str:
         """Human-readable per-layer report (rendered by the bench layer)."""

@@ -236,3 +236,48 @@ class TestStatsRoundtrip:
         restored = ServiceStats()
         restore_stats_into(restored, json_roundtrip(snapshot_stats(ServiceStats())))
         assert snapshot_stats(restored) == snapshot_stats(ServiceStats())
+
+
+def test_tenant_namespaces_roundtrip_into_the_held_objects():
+    stats = ServiceStats()
+    for name, spent in (("acme", 0.25), ("globex", 1.5)):
+        child = stats.tenant(name)
+        child.budget_limit_usd = 2.0
+        child.budget_spent_usd = spent
+        child.admitted_requests = 3
+        child.quota_rejections = 1
+        child.record_llm_call("gpt-4", Usage(prompt_tokens=7, completion_tokens=2), spent, 4.0)
+    snapshot = snapshot_stats(stats)
+    assert set(snapshot["tenants"]) == {"acme", "globex"}
+    restored = ServiceStats()
+    held = restored.tenant("acme")  # a layer already writing to the namespace
+    restore_stats_into(restored, json_roundtrip(snapshot))
+    assert snapshot_stats(restored) == snapshot
+    assert restored.tenant("acme") is held
+    assert held.budget_spent_usd == 0.25
+
+
+def test_stack_restores_spend_from_a_payload_with_a_budget_section():
+    # Payloads written before the stats section became the only home of the
+    # budget's spend also carry a "budget" section and a "_tenants" field;
+    # both are ignored and the spend still comes back.
+    from repro.durability import restore_stack_state, snapshot_stack_state
+    from repro.llm.client import LLMClient
+    from repro.serving import build_stack
+
+    stack = build_stack(LLMClient(), budget_usd=10.0)
+    for i in range(4):
+        stack.complete(f"Question: who directed film number {i}?")
+    payload = json_roundtrip(snapshot_stack_state(stack))
+    spent = stack.stats.budget_spent_usd
+    assert spent > 0
+    older = json_roundtrip(payload)
+    older["state"]["budget"] = {"limit_usd": 10.0, "spent_usd": spent}
+    older["state"]["stats"]["_tenants"] = {}
+    del older["state"]["stats"]["tenants"]
+    for fresh_payload in (payload, older):
+        fresh = build_stack(LLMClient(), budget_usd=10.0)
+        restore_stack_state(fresh, fresh_payload)
+        budget_layer = fresh.provider
+        assert budget_layer.spent_usd == spent
+        assert fresh.stats.snapshot()["budget"]["spent_usd"] == round(spent, 6)

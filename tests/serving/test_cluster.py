@@ -308,7 +308,11 @@ def test_quota_rejects_excess_requests():
             cluster.complete("Question: one more?", tenant="small")
         # other tenants are unaffected
         cluster.complete("Question: fine?", tenant="big")
-        assert cluster.ledger_for("small").rejections == 1
+        tenancy = cluster.snapshot()["tenancy"]
+        assert tenancy["small"]["rejections"] == 1
+        assert tenancy["small"]["requests"] == 3
+        assert tenancy["small"]["quota"] == 3
+        assert tenancy["big"]["rejections"] == 0
     finally:
         cluster.close()
 
@@ -348,7 +352,7 @@ def test_budgets_are_charged_to_the_right_tenant():
 
 
 # ---------------------------------------------------------------------------
-# Per-tenant stats namespaces and the reset fix
+# Per-tenant stats namespaces
 # ---------------------------------------------------------------------------
 
 
@@ -367,32 +371,43 @@ def test_snapshot_carries_tenant_namespaces():
         cluster.close()
 
 
-def test_reset_zeroes_tenant_namespaces_registered_after_construction():
-    stats = ServiceStats()
-    stats.reset()  # registry empty: nothing to recurse into
-    late = stats.tenant("late-tenant")  # registered AFTER the first reset
-    late.cache_lookups = 7
-    late.llm_calls = 3
-    stats.reset()
-    assert stats.tenant("late-tenant") is late  # same namespace object
-    assert late.cache_lookups == 0
-    assert late.llm_calls == 0
-    assert stats.tenant_names() == ["late-tenant"]
-
-
-def test_cluster_reset_republishes_tenant_ledgers():
-    cluster = ServingCluster(lambda shard: make_client(), n_shards=2)
+def test_constructor_policies_publish_their_limit_before_any_call():
+    # Regression: a limit passed through policies= reached the namespace
+    # only with the first paid call, so a tenant rejected before one
+    # reported no limit at all.
+    cluster = ServingCluster(
+        lambda shard: make_client(),
+        n_shards=2,
+        policies={"small": TenantPolicy(budget_usd=0.0)},
+    )
     try:
-        cluster.set_policy("acme", TenantPolicy(budget_usd=5.0))
+        assert cluster.stats.snapshot()["tenants"]["small"]["budget"]["limit_usd"] == 0.0
+        with pytest.raises(BudgetExceededError):
+            cluster.complete("Question: anything?", tenant="small")
+        budget = cluster.stats.snapshot()["tenants"]["small"]["budget"]
+        assert budget["limit_usd"] == 0.0
+        assert budget["rejections"] == 1
+        assert cluster.snapshot()["tenancy"]["small"]["budget_usd"] == 0.0
+    finally:
+        cluster.close()
+
+
+def test_tenancy_is_read_from_the_namespaces():
+    cluster = ServingCluster(
+        lambda shard: make_client(),
+        n_shards=2,
+        policies={"acme": TenantPolicy(budget_usd=5.0, max_requests=10)},
+    )
+    try:
         cluster.complete("Question: paid?", tenant="acme")
-        spent = cluster.spent_usd("acme")
-        assert spent > 0
-        cluster.stats.reset()
-        tenant_snap = cluster.stats.snapshot()["tenants"]["acme"]
-        # counters are zeroed, but the enforcement ledger is re-published
-        assert tenant_snap["llm"]["calls"] == 0
-        assert tenant_snap["budget"]["spent_usd"] == pytest.approx(spent)
-        assert tenant_snap["budget"]["limit_usd"] == 5.0
+        cluster.complete("Question: paid?", tenant="acme")  # reuse hit
+        tenancy = cluster.snapshot()["tenancy"]["acme"]
+        budget = cluster.stats.snapshot()["tenants"]["acme"]["budget"]
+        assert tenancy["requests"] == budget["requests"] == 2
+        assert tenancy["cache_hits"] == 1
+        assert tenancy["llm_calls"] == 1
+        assert tenancy["spent_usd"] == budget["spent_usd"] > 0
+        assert cluster.spent_usd("acme") == cluster.stats.tenant("acme").budget_spent_usd
     finally:
         cluster.close()
 

@@ -234,22 +234,6 @@ class TestBudgetMiddleware:
         with pytest.raises(ValueError):
             BudgetMiddleware(LLMClient(), budget_usd=-1.0)
 
-    def test_reset_republishes_the_ledger(self, examples):
-        # Regression: stats.reset() used to zero budget_spent_usd while the
-        # middleware's own ledger kept counting — the snapshot under-reported
-        # spend until the next charge.
-        stats = ServiceStats()
-        budget = BudgetMiddleware(LLMClient(), budget_usd=5.0, stats=stats)
-        budget.complete(qa_prompt(examples[0].question))
-        spent = budget.spent_usd
-        assert spent > 0.0
-        stats.reset()
-        assert budget.spent_usd == pytest.approx(spent)  # ledger survives
-        assert stats.budget_spent_usd == pytest.approx(spent)  # and is re-published
-        assert stats.budget_limit_usd == 5.0
-        snapshot = stats.snapshot()["budget"]
-        assert snapshot["spent_usd"] == pytest.approx(spent)
-
     def test_reseeded_clones_share_one_ledger(self, examples):
         # Regression: reseeded siblings (how the retry layer redraws) used
         # to carry a copied spend float, so redraw charges escaped the

@@ -1,5 +1,7 @@
 """End-to-end behavior of composed stacks and the ServiceStats snapshot."""
 
+import sys
+
 import pytest
 
 from repro.core.cache import SemanticCache
@@ -7,9 +9,12 @@ from repro.core.cascade import ConfidenceDecisionModel
 from repro.core.prompts.templates import qa_prompt
 from repro.datasets import generate_hotpot
 from repro.datasets.hotpot import paraphrase
+from repro.errors import ResilienceExhaustedError
 from repro.llm import LLMClient
 from repro.llm.client import default_world
+from repro.llm.faults import FaultInjectingProvider
 from repro.serving import (
+    BatchingScheduler,
     CompletionProvider,
     ServiceStats,
     ServingStack,
@@ -102,16 +107,6 @@ class TestComposedStack:
         assert "Serving stack stats" in report
         assert "cache" in report and "cascade" in report
 
-    def test_stats_reset(self, examples):
-        stats = ServiceStats()
-        stack = build_stack(LLMClient(), stats=stats)
-        stack.complete(qa_prompt(examples[0].question))
-        assert stats.llm_calls == 1
-        stats.reset()
-        assert stats.llm_calls == 0
-        assert stats.cost_usd == 0.0
-        assert not stats.per_model
-
     def test_shared_stats_instance(self):
         stats = ServiceStats()
         stack = build_stack(LLMClient(), cache=True, stats=stats)
@@ -169,3 +164,35 @@ class TestAppsIntegration:
         verdict_b = resolver_again.resolve("Apple Inc. (Cupertino)", "Apple Incorporated, Cupertino")
         assert verdict_a == verdict_b
         assert stack.stats.llm_calls >= 1
+
+
+def test_budget_spend_is_the_billed_cost_under_faults_and_redraws():
+    # No budget leakage: the spend the ceiling is checked against, what the
+    # metrics layer saw billed and what the client metered are one number,
+    # through transient-fault retries and validation redraws on reseeded
+    # clones, from four dispatcher threads.
+    client = LLMClient()
+    stack = build_stack(
+        FaultInjectingProvider(client, default_rate=0.15, seed=3),
+        resilience=True,
+        budget_usd=50.0,
+        chain=("babbage-002", "gpt-3.5-turbo", "gpt-4"),
+        max_retries=2,
+        min_confidence=0.9,
+    )
+    prompts = [f"Question: which film did director number {i} make?" for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force thread switches inside the charge
+    try:
+        with BatchingScheduler(stack, workers=4) as scheduler:
+            futures = [scheduler.submit(prompt) for prompt in prompts]
+            failed = [future.exception(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    # A request whose every recovery failed ends in the typed error; what
+    # its attempts were billed is still charged.
+    assert all(exc is None or isinstance(exc, ResilienceExhaustedError) for exc in failed)
+    stats = stack.stats
+    assert stats.resilience_retries > 0 and stats.retries > 0
+    assert abs(stats.budget_spent_usd - stats.cost_usd) <= 1e-9
+    assert abs(stats.budget_spent_usd - client.meter.cost) <= 1e-9

@@ -6,7 +6,7 @@ import repro.bench
 import repro.core
 import repro.serving
 import repro.vectordb
-from repro.serving import AsyncGateway, BatchingScheduler
+from repro.serving import AsyncGateway, BatchingScheduler, ServingCluster, build_stack
 from repro.sqldb import SemanticRuntime
 from repro.vectordb import ExactIVFIndex
 
@@ -182,4 +182,43 @@ def test_exact_ivf_index_has_no_search_knob():
         "train_threshold",
         "train_sample",
         "retrain_fraction",
+    ]
+
+
+def test_build_stack_options():
+    assert _options(build_stack) == [
+        "client",
+        "cache",
+        "cache_key_fn",
+        "cache_kind",
+        "chain",
+        "decision_models",
+        "max_retries",
+        "min_confidence",
+        "validator",
+        "budget_usd",
+        "resilience",
+        "stats",
+        "durable_dir",
+        "checkpoint_every",
+        "durable_sync",
+    ]
+
+
+def test_cluster_options():
+    assert _options(ServingCluster.__init__) == [
+        "provider_factory",
+        "n_shards",
+        "shard_names",
+        "vnodes",
+        "cache",
+        "key_fn",
+        "cache_kind",
+        "tenant_capacity",
+        "reuse_threshold",
+        "augment_threshold",
+        "eviction_policy",
+        "sharing",
+        "policies",
+        "stats",
     ]
