@@ -2,11 +2,16 @@
 
 Times ``SemanticCache`` lookup/put, ``AdmissionPredictor`` probes, and
 few-shot selection at several cache sizes against the frozen linear-scan
-references (:mod:`repro.bench.perf`), asserts decision-for-decision
-equivalence, and writes ``BENCH_hotpaths.json`` so future PRs have a perf
-trajectory to compare against.
+references (:mod:`repro.bench.perf`), plus puts into a *full* cache (every
+put evicts: seed ``min()`` scan vs eviction heap, every policy), asserts
+decision-for-decision and victim-for-victim equivalence, and writes
+``BENCH_hotpaths.json`` so future PRs have a perf trajectory to compare
+against. BLAS is pinned to one thread before numpy loads (a multi-threaded
+gemv stalls for milliseconds on a shared 2-vCPU box); the artifact records
+``blas_threads``.
 
-Run standalone for the full size ladder (1k/10k/50k):
+Run standalone for the full size ladder (1k/10k/50k/100k; full-cache puts
+at 1,024/8,192/65,536):
 
     PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py
     PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py --smoke  # CI
@@ -18,6 +23,8 @@ import json
 import os
 import sys
 
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
+
 from repro.bench.perf import DEFAULT_REPORT_PATH, run_equivalence, run_hotpaths
 
 # The headline acceptance: one vectorized probe replaces a 10k-entry Python
@@ -25,6 +32,7 @@ from repro.bench.perf import DEFAULT_REPORT_PATH, run_equivalence, run_hotpaths
 ACCEPTANCE_SIZE = 10_000
 ACCEPTANCE_SPEEDUP = 10.0
 SMOKE_ANN_SIZE = 8192  # above ExactIVFIndex's DEFAULT_TRAIN_THRESHOLD
+PUT_FULL_SIZES = (1024, 8192, 65536)
 
 
 def _report_path(smoke: bool = False) -> str:
@@ -78,6 +86,7 @@ def main(argv) -> int:
         write_path=_report_path(smoke=smoke),
         ann_sizes=ann_sizes,
         ann_text_sizes=ann_text_sizes,
+        put_full_sizes=PUT_FULL_SIZES[:2] if smoke else PUT_FULL_SIZES,
     )
     print(report.render())
     print(f"wrote {_report_path(smoke=smoke)}")

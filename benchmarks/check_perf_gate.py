@@ -11,6 +11,10 @@ violated:
   ``ann`` / ``ann_text`` cell the cluster-pruned search may cost at most
   3x the flat scan timed in the same run (an exact index that cannot
   prune has to fall back to the flat scan's cost, not to a cluster loop).
+  Every ``cache_put_full`` cell (a put into a full cache, which evicts)
+  must beat the seed's ``min()`` scan by at least 2x, and per policy the
+  warm put may grow by at most 3x from one measured size to the next
+  (1,024 -> 8,192 -> 65,536: the scan grows 8x per step, the heap ~log).
 * every other report: its ``diverged`` count (wherever it lives in the
   payload) must be zero.
 
@@ -31,6 +35,8 @@ from typing import Iterator, List, Tuple
 
 PUT_FLOOR = 1.0
 ANN_PRUNED_OVER_FLAT_CEILING = 3.0  # pruned ms/op over flat ms/op, same run
+PUT_FULL_FLOOR = 2.0  # seed-scan put over heap put, cache at capacity
+PUT_FULL_GROWTH_CEILING = 3.0  # heap put ms/op, next size over this size
 
 _REGEN_HINT = "regenerate with the matching benchmarks/bench_perf_*.py run"
 
@@ -89,6 +95,23 @@ def check_report(path: str) -> List[str]:
                         f"{path}: {sweep} pruned search costs {ratio:.2f}x the flat "
                         f"scan at {size} rows (ceiling "
                         f"{ANN_PRUNED_OVER_FLAT_CEILING:.1f}x)"
+                    )
+        for policy, by_size in sorted(report.get("cache_put_full", {}).items()):
+            cells = sorted(by_size.items(), key=lambda kv: int(kv[0]))
+            for size, cell in cells:
+                speedup = float(cell["speedup"])
+                if speedup < PUT_FULL_FLOOR:
+                    problems.append(
+                        f"{path}: cache_put_full[{policy}] speedup {speedup:.2f} at "
+                        f"{size} entries below the {PUT_FULL_FLOOR:.1f}x floor"
+                    )
+            for (small, low), (big, high) in zip(cells, cells[1:]):
+                growth = float(high["vector_ms_per_op"]) / float(low["vector_ms_per_op"])
+                if growth > PUT_FULL_GROWTH_CEILING:
+                    problems.append(
+                        f"{path}: cache_put_full[{policy}] put at {big} entries costs "
+                        f"{growth:.2f}x the put at {small} (ceiling "
+                        f"{PUT_FULL_GROWTH_CEILING:.1f}x)"
                     )
     return problems
 

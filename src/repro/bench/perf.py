@@ -39,6 +39,7 @@ And it hosts the *chaos* benchmark for the resilience layer:
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -527,6 +528,10 @@ class HotpathReport:
     # ``ann_text`` on hash embeddings of prompts, where they cannot.
     ann: Dict[str, Dict[str, float]] = field(default_factory=dict)
     ann_text: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # Puts into a full cache, per policy then size (:func:`run_put_full`).
+    put_full: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
+    # OPENBLAS_NUM_THREADS as the run saw it (None: unset, BLAS picks).
+    blas_threads: Optional[int] = None
 
     @property
     def diverged(self) -> int:
@@ -534,7 +539,7 @@ class HotpathReport:
         if total >= 0:
             total += sum(
                 int(cell.get("mismatches", 0))
-                for sweep in (self.ann, self.ann_text)
+                for sweep in (self.ann, self.ann_text, *self.put_full.values())
                 for cell in sweep.values()
             )
         return total
@@ -550,6 +555,8 @@ class HotpathReport:
             "equivalence": self.equivalence,
             "ann": self.ann,
             "ann_text": self.ann_text,
+            "cache_put_full": self.put_full,
+            "blas_threads": self.blas_threads,
         }
 
     def write(self, path: str = DEFAULT_REPORT_PATH) -> str:
@@ -594,6 +601,27 @@ class HotpathReport:
             table += "\n" + format_table(
                 ["Data", "Rows", "Flat ms/op", "Pruned ms/op", "Speedup", "Scanned", "Mismatch"],
                 ann_rows,
+            )
+        full_rows = [
+            (
+                policy,
+                int(size),
+                round(cell["linear_cold_ms"], 4),
+                round(cell["vector_cold_ms"], 4),
+                round(cell["linear_ms_per_op"], 4),
+                round(cell["vector_ms_per_op"], 4),
+                round(cell["speedup"], 1),
+                int(cell["mismatches"]),
+            )
+            for policy, by_size in self.put_full.items()
+            for size, cell in sorted(by_size.items(), key=lambda kv: int(kv[0]))
+        ]
+        if full_rows:
+            table += "\n" + format_table(
+                ["Policy", "Entries", "Linear cold", "Vector cold", "Linear ms/op",
+                 "Vector ms/op", "Speedup", "Mismatch"],
+                full_rows,
+                title="Put into a full cache (evicts): seed scan vs eviction heap",
             )
         return table + f"\nEquivalence: diverged={self.diverged} (0 = drop-in)"
 
@@ -680,6 +708,75 @@ def run_index_sweep(
     return sweep
 
 
+def run_put_full(
+    sizes: Sequence[int] = (1024, 8192, 65536),
+    seed: int = 11,
+    passes: int = 5,
+    pass_ops: int = 50,
+) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Puts into a *full* cache, seed scan against eviction heap.
+
+    Per policy and size, both caches are filled with the same ``size``
+    distinct queries (the live cache is then flushed, off the clock, so
+    victims leave the vector index as they would in serving), and every
+    timed put is a new query, so every timed put evicts. The first such
+    put is timed alone (``*_cold_ms``: it also pays whatever the fill left
+    to the first eviction); then ``passes`` passes of ``pass_ops`` puts
+    each, the two sides interleaved pass by pass, give the warm
+    ``*_ms_per_op`` as the median pass. ``mismatches`` counts victims
+    the two caches disagree on; ``evictions`` the live cache's."""
+    cells: Dict[str, Dict[str, Dict[str, float]]] = {p.value: {} for p in EvictionPolicy}
+    for size in sizes:
+        queries = make_queries(size + 1 + passes * pass_ops, seed=seed)
+        embedder = EmbeddingModel(memo_size=len(queries) + 16)
+        embedder.embed_batch(queries)
+        for policy in EvictionPolicy:
+            reference = LinearScanCache(
+                capacity=size, policy=policy, reuse_threshold=0.9, augment_threshold=0.7
+            )
+            vectorized = SemanticCache(
+                capacity=size, policy=policy, reuse_threshold=0.9, augment_threshold=0.7
+            )
+            reference.embedder = vectorized.embedder = embedder
+            for query in queries[:size]:
+                reference.put(query, "answer", cost=0.01)
+                vectorized.put(query, "answer", cost=0.01)
+            vectorized.flush()
+            timed = {"linear": reference, "vector": vectorized}
+            cold: Dict[str, float] = {}
+            warm: Dict[str, List[float]] = {side: [] for side in timed}
+            mismatches = 0
+            batches = [queries[size : size + 1]] + [
+                queries[size + 1 + i * pass_ops : size + 1 + (i + 1) * pass_ops]
+                for i in range(passes)
+            ]
+            for n, batch in enumerate(batches):
+                evicted: Dict[str, set] = {}
+                for side, cache in timed.items():
+                    before = set(cache.entries)
+                    start = time.perf_counter()
+                    for query in batch:
+                        cache.put(query, "answer", cost=0.01)
+                    ms = (time.perf_counter() - start) * 1000.0 / len(batch)
+                    if n == 0:
+                        cold[side] = ms
+                    else:
+                        warm[side].append(ms)
+                    evicted[side] = before - set(cache.entries)
+                mismatches += len(evicted["linear"] ^ evicted["vector"])
+            linear_ms, vector_ms = (float(np.median(warm[side])) for side in timed)
+            cells[policy.value][str(size)] = {
+                "linear_cold_ms": cold["linear"],
+                "vector_cold_ms": cold["vector"],
+                "linear_ms_per_op": linear_ms,
+                "vector_ms_per_op": vector_ms,
+                "speedup": linear_ms / max(vector_ms, 1e-9),
+                "evictions": float(vectorized.stats.evictions),
+                "mismatches": float(mismatches),
+            }
+    return cells
+
+
 def run_hotpaths(
     sizes: Sequence[int] = (1000, 10000, 50000),
     seed: int = 11,
@@ -688,17 +785,20 @@ def run_hotpaths(
     write_path: Optional[str] = None,
     ann_sizes: Sequence[int] = (),
     ann_text_sizes: Sequence[int] = (),
+    put_full_sizes: Sequence[int] = (),
 ) -> HotpathReport:
     """Time lookup/put/admission/selection at each size, both backends.
 
     Embeddings are pre-warmed into the shared memo before timing, so the
     measured work is the scan/scoring itself — the part this PR vectorizes.
-    Pass ``write_path`` to persist the JSON perf trajectory, and
+    Pass ``write_path`` to persist the JSON perf trajectory,
     ``ann_sizes`` (e.g. ``(100_000, 1_000_000)``) / ``ann_text_sizes`` to
     include the index-level flat-vs-pruned sweeps of
-    :func:`run_index_sweep` on clustered / text data.
+    :func:`run_index_sweep` on clustered / text data, and
+    ``put_full_sizes`` for the full-cache put cells of :func:`run_put_full`.
     """
-    report = HotpathReport(sizes=list(sizes))
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    report = HotpathReport(sizes=list(sizes), blas_threads=int(blas) if blas else None)
     ops: Dict[str, Dict[str, Dict[str, float]]] = {
         "cache_lookup": {},
         "cache_put": {},
@@ -841,6 +941,8 @@ def run_hotpaths(
         report.ann = run_index_sweep(sizes=ann_sizes, seed=seed + 6)
     if ann_text_sizes:
         report.ann_text = run_index_sweep(sizes=ann_text_sizes, seed=seed + 6, text=True)
+    if put_full_sizes:
+        report.put_full = run_put_full(sizes=put_full_sizes, seed=seed)
     if write_path is not None:
         report.write(write_path)
     return report

@@ -19,6 +19,19 @@ Differences from a conventional exact-match cache, following the paper:
 * **Sub-query caching** — entries are tagged ``original`` or ``sub`` so the
   Table III Cache(O)/Cache(A) comparison can be reproduced.
 
+Eviction needs no scan. Every insert, hit, refresh and restore pushes a
+record into one lazily invalidated min-heap (:class:`_EvictionOrder`) keyed
+so that the order does not change as the clock advances: ``(last_access,
+key)`` for LRU, ``(hits, last_access, key)`` for LFU, and the log of the
+decaying score with the clock term dropped for ``WEIGHTED`` and ``LRFU``.
+A put into a full cache therefore costs O(log n), and the victim is still
+the one the seed's ``min()`` over every entry's float score picks: the
+candidates within a rounding band of the heap minimum are re-scored with
+:meth:`CacheEntry.weighted_score` / :meth:`CacheEntry.lrfu_score`, and
+entries old enough for that score to be subnormal or 0.0 — where the float
+order is no longer the exact order — leave the heap for an explicit
+underflow set that is scored the seed's way.
+
 Similarity matching is backed by the :mod:`repro.vectordb` layer (GPTCache
 style): a probe is one matrix reduction over a dense embedding index
 instead of a per-entry Python loop. The default :class:`FlatIndex` backend
@@ -31,9 +44,12 @@ exactness for sublinear probes at large capacities.
 from __future__ import annotations
 
 import enum
+import heapq
+import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +60,7 @@ from repro.vectordb.distance import Metric, scalar_similarity
 
 REUSE_WEIGHT = 3.0  # case (1): no LLM call needed — most valuable
 AUGMENT_WEIGHT = 1.0  # case (2): still calls the LLM
+WEIGHTED_HALF_LIFE = 64  # ticks for a WEIGHTED score to halve
 
 
 class EvictionPolicy(enum.Enum):
@@ -87,7 +104,7 @@ class CacheEntry:
         age = max(0, clock - self.crf_updated_at)
         return self.crf * ((1.0 - lrfu_lambda) ** age)
 
-    def weighted_score(self, clock: int, half_life: int = 64) -> float:
+    def weighted_score(self, clock: int, half_life: int = WEIGHTED_HALF_LIFE) -> float:
         """Eviction score: hit-type-weighted frequency with recency decay."""
         age = max(0, clock - self.last_access)
         decay = 0.5 ** (age / half_life)
@@ -260,6 +277,248 @@ def _build_index(index: Union[str, object], dim: int, capacity: int) -> object:
     raise ValueError(f"unknown cache index kind: {index!r} (auto|flat|ivf|hnsw)")
 
 
+# The heap key of a decaying policy (a log plus a clock term) and the seed's
+# float score each carry a few ulps of rounding. Every entry whose seed
+# score could tie or beat the heap minimum's lies within this band of it,
+# with orders of magnitude to spare; distinct ticks sit 1/64 (WEIGHTED) or
+# |ln(1-λ)| (LRFU) apart, so the band almost always holds one record.
+_BAND_ABS = 1e-9
+_BAND_REL = 2.0**-40
+# While an entry's decay factor is at least this, its seed score is a
+# normal float (the base is at least 0.5, the CRF at least 1), so the float
+# order of two scores is their exact order up to a few ulps.
+_NORMAL_DECAY = 2.0**-1021
+
+
+def _first_age_below(decay: Callable[[int], float], floor: float) -> float:
+    """The smallest age at which the non-increasing ``decay`` drops below
+    ``floor`` (``decay(0)`` is 1.0); infinity if it never does."""
+    hi = 1
+    while decay(hi) >= floor:
+        hi *= 2
+        if hi > 2**62:
+            return math.inf
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if decay(mid) < floor:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class _EvictionOrder:
+    """The victim a full :class:`SemanticCache` evicts, found without a scan.
+
+    One lazily invalidated min-heap of rank records ``(..., key)``, built
+    from the cache's entries the first time it evicts (a cache below
+    capacity never needs it; one that filled stays full). A record is live
+    while it is its key's value in ``_fresh``: :meth:`push` (every insert,
+    hit and refresh from then on) supersedes a key's record and
+    :meth:`discard` drops the key, so stale records sink and are popped
+    when they surface. The heap is rebuilt from ``_fresh`` once stale
+    records outnumber live ones.
+
+    LRU and LFU ranks are the seed's sort keys themselves. The decaying
+    policies rank by the log of the score with the clock term dropped:
+    ``log2(base + 0.5) + last_access / 64`` (WEIGHTED) and
+    ``ln(crf) - crf_updated_at * ln(1 - λ)`` (LRFU) order entries as their
+    exact scores do at every clock. The seed compares rounded floats,
+    though, so :meth:`victim` re-scores each live record within the band of
+    the heap minimum with the seed formula and takes the min by
+    ``(score, key)``.
+
+    That argument needs normal floats. ``_fresh`` is kept in push order,
+    which is age order, so :meth:`_age` moves each entry whose decay factor
+    has dropped below ``_NORMAL_DECAY`` (age ``_sub_age``) out of the heap
+    into the underflow set: the *band* while its seed score is still
+    computed, grouped by the parameter (base or CRF) that fixes the score
+    at a given age, and the *zero* set once its decay factor is 0.0 (age
+    ``_zero_age``), where every score is exactly 0.0 and the seed's key
+    tie-break alone decides. Within a band group the score never rises with
+    age, so only the oldest members that tie at its lowest are candidates.
+    """
+
+    def __init__(
+        self, policy: EvictionPolicy, lrfu_lambda: float, entries: Iterable[CacheEntry]
+    ) -> None:
+        self.policy = policy
+        self.lrfu_lambda = lrfu_lambda
+        self._decaying = policy in (EvictionPolicy.WEIGHTED, EvictionPolicy.LRFU)
+        self._band: "OrderedDict[str, float]" = OrderedDict()  # key -> group
+        self._groups: Dict[float, "OrderedDict[str, None]"] = {}
+        self._zero: set = set()
+        self._zero_heap: List[str] = []
+        self._sub_age = self._zero_age = math.inf
+        decay: Optional[Callable[[int], float]] = None
+        if policy is EvictionPolicy.WEIGHTED:
+            decay = lambda age: 0.5 ** (age / WEIGHTED_HALF_LIFE)
+        elif policy is EvictionPolicy.LRFU:
+            base = 1.0 - lrfu_lambda
+            # At λ = 1 only entries touched this tick stay in the heap, and
+            # they share one clock term, so any negative slope ranks them.
+            self._log_base = math.log(base) if base > 0.0 else -1.0
+            decay = lambda age: base**age
+        if decay is not None:
+            self._sub_age = _first_age_below(decay, _NORMAL_DECAY)
+            self._zero_age = _first_age_below(decay, math.ulp(0.0))
+        # Oldest stamp first, so that push order is age order from the start.
+        self._fresh: "OrderedDict[str, tuple]" = OrderedDict(
+            (entry.key, self._rank(entry)) for entry in sorted(entries, key=self._stamp)
+        )
+        self._heap: List[tuple] = list(self._fresh.values())
+        heapq.heapify(self._heap)
+
+    # ----------------------------------------------------- per-policy parts
+
+    def _rank(self, entry: CacheEntry) -> tuple:
+        policy = self.policy
+        if policy is EvictionPolicy.WEIGHTED:
+            base = REUSE_WEIGHT * entry.reuse_hits + AUGMENT_WEIGHT * entry.augment_hits
+            return (math.log2(base + 0.5) + entry.last_access / WEIGHTED_HALF_LIFE, entry.key)
+        if policy is EvictionPolicy.LRFU:
+            return (math.log(entry.crf) - entry.crf_updated_at * self._log_base, entry.key)
+        if policy is EvictionPolicy.LRU:
+            return (entry.last_access, entry.key)
+        return (entry.reuse_hits + entry.augment_hits, entry.last_access, entry.key)
+
+    def _stamp(self, entry: CacheEntry) -> int:
+        """The tick the entry's decay counts from."""
+        if self.policy is EvictionPolicy.LRFU:
+            return entry.crf_updated_at
+        return entry.last_access
+
+    def _group(self, entry: CacheEntry) -> float:
+        if self.policy is EvictionPolicy.LRFU:
+            return entry.crf
+        return REUSE_WEIGHT * entry.reuse_hits + AUGMENT_WEIGHT * entry.augment_hits
+
+    def _score(self, entry: CacheEntry, clock: int) -> float:
+        if self.policy is EvictionPolicy.LRFU:
+            return entry.lrfu_score(clock, self.lrfu_lambda)
+        return entry.weighted_score(clock)
+
+    # ------------------------------------------------------------- updates
+
+    def push(self, entry: CacheEntry) -> None:
+        """Rank ``entry`` afresh; its previous record, if any, goes stale."""
+        key = entry.key
+        if key in self._band or key in self._zero:
+            self._unlink(key)
+        record = self._rank(entry)
+        fresh = self._fresh
+        fresh[key] = record
+        fresh.move_to_end(key)
+        heap = self._heap
+        heapq.heappush(heap, record)
+        if len(heap) > 2 * len(fresh):
+            self._heap = list(fresh.values())
+            heapq.heapify(self._heap)
+
+    def discard(self, key: str) -> None:
+        if self._fresh.pop(key, None) is None:
+            self._unlink(key)
+
+    def _unlink(self, key: str) -> None:
+        """Take ``key`` out of the underflow set."""
+        group = self._band.pop(key, None)
+        if group is None:
+            self._zero.discard(key)
+            return
+        members = self._groups[group]
+        del members[key]
+        if not members:
+            del self._groups[group]
+
+    def _age(self, entries: Dict[str, CacheEntry], clock: int) -> None:
+        """Move entries that have aged past a float boundary along. The
+        band holds older stamps than the heap, so it retires first."""
+        fresh, band, stamp_of = self._fresh, self._band, self._stamp
+        zero_horizon = clock - self._zero_age
+        retired = []
+        while band:
+            key = next(iter(band))
+            if stamp_of(entries[key]) > zero_horizon:
+                break
+            self._unlink(key)
+            retired.append(key)
+        horizon = clock - self._sub_age
+        while fresh:
+            key = next(iter(fresh))
+            entry = entries[key]
+            stamp = stamp_of(entry)
+            if stamp > horizon:
+                break
+            del fresh[key]
+            if stamp <= zero_horizon:
+                retired.append(key)
+                continue
+            group = self._group(entry)
+            band[key] = group
+            self._groups.setdefault(group, OrderedDict())[key] = None
+        if retired:
+            self._zero.update(retired)
+            zero_heap = self._zero_heap
+            if len(retired) > len(zero_heap) // 8:
+                zero_heap.extend(retired)
+                heapq.heapify(zero_heap)
+            else:
+                for key in retired:
+                    heapq.heappush(zero_heap, key)
+
+    # -------------------------------------------------------------- victim
+
+    def victim(self, entries: Dict[str, CacheEntry], clock: int) -> str:
+        """The key the seed's ``min()`` over every entry would evict."""
+        if self._decaying:
+            self._age(entries, clock)
+        heap, fresh = self._heap, self._fresh
+        while heap and fresh.get(heap[0][-1]) is not heap[0]:
+            heapq.heappop(heap)
+        if not self._decaying:
+            return heap[0][-1]
+        score = self._score
+        best: Optional[Tuple[float, str]] = None  # the seed's (score, key) min
+        zero_heap = self._zero_heap
+        while zero_heap and zero_heap[0] not in self._zero:
+            heapq.heappop(zero_heap)
+        if zero_heap:
+            best = (0.0, zero_heap[0])
+            if len(zero_heap) > 2 * len(self._zero):
+                self._zero_heap = sorted(self._zero)  # a sorted list is a heap
+        for members in self._groups.values():
+            lowest = None
+            for key in members:  # oldest first: scores never fall after
+                value = score(entries[key], clock)
+                if value != lowest and lowest is not None:
+                    break
+                if best is not None and value > best[0]:
+                    break
+                lowest = value
+                if best is None or (value, key) < best:
+                    best = (value, key)
+        if heap:
+            low = heap[0][0]
+            limit = low + _BAND_ABS + abs(low) * _BAND_REL
+            size = len(heap)
+            stack = [0]
+            while stack:
+                i = stack.pop()
+                record = heap[i]
+                if record[0] > limit:
+                    continue
+                key = record[-1]
+                if fresh.get(key) is record:
+                    candidate = (score(entries[key], clock), key)
+                    if best is None or candidate < best:
+                        best = candidate
+                child = 2 * i + 1
+                stack.extend(range(child, min(child + 2, size)))
+        assert best is not None
+        return best[1]
+
+
 class SemanticCache:
     """Similarity-matched, budget-bounded LLM response cache.
 
@@ -320,8 +579,11 @@ class SemanticCache:
         self.index = _build_index(index, embedding_dim, capacity)
         self.stats = CacheStats()
         self._clock = 0
-        # Guards entries, the vector index, stats, and the LRFU clock as
-        # one unit: the index and the entry dict must never disagree.
+        # Built by the first eviction; see _EvictionOrder.
+        self._order: Optional[_EvictionOrder] = None
+        # Guards entries, the vector index, the eviction order, stats, and
+        # the clock as one unit: the index and the entry dict must never
+        # disagree.
         self._lock = threading.RLock()
         # Batch-probe support: an append-only log of inserted keys (with a
         # rotating base offset so it stays bounded) lets a probe snapshot
@@ -489,8 +751,6 @@ class SemanticCache:
         if entry is None:
             self.stats.misses += 1
             return found
-        entry.last_access = self._clock
-        entry.touch_lrfu(self._clock, self.lrfu_lambda)
         if found.tier == "reuse":
             entry.reuse_hits += 1
             self.stats.reuse_hits += 1
@@ -498,7 +758,16 @@ class SemanticCache:
         else:
             entry.augment_hits += 1
             self.stats.augment_hits += 1
+        self._touch(entry)
         return found
+
+    def _touch(self, entry: CacheEntry) -> None:
+        """Reference ``entry`` at the current clock (under the cache lock):
+        stamp it for every policy and re-rank it for eviction."""
+        entry.last_access = self._clock
+        entry.touch_lrfu(self._clock, self.lrfu_lambda)
+        if self._order is not None:
+            self._order.push(entry)
 
     def lookup(self, query: str) -> CacheLookup:
         """Probe the cache; updates hit statistics."""
@@ -538,17 +807,7 @@ class SemanticCache:
             raise ValueError(f"tier must be 'reuse' or 'augment', got {tier!r}")
         with self._lock:
             entry = self.entries[key]
-            self._clock += 1
-            self.stats.lookups += 1
-            entry.last_access = self._clock
-            entry.touch_lrfu(self._clock, self.lrfu_lambda)
-            if tier == "reuse":
-                entry.reuse_hits += 1
-                self.stats.reuse_hits += 1
-                self.stats.cost_saved += entry.cost_of_miss
-            else:
-                entry.augment_hits += 1
-                self.stats.augment_hits += 1
+            self._record(CacheLookup(tier, entry))
             return entry
 
     # ------------------------------------------------------------- updates
@@ -558,92 +817,76 @@ class SemanticCache:
     ) -> Optional[CacheEntry]:
         """Insert (or refresh) an entry, evicting if over capacity.
 
+        Embedding and the index add are write-behind: the entry is parked
+        in ``_pending_puts`` and materialized (one batched embed sweep,
+        index adds in insertion order) by the next probe, so a put is a
+        dict insert and a buffer park, plus a heap push and an O(log n)
+        eviction once the cache is full. An exact-match cache parks
+        nothing: no entry of it is ever embedded or indexed.
+
         With an :class:`AdmissionPredictor` configured, entries predicted
         to never be re-accessed are refused (returns None)."""
-        if self.admission is None:
-            # Fast path: one lock section for the whole refresh-or-insert.
-            # Embedding and the index add are write-behind — the entry is
-            # parked un-embedded in ``_pending_puts`` and materialized (one
-            # batched embed sweep, index adds in insertion order) by the
-            # next probe — so a put is a dict insert plus a buffer park.
-            # An exact-match cache parks nothing: no entry of it is ever
-            # embedded or indexed.
-            with self._lock:
-                self._clock += 1
-                entry = self.entries.get(query)
-                if entry is not None:
-                    entry.response = response
-                    entry.cost_of_miss = cost
-                    entry.last_access = self._clock
-                    entry.touch_lrfu(self._clock, self.lrfu_lambda)
-                    return entry
-                while len(self.entries) >= self.capacity:
-                    self._evict()
-                # A fresh entry's touch_lrfu is 0*(1-λ)**age + 1 == 1.0
-                # exactly, so fold it into the constructor (saves a method
-                # call + pow on every insert; bit-identical to the seed).
-                entry = CacheEntry(
-                    key=query,
-                    embedding=None,
-                    response=response,
-                    kind=kind,
-                    cost_of_miss=cost,
-                    last_access=self._clock,
-                    inserted_at=self._clock,
-                    crf=1.0,
-                    crf_updated_at=self._clock,
-                )
-                self.entries[query] = entry
-                if self.augment_threshold < 1.0:  # not self._exact_match, inlined
-                    self._pending_puts[query] = entry
-                    self._insert_log.append(query)
-                return entry
         with self._lock:
             self._clock += 1
-            if query in self.entries:
-                entry = self.entries[query]
-                entry.response = response
-                entry.cost_of_miss = cost
-                entry.last_access = self._clock
-                entry.touch_lrfu(self._clock, self.lrfu_lambda)
-                return entry
+            entry = self.entries.get(query)
+            if entry is not None:
+                return self._refresh(entry, response, cost)
+            if self.admission is None:
+                return self._insert(query, response, kind, cost, None)
         # Admission probe and embedding run off the cache lock: the
         # predictor and the embedder memo each carry their own lock, and
         # neither depends on cache state.
-        if self.admission is not None and not self.admission.should_admit(query, kind=kind):
+        if not self.admission.should_admit(query, kind=kind):
             with self._lock:
                 self.admission_rejects += 1
             return None
         embedding = None if self._exact_match else self.embedder.embed(query)
         with self._lock:
-            if query in self.entries:
+            entry = self.entries.get(query)
+            if entry is not None:
                 # Another thread inserted the same key while we were off
                 # the lock — refresh rather than duplicate the index row.
-                entry = self.entries[query]
-                entry.response = response
-                entry.cost_of_miss = cost
-                entry.last_access = self._clock
-                entry.touch_lrfu(self._clock, self.lrfu_lambda)
-                return entry
-            while len(self.entries) >= self.capacity:
-                self._evict()
-            entry = CacheEntry(
-                key=query,
-                embedding=embedding,
-                response=response,
-                kind=kind,
-                cost_of_miss=cost,
-                last_access=self._clock,
-                inserted_at=self._clock,
-            )
-            entry.touch_lrfu(self._clock, self.lrfu_lambda)
-            self.entries[query] = entry
-            if not self._exact_match:
-                # Park alongside the fast path's un-embedded entries so index
-                # insertion order always equals entry insertion order.
-                self._pending_puts[query] = entry
-                self._insert_log.append(query)
-            return entry
+                return self._refresh(entry, response, cost)
+            return self._insert(query, response, kind, cost, embedding)
+
+    def _refresh(self, entry: CacheEntry, response: str, cost: float) -> CacheEntry:
+        entry.response = response
+        entry.cost_of_miss = cost
+        self._touch(entry)
+        return entry
+
+    def _insert(
+        self,
+        query: str,
+        response: str,
+        kind: str,
+        cost: float,
+        embedding: Optional[np.ndarray],
+    ) -> CacheEntry:
+        """Add a new entry at the current clock (under the cache lock),
+        evicting down to capacity first."""
+        while len(self.entries) >= self.capacity:
+            self._evict()
+        # A fresh entry's touch_lrfu is 0*(1-λ)**age + 1 == 1.0 exactly, so
+        # it is folded into the constructor (bit-identical to the seed).
+        entry = CacheEntry(
+            key=query,
+            embedding=embedding,
+            response=response,
+            kind=kind,
+            cost_of_miss=cost,
+            last_access=self._clock,
+            inserted_at=self._clock,
+            crf=1.0,
+            crf_updated_at=self._clock,
+        )
+        self.entries[query] = entry
+        if self._order is not None:
+            self._order.push(entry)
+        if self.augment_threshold < 1.0:  # not self._exact_match, inlined
+            self._pending_puts[query] = entry
+            self._insert_log.append(query)
+        return entry
 
     def _flush_puts(self) -> None:
         """Materialize the write-behind put buffer (under the cache lock).
@@ -680,28 +923,48 @@ class SemanticCache:
                 flush_index()
 
     def _evict(self) -> None:
-        if not self.entries:
-            return
-        if self.policy is EvictionPolicy.LRU:
-            victim = min(self.entries.values(), key=lambda e: (e.last_access, e.key))
-        elif self.policy is EvictionPolicy.LFU:
-            victim = min(
-                self.entries.values(),
-                key=lambda e: (e.reuse_hits + e.augment_hits, e.last_access, e.key),
-            )
-        elif self.policy is EvictionPolicy.LRFU:
-            victim = min(
-                self.entries.values(),
-                key=lambda e: (e.lrfu_score(self._clock, self.lrfu_lambda), e.key),
-            )
-        else:
-            victim = min(
-                self.entries.values(),
-                key=lambda e: (e.weighted_score(self._clock), e.key),
-            )
-        del self.entries[victim.key]
-        if self._pending_puts.pop(victim.key, None) is None and not self._exact_match:
+        """Drop the policy's victim (under the cache lock, entries non-empty)."""
+        order = self._order
+        if order is None:
+            order = _EvictionOrder(self.policy, self.lrfu_lambda, self.entries.values())
+            self._order = order
+        key = order.victim(self.entries, self._clock)
+        order.discard(key)
+        del self.entries[key]
+        if self._pending_puts.pop(key, None) is None and not self._exact_match:
             # Only flushed entries ever reached the index; a victim still
             # in the put buffer just gets retracted from it.
-            self.index.remove(victim.key)
+            self.index.remove(key)
         self.stats.evictions += 1
+
+    def _load_entries(
+        self, entries: Iterable[CacheEntry], stats: CacheStats, clock: int
+    ) -> None:
+        """Replace the cache's whole state with ``entries`` (snapshot restore).
+
+        Entry embeddings are re-derived from the keys (the embedder is a
+        pure function of the text, so the vectors are bit-identical to the
+        ones that were live when the entries were saved); an exact-match
+        cache keeps no vectors and gets none. The vector index is rebuilt
+        from scratch in entry order, and the eviction order from the loaded
+        entries by the next eviction."""
+        with self._lock:
+            self.entries.clear()
+            # Un-flushed write-behind puts die with the entries they shadow.
+            self._pending_puts = {}
+            self.index = type(self.index)(dim=self.embedder.dim)
+            vectors = not self._exact_match
+            for entry in entries:
+                if vectors:
+                    entry.embedding = self.embedder.embed(entry.key)
+                    self.index.add(entry.key, entry.embedding)
+                self.entries[entry.key] = entry
+            self._order = None
+            # The wholesale replacement invalidates any in-flight batch
+            # probe: advance the insert-log base past every recorded probe
+            # position so their lookups fall back to a full (fresh-index)
+            # scan.
+            self._insert_log_base += len(self._insert_log) + 1
+            self._insert_log = []
+            self.stats = stats
+            self._clock = clock

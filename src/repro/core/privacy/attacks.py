@@ -10,7 +10,6 @@ zero at some utility cost — the trade-off the ablation bench sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ each client can optionally train its local epochs with DP-SGD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -21,7 +21,7 @@ cryptographic inference is 100–1000× slower with large ciphertext blowup).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.llm.client import Completion

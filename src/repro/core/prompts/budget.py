@@ -17,10 +17,8 @@ Two retention policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro._util import rng_from
 from repro.core.prompts.store import PromptRecord

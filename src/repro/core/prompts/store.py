@@ -13,10 +13,8 @@ cost). Retrieval supports the two modes the paper contrasts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
-
-import numpy as np
 
 from repro.llm.embeddings import EmbeddingModel
 from repro.vectordb import Collection, Metric

@@ -131,12 +131,11 @@ def _restore_admission(predictor: AdmissionPredictor, data: Dict[str, object]) -
 
 def restore_cache_into(cache: SemanticCache, data: Dict[str, object]) -> None:
     """Load a :func:`snapshot_cache` payload into ``cache``, replacing its
-    contents. Entry embeddings are re-derived from the keys (the embedder
-    is a pure deterministic function, so the vectors are bit-identical to
-    the ones that were live at snapshot time); an exact-match cache (both
-    thresholds 1.0) keeps no vectors and gets none. The cache's configuration
-    must match the snapshot's — recovery into a differently-tuned cache
-    would silently change behavior, so it raises instead."""
+    contents through :meth:`SemanticCache._load_entries`, which re-derives
+    the embeddings from the keys and rebuilds the vector index and the
+    eviction order. The cache's configuration must match the snapshot's —
+    recovery into a differently-tuned cache would silently change
+    behavior, so it raises instead."""
     config_checks = (
         ("capacity", cache.capacity),
         ("reuse_threshold", cache.reuse_threshold),
@@ -151,39 +150,29 @@ def restore_cache_into(cache: SemanticCache, data: Dict[str, object]) -> None:
                 f"cache snapshot {key}={data[key]!r} does not match the "
                 f"live cache's {key}={live!r}"
             )
+    entries = [
+        CacheEntry(
+            key=stored["key"],
+            embedding=None,
+            response=stored["response"],
+            kind=stored["kind"],
+            cost_of_miss=stored["cost_of_miss"],
+            reuse_hits=int(stored["reuse_hits"]),
+            augment_hits=int(stored["augment_hits"]),
+            last_access=int(stored["last_access"]),
+            inserted_at=int(stored["inserted_at"]),
+            crf=float(stored["crf"]),
+            crf_updated_at=int(stored["crf_updated_at"]),
+        )
+        for stored in data["entries"]  # type: ignore[union-attr]
+    ]
+    stats = data["stats"]
     with cache._lock:
-        cache.entries.clear()
-        # Un-flushed write-behind puts die with the entries they shadow.
-        cache._pending_puts = {}
-        # Rebuild the vector index from scratch in entry insertion order
-        # rather than surgically removing rows from the old one.
-        cache.index = type(cache.index)(dim=cache.embedder.dim)
-        vectors = not cache._exact_match
-        for stored in data["entries"]:  # type: ignore[union-attr]
-            entry = CacheEntry(
-                key=stored["key"],
-                embedding=cache.embedder.embed(stored["key"]) if vectors else None,
-                response=stored["response"],
-                kind=stored["kind"],
-                cost_of_miss=stored["cost_of_miss"],
-                reuse_hits=int(stored["reuse_hits"]),
-                augment_hits=int(stored["augment_hits"]),
-                last_access=int(stored["last_access"]),
-                inserted_at=int(stored["inserted_at"]),
-                crf=float(stored["crf"]),
-                crf_updated_at=int(stored["crf_updated_at"]),
-            )
-            cache.entries[entry.key] = entry
-            if vectors:
-                cache.index.add(entry.key, entry.embedding)
-        # The wholesale replacement invalidates any in-flight batch probe:
-        # advance the insert-log base past every recorded probe position so
-        # their lookups fall back to a full (fresh-index) scan.
-        cache._insert_log_base += len(cache._insert_log) + 1
-        cache._insert_log = []
-        stats = data["stats"]
-        cache.stats = CacheStats(**{field: stats[field] for field in _CACHE_STATS_FIELDS})
-        cache._clock = int(data["clock"])
+        cache._load_entries(
+            entries,
+            stats=CacheStats(**{field: stats[field] for field in _CACHE_STATS_FIELDS}),
+            clock=int(data["clock"]),
+        )
         cache.admission_rejects = int(data["admission_rejects"])
         if cache.admission is not None and "admission" in data:
             _restore_admission(cache.admission, data["admission"])  # type: ignore[arg-type]

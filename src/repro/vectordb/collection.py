@@ -20,7 +20,7 @@ the learned router in :mod:`repro.core.hybrid` has training signal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np

@@ -11,7 +11,7 @@ a pure recall/work trade-off and work scales with the knob.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -117,6 +117,63 @@ class TestHotpathsAnnBranch:
         assert any("ann_text.8192.mismatches = 2" in p for p in problems)
 
 
+def _put_full_cell(linear_ms=4.0, vector_ms=0.01, mismatches=0):
+    return {
+        "linear_cold_ms": linear_ms,
+        "vector_cold_ms": 10.0,
+        "linear_ms_per_op": linear_ms,
+        "vector_ms_per_op": vector_ms,
+        "speedup": linear_ms / vector_ms,
+        "evictions": 251.0,
+        "mismatches": float(mismatches),
+    }
+
+
+class TestHotpathsPutFullBranch:
+    def test_heap_puts_inside_the_floors_pass(self, gate, tmp_path):
+        report = _hotpaths_report(
+            cache_put_full={
+                "weighted": {
+                    "1024": _put_full_cell(0.5, 0.008),
+                    "8192": _put_full_cell(4.0, 0.013),
+                    "65536": _put_full_cell(22.3, 0.02),
+                }
+            }
+        )
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        assert gate.check_report(path) == []
+
+    def test_put_not_beating_the_scan_fails(self, gate, tmp_path):
+        report = _hotpaths_report(cache_put_full={"lru": {"1024": _put_full_cell(0.07, 0.05)}})
+        path = _write(tmp_path, "BENCH_hotpaths.smoke.json", report)
+        problems = gate.check_report(path)
+        assert len(problems) == 1
+        assert "cache_put_full[lru] speedup 1.40 at 1024 entries below the 2.0x floor" in problems[0]
+
+    def test_put_growing_like_a_scan_fails(self, gate, tmp_path):
+        # A scan grows 8x per size step; the heap may grow by at most 3x.
+        report = _hotpaths_report(
+            cache_put_full={
+                "lrfu": {
+                    "1024": _put_full_cell(0.3, 0.01),
+                    "8192": _put_full_cell(2.3, 0.08),
+                }
+            }
+        )
+        path = _write(tmp_path, "BENCH_hotpaths.smoke.json", report)
+        problems = gate.check_report(path)
+        assert len(problems) == 1
+        assert "cache_put_full[lrfu] put at 8192 entries costs 8.00x the put at 1024" in problems[0]
+
+    def test_victim_mismatches_fail(self, gate, tmp_path):
+        report = _hotpaths_report(
+            cache_put_full={"weighted": {"1024": _put_full_cell(mismatches=3)}}
+        )
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        problems = gate.check_report(path)
+        assert any("cache_put_full.weighted.1024.mismatches = 3" in p for p in problems)
+
+
 class TestCommittedArtifacts:
     def test_committed_reports_still_pass_the_gate(self, gate):
         repo = GATE_PATH.parents[1]

@@ -11,6 +11,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,34 @@ class TestCacheRoundtrip:
             if mine.tier != "reuse":
                 cache.put(probe, "fresh")
                 restored.put(probe, "fresh")
+        assert snapshot_cache(restored) == snapshot_cache(cache)
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy), ids=lambda p: p.value)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        queries=st.lists(query_strategy, min_size=6, max_size=16, unique=True),
+        probes=st.lists(query_strategy, min_size=1, max_size=10),
+    )
+    def test_restore_into_full_cache_behaves_identically(self, policy, queries, probes):
+        # Both caches are full and have evicted, so each already ranks its
+        # entries for eviction: the restore must replace the target's
+        # order, and every later victim must be the one the original picks.
+        cache = SemanticCache(capacity=4, policy=policy)
+        for query in queries:
+            cache.put(query, f"answer for {query}")
+            cache.lookup(queries[0])
+        restored = fresh_like(cache)
+        for i in range(6):
+            restored.put(f"placeholder {i}", "stale")
+        restore_cache_into(restored, json_roundtrip(snapshot_cache(cache)))
+
+        for probe in probes:
+            mine, theirs = cache.lookup(probe), restored.lookup(probe)
+            assert mine.tier == theirs.tier
+            if mine.tier != "reuse":
+                cache.put(probe, "fresh")
+                restored.put(probe, "fresh")
+            assert list(restored.entries) == list(cache.entries)
         assert snapshot_cache(restored) == snapshot_cache(cache)
 
     def test_empty_cache_roundtrip(self):

@@ -6,6 +6,7 @@ import repro.bench
 import repro.core
 import repro.serving
 import repro.vectordb
+from repro.core import SemanticCache
 from repro.serving import AsyncGateway, BatchingScheduler, ServingCluster, build_stack
 from repro.sqldb import SemanticRuntime
 from repro.vectordb import ExactIVFIndex
@@ -182,6 +183,21 @@ def test_exact_ivf_index_has_no_search_knob():
         "train_threshold",
         "train_sample",
         "retrain_fraction",
+    ]
+
+
+def test_semantic_cache_options():
+    # Which entry a full cache evicts is the policy's alone; the eviction
+    # heap that finds it is not something a caller picks or tunes.
+    assert _options(SemanticCache.__init__) == [
+        "capacity",
+        "reuse_threshold",
+        "augment_threshold",
+        "policy",
+        "embedding_dim",
+        "lrfu_lambda",
+        "admission",
+        "index",
     ]
 
 
