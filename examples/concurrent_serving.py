@@ -1,11 +1,12 @@
-"""Concurrent serving: many client threads, one micro-batching scheduler.
+"""Concurrent serving: many client threads, one request scheduler.
 
 Eight threads fire QA traffic at a cache-fronted serving stack through
-`repro.serving.BatchingScheduler`. The scheduler coalesces requests into
-batches, dispatches them through the middleware stack, and resolves
-futures in submission order — so the answers (and the cache/budget state
-behind them) are bit-identical to a serial loop, while a simulated
-service latency shows the throughput the batching buys.
+`repro.serving.BatchingScheduler`. Its dispatcher threads each take the
+next request in submission order, send it through the middleware stack,
+and resolve futures in submission order — with one dispatcher the
+answers (and the cache/budget state behind them) are bit-identical to a
+serial loop, while with eight a simulated service latency shows the
+throughput the overlap buys.
 
 Run with:  python examples/concurrent_serving.py
 """
@@ -55,7 +56,7 @@ def main() -> None:
 
     # --- the same workload from N_THREADS client threads -------------------
     stack = build_serving_stack()
-    served = BatchingScheduler(stack, max_batch_size=8, workers=N_THREADS)
+    served = BatchingScheduler(stack, workers=N_THREADS)
     print(f"pipeline:          {served.describe()}")
     results = [None] * len(prompts)
     base = served.reserve(len(prompts))
@@ -90,7 +91,7 @@ def main() -> None:
 
     # --- determinism: workers=1 reproduces the serial loop bit for bit -----
     stack = build_serving_stack()
-    with BatchingScheduler(stack, max_batch_size=8, workers=1) as deterministic:
+    with BatchingScheduler(stack, workers=1) as deterministic:
         ordered_texts = [
             c.text for c in deterministic.complete_many(prompts, submitters=N_THREADS)
         ]

@@ -250,7 +250,7 @@ class AdmissionPredictor:
 
 @dataclass
 class _BatchProbe:
-    """Precomputed best-match snapshot for one scheduler batch.
+    """Precomputed best-match snapshot for one announced batch of lookups.
 
     ``best`` maps each batch key to its snapshot winner (or None when the
     cache was empty), ``vectors`` to its embedding; ``log_pos`` and
@@ -625,7 +625,7 @@ class SemanticCache:
     def batch_probe(self, queries: Sequence[str]) -> Optional["_BatchProbe"]:
         """Precompute best matches for a whole batch with one matrix pass.
 
-        Called by the serving layer when a scheduler batch is drained: all
+        Called through the serving layer's ``begin_batch`` hook: all
         batch keys are embedded in one :meth:`EmbeddingModel.embed_batch`
         sweep and scored against the index in one matrix-matrix product
         (instead of a gemv per request). The probe is installed for the

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING  # noqa: F401 (Tuple in annotations)
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro._util import stable_hash
 

@@ -30,7 +30,7 @@ deliberately does not catch). It drives the crash-recovery sweep in
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -10,7 +10,7 @@ hop traversal) rather than looking up question→answer pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 

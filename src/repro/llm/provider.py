@@ -75,8 +75,8 @@ class Submitter(Protocol):
     """The one way to hand a request to the serving tier and get a future.
 
     Implemented by exactly two classes:
-    :class:`~repro.serving.BatchingScheduler` (one stack behind a
-    coalescing queue) and :class:`~repro.serving.ServingCluster` (sharded,
+    :class:`~repro.serving.BatchingScheduler` (one stack behind a queue
+    and a dispatcher pool) and :class:`~repro.serving.ServingCluster` (sharded,
     multi-tenant). :class:`~repro.serving.AsyncGateway` forwards to either
     through this contract alone, so a front door never needs to know which
     tier it faces. ``tenant=None`` means the default tenant; the

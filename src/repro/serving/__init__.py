@@ -19,8 +19,8 @@ pipeline without code changes; :class:`ServiceStats` snapshots what each
 layer did. A bare ``LLMClient`` *is* a valid provider and behaves
 bit-identically with or without this package installed around it.
 
-For traffic from many threads, put the micro-batching
-:class:`BatchingScheduler` in front of any stack: ``submit()`` returns
+For traffic from many threads, put a :class:`BatchingScheduler` (a
+queue drained by a dispatcher pool) in front of any stack: ``submit()`` returns
 futures that resolve in submission order, and with one dispatch worker a
 concurrent run is bit-identical to the serial loop.
 

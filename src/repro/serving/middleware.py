@@ -148,8 +148,8 @@ class Middleware:
         return self.inner.embed(text)
 
     def begin_batch(self, prompts: Sequence[str], model: Optional[str] = None) -> None:
-        """Amortization hook: a scheduler announces the prompts of a batch
-        it is about to complete one by one. Layers may precompute shared
+        """Amortization hook: a caller announces the prompts of a batch
+        it is about to complete one by one on this thread. Layers may precompute shared
         work (batched embeddings, cache probes) for the *calling thread*;
         the per-request ``complete`` results must be unchanged. Forwarded
         down the stack; pure optimization, never required."""

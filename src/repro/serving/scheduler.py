@@ -1,26 +1,29 @@
-"""Micro-batching scheduler: coalesce many callers into few provider calls.
+"""Request scheduler: a bounded queue served by a pool of dispatchers.
 
-The serving stack answers one request per call; under heavy traffic the
-per-call overhead (network round-trip, shared-prefix tokens, dispatch) is
-the throughput ceiling. :class:`BatchingScheduler` puts a bounded queue in
-front of any :class:`~repro.llm.provider.CompletionProvider` and runs the
-classic continuous-batching loop:
+The serving stack answers one request per call. :class:`BatchingScheduler`
+puts a bounded queue in front of any
+:class:`~repro.llm.provider.CompletionProvider` and serves it with a pool
+of dispatcher threads:
 
 1. **submit** — client threads enqueue ``(prompt, model)`` and get back a
    :class:`concurrent.futures.Future`. Every request carries a *submission
    index* (auto-assigned, or supplied explicitly when callers partition one
    logical workload across threads).
-2. **coalesce** — a collector thread assembles requests into batches in
-   strict submission-index order, flushing when a batch reaches
-   ``max_batch_size`` or its oldest request has waited ``max_wait_ms``.
-3. **dispatch** — batches go to ``workers`` dispatcher threads. With
-   ``combine=True`` a batch becomes one ``complete_batch`` call whose
-   shared prefix is the common string prefix of its prompts, so the
-   terminal client's shared-prefix token refund and the budget layer's
-   batch netting are exercised under load; otherwise items are completed
-   one by one, traversing every middleware layer (cache included).
+2. **take** — a free dispatcher takes the collecting turn and drains its
+   own batch from the reorder buffer in strict submission-index order.
+   Without ``combine`` a batch is exactly one request, so no request waits
+   behind another one's provider call while a dispatcher is free. With
+   ``combine=True`` the dispatcher keeps collecting until the batch holds
+   ``max_batch_size`` requests or its oldest request has waited
+   ``max_wait_ms``.
+3. **dispatch** — with ``combine=True`` a batch becomes one
+   ``complete_batch`` call whose shared prefix is the common string prefix
+   of its prompts (query combination: one call answers many queries), so
+   the terminal client's shared-prefix token refund and the budget layer's
+   batch netting are exercised under load; a single request is completed
+   through every middleware layer (cache included).
 4. **resolve** — futures resolve strictly in submission order, whatever
-   order batches finish in.
+   order dispatchers finish in.
 
 Determinism: completions are pure functions of ``(seed, model, prompt)``,
 and with ``workers=1`` all stateful layers (semantic cache, budget, usage
@@ -47,7 +50,6 @@ implementations :class:`~repro.serving.gateway.AsyncGateway` forwards to:
 from __future__ import annotations
 
 import heapq
-import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -60,8 +62,6 @@ from repro.serving.stats import ServiceStats
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.llm.client import Completion
     from repro.llm.provider import CompletionProvider
-
-_SHUTDOWN = object()
 
 
 def shared_prefix(prompts: List[str]) -> str:
@@ -85,13 +85,16 @@ class _Request:
     model: Optional[str]
     future: "Future[Completion]" = field(default_factory=Future)
     # Stamped at submission: the max_wait_ms flush deadline counts from
-    # here, not from when the collector drains the request into a batch —
+    # here, not from when a dispatcher drains the request into a batch —
     # a request that sat behind an explicit-index gap has already waited.
     enqueued_at: float = field(default_factory=time.monotonic)
 
 
 class BatchingScheduler:
-    """Bounded request queue + coalescing collector + dispatcher pool.
+    """Bounded request queue drained by a pool of dispatchers.
+
+    Each free dispatcher takes its own batch from the queue in submission
+    order. Without ``combine`` a batch is one request.
 
     Parameters
     ----------
@@ -99,27 +102,30 @@ class BatchingScheduler:
         Any completion provider — normally a composed
         :class:`~repro.serving.stack.ServingStack`.
     max_batch_size:
-        Flush a batch as soon as it holds this many requests.
+        With ``combine=True``, flush a batch as soon as it holds this many
+        requests. Ignored otherwise (a batch is one request).
     max_wait_ms:
-        Flush a partial batch once its oldest request has waited this long
-        since *submission* — time spent parked behind an explicit-index
-        gap counts toward the deadline, not just time in the batch.
+        With ``combine=True``, flush a partial batch once its oldest
+        request has waited this long since *submission* — time spent
+        parked behind an explicit-index gap counts toward the deadline, not
+        just time in the batch. Ignored otherwise.
     workers:
-        Dispatcher threads. ``1`` (default) executes batches strictly in
+        Dispatcher threads. ``1`` (default) executes requests strictly in
         submission order — the deterministic mode; larger values overlap
-        batch execution for throughput (the shared hot state below the
+        provider calls for throughput (the shared hot state below the
         stack is lock-protected, so this is safe but interleaves stateful
         layers nondeterministically).
     max_queue:
         Backpressure bound: auto-indexed ``submit`` blocks while this many
-        requests are waiting uncoalesced. Explicitly indexed submissions
-        are exempt (blocking one could withhold the very index the
-        collector is waiting on).
+        requests are waiting for a dispatcher. Explicitly indexed
+        submissions are exempt (blocking one could withhold the very index
+        the dispatchers are waiting on).
     combine:
-        Dispatch multi-request batches through ``complete_batch`` with the
-        common prompt prefix shared (cache/cascade layers pass batches
-        through untouched, by design). Single-request batches and batches
-        mixing models fall back to per-item ``complete``.
+        Collect batches of up to ``max_batch_size`` requests and dispatch
+        each through one ``complete_batch`` call with the common prompt
+        prefix shared (cache/cascade layers pass batches through
+        untouched, by design). Single-request batches and batches mixing
+        models fall back to per-item ``complete``.
     seed_stride:
         When > 0 and the provider is reseedable, request ``i`` is answered
         by ``provider.reseeded(i * seed_stride)``. Ignored for combined
@@ -163,29 +169,30 @@ class BatchingScheduler:
         self.stats = stats if stats is not None else ServiceStats()
 
         self._lock = threading.Lock()
+        # Two conditions for the dispatchers: the one collecting a batch
+        # waits on _new_request, the others wait on _turn. Were they one
+        # condition, submit's notify() could wake a dispatcher waiting for
+        # the turn instead of the collecting one, and the wake-up is lost.
         self._new_request = threading.Condition(self._lock)
+        self._turn = threading.Condition(self._lock)
+        self._collecting = False  # a dispatcher holds the collecting turn
         self._not_full = threading.Condition(self._lock)
         self._pending: Dict[int, _Request] = {}  # reorder buffer, by index
         self._next_auto = 0  # next auto-assigned submission index
-        self._next_dispatch = 0  # next index the collector will coalesce
+        self._next_dispatch = 0  # next index a dispatcher will drain
         self._closed = False
 
         # Resolution gate: futures resolve in submission-index order.
         self._resolve_lock = threading.Lock()
         self._outstanding: List[int] = []  # min-heap of unresolved indexes
-        self._ready: Dict[int, Tuple[_Request, Tuple[str, object]]] = {}
+        self._ready: Dict[int, Tuple[_Request, Optional[Tuple[str, object]]]] = {}
 
-        self._batches: "queue.Queue[object]" = queue.Queue(maxsize=2 * workers)
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-sched-collector", daemon=True
-        )
         self._dispatchers = [
             threading.Thread(
                 target=self._dispatch_loop, name=f"repro-sched-worker-{i}", daemon=True
             )
             for i in range(workers)
         ]
-        self._collector.start()
         for thread in self._dispatchers:
             thread.start()
 
@@ -206,9 +213,9 @@ class BatchingScheduler:
         serves one tenant. ``index`` pins the submission index explicitly — callers that fan
         one ordered workload out over several submitter threads use this to
         keep the *logical* order independent of thread interleaving.
-        Explicit indexes must eventually cover a contiguous range: the
-        collector will not coalesce past a gap until it fills (or the
-        scheduler closes).
+        Explicit indexes must eventually cover a contiguous range: no
+        dispatcher drains past a gap until it fills (or the scheduler
+        closes).
 
         Raises :class:`~repro.errors.SchedulerClosedError` if the
         scheduler is closed — including when ``close()`` lands while this
@@ -277,7 +284,7 @@ class BatchingScheduler:
 
         ``submitters`` client threads split the workload round-robin, each
         submitting with an explicit submission index so the scheduler
-        coalesces in *logical* order however the threads interleave — with
+        dispatches in *logical* order however the threads interleave — with
         ``workers=1`` the result is bit-identical to the serial loop.
         The first failed request re-raises its exception, and so does a
         failed submission (e.g. :class:`~repro.errors.SchedulerClosedError`
@@ -325,17 +332,13 @@ class BatchingScheduler:
                 self._closed = True
                 self._new_request.notify_all()
                 self._not_full.notify_all()
-        # Join strictly outside the lock: the collector needs it to drain
-        # the remaining pending requests, and the dispatchers take it for
-        # stats. Joining under the lock deadlocks a close(wait=True) that
-        # follows a close(wait=False) while workers are still draining.
+        # Join strictly outside the lock: the dispatchers need it to drain
+        # the remaining pending requests. Joining under the lock deadlocks
+        # a close(wait=True) that follows a close(wait=False) while workers
+        # are still draining.
         if wait:
-            self._join()
-
-    def _join(self) -> None:
-        self._collector.join()
-        for thread in self._dispatchers:
-            thread.join()
+            for thread in self._dispatchers:
+                thread.join()
 
     def __enter__(self) -> "BatchingScheduler":
         return self
@@ -345,7 +348,8 @@ class BatchingScheduler:
 
     @property
     def queue_depth(self) -> int:
-        """Requests accepted but not yet coalesced into a batch."""
+        """Requests accepted but not yet started: no dispatcher has taken
+        them from the queue."""
         with self._lock:
             return len(self._pending)
 
@@ -358,73 +362,69 @@ class BatchingScheduler:
         )
         return f"scheduler(batch={self.max_batch_size}, workers={self.workers}) -> {inner}"
 
-    # ------------------------------------------------------------ collector
-
-    def _collect_loop(self) -> None:
-        while True:
-            batch = self._next_batch()
-            if batch is None:
-                for _ in self._dispatchers:
-                    self._batches.put(_SHUTDOWN)
-                return
-            self._batches.put(batch)
-
-    def _next_batch(self) -> Optional[List[_Request]]:
-        """Block until a batch is due (size, timeout, or shutdown drain)."""
-        batch: List[_Request] = []
-        deadline: Optional[float] = None
-        with self._lock:
-            while True:
-                # Drain contiguously from the reorder buffer.
-                while len(batch) < self.max_batch_size and self._next_dispatch in self._pending:
-                    request = self._pending.pop(self._next_dispatch)
-                    batch.append(request)
-                    self._next_dispatch += 1
-                    # Deadline counts from the oldest *submission* in the
-                    # batch (not from drain time), as the flush contract
-                    # promises; submission times need not be in index
-                    # order, hence the min. With max_wait_ms=0 there is no
-                    # deadline to track at all — see the flush below.
-                    if self.max_wait_ms > 0:
-                        candidate = request.enqueued_at + self.max_wait_ms / 1000.0
-                        if deadline is None or candidate < deadline:
-                            deadline = candidate
-                    self._not_full.notify()
-                if len(batch) >= self.max_batch_size:
-                    return batch  # flush on size
-                if batch and self.max_wait_ms == 0:
-                    # max_wait_ms=0 means "flush immediately, never spin":
-                    # whatever is contiguous right now goes out without
-                    # consulting the clock. The old path computed a
-                    # deadline of enqueued_at + 0 — already in the past —
-                    # and re-derived `remaining <= 0` from the clock on
-                    # every flush.
-                    return batch
-                if self._closed:
-                    if batch:
-                        return batch
-                    if not self._pending:
-                        return None  # empty-queue shutdown
-                    # Submissions have stopped; gaps can never fill. Jump to
-                    # the smallest remaining index and keep draining in order.
-                    self._next_dispatch = min(self._pending)
-                    continue
-                if batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return batch  # flush on timeout
-                    self._new_request.wait(timeout=remaining)
-                else:
-                    self._new_request.wait()
-
     # ------------------------------------------------------------ dispatchers
 
     def _dispatch_loop(self) -> None:
         while True:
-            batch = self._batches.get()
-            if batch is _SHUTDOWN:
+            with self._lock:
+                while self._collecting:
+                    self._turn.wait()
+                self._collecting = True
+                try:
+                    batch = self._next_batch()
+                finally:
+                    self._collecting = False
+                    self._turn.notify()
+            if batch is None:
                 return
             self._run_batch(batch)
+
+    def _next_batch(self) -> Optional[List[_Request]]:
+        """Block until a batch is due (size, timeout, or shutdown drain).
+
+        The caller holds ``self._lock`` and the collecting turn."""
+        limit = self.max_batch_size if self.combine else 1
+        batch: List[_Request] = []
+        deadline: Optional[float] = None
+        while True:
+            # Drain contiguously from the reorder buffer.
+            while len(batch) < limit and self._next_dispatch in self._pending:
+                request = self._pending.pop(self._next_dispatch)
+                batch.append(request)
+                self._next_dispatch += 1
+                # Deadline counts from the oldest *submission* in the
+                # batch (not from drain time), as the flush contract
+                # promises; submission times need not be in index order,
+                # hence the min. With max_wait_ms=0 there is no deadline
+                # to track at all — see the flush below.
+                if self.max_wait_ms > 0:
+                    candidate = request.enqueued_at + self.max_wait_ms / 1000.0
+                    if deadline is None or candidate < deadline:
+                        deadline = candidate
+                self._not_full.notify()
+            if len(batch) >= limit:
+                return batch  # flush on size
+            if batch and self.max_wait_ms == 0:
+                # max_wait_ms=0 means "flush immediately, never spin":
+                # whatever is contiguous right now goes out without
+                # consulting the clock.
+                return batch
+            if self._closed:
+                if batch:
+                    return batch
+                if not self._pending:
+                    return None  # empty-queue shutdown
+                # Submissions have stopped; gaps can never fill. Jump to
+                # the smallest remaining index and keep draining in order.
+                self._next_dispatch = min(self._pending)
+                continue
+            if batch:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return batch  # flush on timeout
+                self._new_request.wait(timeout=remaining)
+            else:
+                self._new_request.wait()
 
     def _provider_for(self, request: _Request) -> "CompletionProvider":
         if self.seed_stride and hasattr(self.provider, "reseeded"):
@@ -433,62 +433,51 @@ class BatchingScheduler:
 
     def _run_batch(self, batch: List[_Request]) -> None:
         self.stats.record_batch(len(batch), self.queue_depth)
-        outcomes: List[Tuple[str, object]] = []
-        combinable = (
-            self.combine
-            and len(batch) > 1
-            and all(request.model == batch[0].model for request in batch)
-        )
-        if combinable:
-            prefix = shared_prefix([request.prompt for request in batch])
+        # A future cancelled while it queued never reaches the provider; it
+        # still passes through _resolve, so later futures are released.
+        live = [request for request in batch if request.future.set_running_or_notify_cancel()]
+        outcomes: Dict[int, Tuple[str, object]] = {}
+        if len(live) > 1 and all(request.model == live[0].model for request in live):
+            # Only combine=True collects more than one request.
+            prefix = shared_prefix([request.prompt for request in live])
             try:
                 completions = self.provider.complete_batch(
                     prefix,
-                    [request.prompt[len(prefix):] for request in batch],
-                    model=batch[0].model,
+                    [request.prompt[len(prefix):] for request in live],
+                    model=live[0].model,
                 )
-                outcomes = [("ok", completion) for completion in completions]
+                outcomes = {
+                    request.index: ("ok", completion)
+                    for request, completion in zip(live, completions)
+                }
             except Exception as exc:  # one combined call: the whole batch fails
-                outcomes = [("err", exc) for _ in batch]
+                outcomes = {request.index: ("err", exc) for request in live}
         else:
-            # Announce the drained batch so stack layers can amortize
-            # shared work (one embed_batch sweep + one cache-probe gemm per
-            # batch instead of per request). Pure optimization: per-request
-            # results are unchanged, and providers without the hook are
-            # served identically.
-            begin = getattr(self.provider, "begin_batch", None)
-            if begin is not None and len(batch) > 1:
-                model0 = batch[0].model
-                begin(
-                    [request.prompt for request in batch],
-                    model0 if all(r.model == model0 for r in batch) else None,
-                )
-            try:
-                for request in batch:
-                    try:
-                        completion = self._provider_for(request).complete(
-                            request.prompt, model=request.model
-                        )
-                        outcomes.append(("ok", completion))
-                    except Exception as exc:  # per-item isolation
-                        outcomes.append(("err", exc))
-            finally:
-                end = getattr(self.provider, "end_batch", None)
-                if end is not None and begin is not None and len(batch) > 1:
-                    end()
+            for request in live:
+                try:
+                    completion = self._provider_for(request).complete(
+                        request.prompt, model=request.model
+                    )
+                    outcomes[request.index] = ("ok", completion)
+                except Exception as exc:  # per-item isolation
+                    outcomes[request.index] = ("err", exc)
         self._resolve(batch, outcomes)
 
-    def _resolve(self, batch: List[_Request], outcomes: List[Tuple[str, object]]) -> None:
-        """Publish outcomes; release futures strictly in index order."""
-        releasable: List[Tuple[_Request, Tuple[str, object]]] = []
+    def _resolve(self, batch: List[_Request], outcomes: Dict[int, Tuple[str, object]]) -> None:
+        """Publish outcomes; release futures strictly in index order. A
+        request without an outcome was cancelled: it only leaves the gate."""
+        releasable: List[Tuple[_Request, Optional[Tuple[str, object]]]] = []
         with self._resolve_lock:
-            for request, outcome in zip(batch, outcomes):
-                self._ready[request.index] = (request, outcome)
+            for request in batch:
+                self._ready[request.index] = (request, outcomes.get(request.index))
             while self._outstanding and self._outstanding[0] in self._ready:
                 releasable.append(self._ready.pop(heapq.heappop(self._outstanding)))
         # Resolve outside the gate lock: done-callbacks run in this thread.
-        for request, (kind, value) in releasable:
+        for request, outcome in releasable:
+            if outcome is None:
+                continue
             self.stats.record_completion()
+            kind, value = outcome
             if kind == "ok":
                 request.future.set_result(value)
             else:

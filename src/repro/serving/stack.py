@@ -77,7 +77,7 @@ class ServingStack:
         return self.provider.embed(text)
 
     def begin_batch(self, prompts: Sequence[str], model: Optional[str] = None) -> None:
-        """Forward a scheduler's batch announcement to the layers (see
+        """Forward a batch announcement to the layers (see
         :meth:`repro.serving.middleware.Middleware.begin_batch`). Not
         journaled — it changes no state the replay path depends on."""
         begin = getattr(self.provider, "begin_batch", None)

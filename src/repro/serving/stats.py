@@ -155,7 +155,7 @@ class ServiceStats:
     fallback_cache_answers: int = 0
     resilience_exhausted: int = 0  # typed error: every recovery failed
 
-    # Scheduler (repro.serving.scheduler): coalescing behavior under load.
+    # Scheduler (repro.serving.scheduler): batches and queue depth under load.
     scheduler_submitted: int = 0
     scheduler_completed: int = 0
     scheduler_batches: int = 0
@@ -248,7 +248,7 @@ class ServiceStats:
             self.scheduler_completed += 1
 
     def record_batch(self, size: int, queue_depth: int) -> None:
-        """One coalesced batch dispatched; sizes/depths feed ``report()``."""
+        """One batch dispatched; sizes/depths feed ``report()``."""
         with self._lock:
             self.scheduler_batches += 1
             self.scheduler_batch_sizes[size] = self.scheduler_batch_sizes.get(size, 0) + 1

@@ -1,5 +1,6 @@
-"""Unit tests for the micro-batching scheduler and its workload methods."""
+"""Unit tests for the request scheduler and its workload methods."""
 
+import sys
 import threading
 import time
 
@@ -63,7 +64,7 @@ class TestBatchingScheduler:
         provider = RecordingProvider()
         stats = ServiceStats()
         with BatchingScheduler(
-            provider, max_batch_size=4, max_wait_ms=10_000.0, stats=stats
+            provider, max_batch_size=4, max_wait_ms=10_000.0, combine=True, stats=stats
         ) as scheduler:
             futures = [scheduler.submit(f"Question: q{i}?") for i in range(8)]
             for future in futures:
@@ -75,7 +76,7 @@ class TestBatchingScheduler:
         provider = RecordingProvider()
         stats = ServiceStats()
         with BatchingScheduler(
-            provider, max_batch_size=100, max_wait_ms=15.0, stats=stats
+            provider, max_batch_size=100, max_wait_ms=15.0, combine=True, stats=stats
         ) as scheduler:
             futures = [scheduler.submit(f"Question: q{i}?") for i in range(3)]
             # No close yet: only the wait deadline can flush this batch.
@@ -84,13 +85,13 @@ class TestBatchingScheduler:
             assert stats.scheduler_batch_sizes == {3: 1}
 
     def test_wait_deadline_counts_from_submission_not_drain(self):
-        # Regression: the flush deadline used to start when the collector
-        # drained a request into a batch, so a request parked behind an
-        # explicit-index gap waited max_wait_ms *twice* — once for the gap,
-        # once for the batch clock.
+        # Regression: the flush deadline used to start when a request was
+        # drained into a batch, so a request parked behind an explicit-index
+        # gap waited max_wait_ms *twice* — once for the gap, once for the
+        # batch clock.
         provider = RecordingProvider()
         with BatchingScheduler(
-            provider, max_batch_size=100, max_wait_ms=600.0
+            provider, max_batch_size=100, max_wait_ms=600.0, combine=True
         ) as scheduler:
             base = scheduler.reserve(2)
             parked = scheduler.submit("Question: parked behind a gap?", index=base + 1)
@@ -149,9 +150,9 @@ class TestBatchingScheduler:
                 with lock:
                     outcomes.append(("closed", exc))
 
-        # The worker blocks on `release`, so the pipeline (worker + batch
-        # queue + pending) absorbs only a handful of these; the rest park
-        # in submit's backpressure wait.
+        # The worker blocks on `release`, so the pipeline (worker +
+        # pending) absorbs only a handful of these; the rest park in
+        # submit's backpressure wait.
         threads = [
             threading.Thread(target=submit_one, args=(i,), daemon=True)
             for i in range(12)
@@ -188,12 +189,12 @@ class TestBatchingScheduler:
         # Regression: max_wait_ms=0 computed a flush deadline of
         # enqueued_at + 0 — already in the past — and re-derived
         # `remaining <= 0` from the clock on every flush. Pin the
-        # semantics: "flush immediately, never spin" — the collector must
-        # not consult the clock at all. (_Request.enqueued_at captured the
-        # real time.monotonic at class-definition time, so the patch below
-        # counts only the collector's deadline arithmetic.)
+        # semantics: "flush immediately, never spin" — the collecting
+        # dispatcher must not consult the clock at all. (_Request.enqueued_at
+        # captured the real time.monotonic at class-definition time, so the
+        # patch below counts only the dispatcher's deadline arithmetic.)
         scheduler = BatchingScheduler(
-            RecordingProvider(), max_batch_size=4, max_wait_ms=0.0, workers=1
+            RecordingProvider(), max_batch_size=4, max_wait_ms=0.0, workers=1, combine=True
         )
         time.sleep(0.05)  # let thread startup settle before counting
         calls = []
@@ -255,6 +256,85 @@ class TestBatchingScheduler:
         ) as scheduler:
             futures = [scheduler.submit(f"Question: overlap {i}?") for i in range(2)]
             assert all(future.result(timeout=10).text for future in futures)
+
+    def test_free_worker_takes_the_next_request_while_others_are_held(self):
+        # Without combine a batch is one request. Once B, C and D become
+        # contiguous at once, C must start on the free worker — not queue
+        # behind B's provider call in a shared batch on B's worker.
+        held = {"A": threading.Event(), "B": threading.Event()}
+        started = {name: threading.Event() for name in "ABCD"}
+
+        class GatedProvider(RecordingProvider):
+            def complete(self, prompt, model=None):
+                name = prompt[len("Question: ")]
+                started[name].set()
+                if name in held:
+                    held[name].wait(timeout=10)
+                return super().complete(prompt, model=model)
+
+        with BatchingScheduler(GatedProvider(), workers=3, max_batch_size=4) as scheduler:
+            try:
+                base = scheduler.reserve(4)
+                a = scheduler.submit("Question: A?", index=base)
+                assert started["A"].wait(timeout=5)
+                later = [
+                    scheduler.submit(f"Question: {name}?", index=base + offset)
+                    for offset, name in ((3, "D"), (2, "C"), (1, "B"))
+                ]
+                assert started["B"].wait(timeout=5)
+                assert started["C"].wait(timeout=5)
+                assert not a.done() and not later[2].done()  # A and B still held
+            finally:
+                for gate in held.values():
+                    gate.set()
+            assert all(future.result(timeout=10).text for future in [a, *later])
+
+    def test_cancelled_future_is_skipped_and_the_worker_survives(self):
+        # Regression: a future cancelled while queued made _resolve raise
+        # InvalidStateError, killing the only worker; every later future
+        # hung. It must never reach the provider, and must still leave the
+        # resolution gate so later futures are released.
+        release = threading.Event()
+        holding = threading.Event()
+
+        class GatedProvider(RecordingProvider):
+            def complete(self, prompt, model=None):
+                if prompt == "Question: gate?":
+                    holding.set()
+                    release.wait(timeout=10)
+                return super().complete(prompt, model=model)
+
+        provider = GatedProvider()
+        with BatchingScheduler(provider, workers=1) as scheduler:
+            try:
+                gate = scheduler.submit("Question: gate?")
+                assert holding.wait(timeout=5)
+                cancelled = scheduler.submit("Question: cancelled?")
+                after = scheduler.submit("Question: after?")
+                assert cancelled.cancel()
+            finally:
+                release.set()
+            assert gate.result(timeout=5).text
+            assert after.result(timeout=5).text
+            # The one worker is still alive: a later request is served.
+            assert scheduler.submit("Question: later?").result(timeout=5).text
+        assert "Question: cancelled?" not in provider.calls
+
+    @pytest.mark.parametrize("combine", [False, True])
+    def test_no_lost_wakeup_with_many_idle_workers(self, combine):
+        # More dispatchers than cores, all idle between requests: the one
+        # collecting must be woken by every submit, or a closed-loop client
+        # waits forever. Short switch interval to shake out the race.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchingScheduler(
+                RecordingProvider(), workers=8, max_wait_ms=0.0, combine=combine
+            ) as scheduler:
+                for i in range(300):
+                    assert scheduler.submit(f"Question: q{i}?").result(timeout=5).text
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_explicit_index_rejects_reuse(self):
         with BatchingScheduler(RecordingProvider(), max_wait_ms=10_000.0) as scheduler:
