@@ -15,6 +15,9 @@ violated:
   must beat the seed's ``min()`` scan by at least 2x, and per policy the
   warm put may grow by at most 3x from one measured size to the next
   (1,024 -> 8,192 -> 65,536: the scan grows 8x per step, the heap ~log).
+  Every ``embed`` cell (embedding a text on already-seen vocabulary) must
+  beat the seed's per-feature loop by at least 2x; its byte mismatches
+  are ``equivalence.embed.diverged``.
 * every other report: its ``diverged`` count (wherever it lives in the
   payload) must be zero.
 
@@ -37,6 +40,7 @@ PUT_FLOOR = 1.0
 ANN_PRUNED_OVER_FLAT_CEILING = 3.0  # pruned ms/op over flat ms/op, same run
 PUT_FULL_FLOOR = 2.0  # seed-scan put over heap put, cache at capacity
 PUT_FULL_GROWTH_CEILING = 3.0  # heap put ms/op, next size over this size
+EMBED_FLOOR = 2.0  # seed per-feature loop over the direction table, warm vocabulary
 
 _REGEN_HINT = "regenerate with the matching benchmarks/bench_perf_*.py run"
 
@@ -113,6 +117,13 @@ def check_report(path: str) -> List[str]:
                         f"{growth:.2f}x the put at {small} (ceiling "
                         f"{PUT_FULL_GROWTH_CEILING:.1f}x)"
                     )
+        for size, cell in sorted(report.get("embed", {}).items(), key=lambda kv: int(kv[0])):
+            speedup = float(cell["speedup"])
+            if speedup < EMBED_FLOOR:
+                problems.append(
+                    f"{path}: embed speedup {speedup:.2f} at {size} texts below the "
+                    f"{EMBED_FLOOR:.1f}x floor"
+                )
     return problems
 
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.hybrid import HybridPlanner, PlanDecision
 from repro.datasets.lake import LakeItem
 from repro.serving import CompletionProvider
-from repro.vectordb import Collection, FilterStrategy, Metric, SearchReport
+from repro.vectordb import Collection, Metric, SearchReport
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ which is precisely the reliability concern Section III-E raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.prompts.templates import qa_prompt

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.transform.columns import synthesize_column_transform
 from repro.core.prompts.templates import label_infer_prompt
-from repro.errors import TransformError
 from repro.serving import CompletionProvider
 from repro.llm.engines.patterns import mine_pattern, pattern_matches, tokenize_value
 

@@ -7,7 +7,7 @@ example columns, then the query column ending in "this column type is __".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.prompts.templates import column_type_prompt
 from repro.datasets.columns import ColumnExample

@@ -8,7 +8,7 @@ classical string-similarity baseline the LLM approach is compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.prompts.templates import entity_match_prompt
 from repro.datasets.entities import ERPair

@@ -17,12 +17,11 @@ scaling/imputation quality, which is what makes the search non-trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import rng_from
 from repro.core.prompts.templates import prep_code_prompt
 from repro.errors import PipelineError
 from repro.serving import CompletionProvider

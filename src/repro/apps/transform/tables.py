@@ -15,7 +15,7 @@ synthesis run locally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.prompts.templates import operator_synthesis_prompt, table_extract_prompt
 from repro.errors import TransformError

@@ -10,7 +10,7 @@ conservation), and only then applies it to the database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.prompts.templates import transaction_prompt
 from repro.core.validation import TransactionValidator, ValidationReport

@@ -4,7 +4,9 @@ The serving hot paths — semantic-cache probes, admission checks, few-shot
 selection — were originally per-entry Python loops calling
 :func:`repro._util.cosine`. They are now one matrix reduction each, backed
 by :mod:`repro.vectordb`. This module keeps the original linear-scan
-implementations frozen as references and provides two entry points:
+implementations, and the seed per-feature embedding loop
+(:func:`linear_embed_text`), frozen as references and provides two entry
+points:
 
 * :func:`run_equivalence` — replays identical randomized workloads through
   the reference and the vectorized implementations and demands
@@ -46,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import cosine, rng_from
+from repro._util import cosine, rng_from, stable_hash, words
 from repro.bench.reporting import format_table
 from repro.core.cache import (
     AdmissionPredictor,
@@ -59,7 +61,7 @@ from repro.core.cache import (
 from repro.core.prompts.selector import mmr_select, similarity_select
 from repro.errors import LLMError
 from repro.llm.client import Completion, LLMClient
-from repro.llm.embeddings import EmbeddingModel
+from repro.llm.embeddings import DEFAULT_DIM, EmbeddingModel, embed_text
 from repro.llm.faults import FaultInjectingProvider
 from repro.serving import ResilienceConfig, build_stack
 
@@ -272,6 +274,57 @@ def linear_mmr_select(
     return [candidates[i] for i in selected]
 
 
+_LINEAR_STOPWORDS = frozenset(
+    """
+    a an and are as at be by for from had has have in is it of on or that the
+    this to was were what which who whom with
+    """.split()
+)
+# The seed's process-wide feature-direction memo, private to the oracle.
+_linear_directions: Dict[str, np.ndarray] = {}
+
+
+def _linear_direction(feature: str, dim: int) -> np.ndarray:
+    key = f"{dim}:{feature}"
+    cached = _linear_directions.get(key)
+    if cached is not None:
+        return cached
+    rng = np.random.default_rng(stable_hash(key, bits=63))
+    vec = rng.standard_normal(dim)
+    vec /= np.linalg.norm(vec)
+    if len(_linear_directions) < 200_000:
+        _linear_directions[key] = vec
+    return vec
+
+
+def _linear_features(text: str):
+    tokens = [w.lower() for w in words(text)]
+    for token in tokens:
+        weight = 0.25 if token in _LINEAR_STOPWORDS else 1.0
+        yield f"w:{token}", weight
+        if len(token) >= 5:
+            for i in range(len(token) - 2):
+                yield f"t:{token[i : i + 3]}", 0.3
+    for a, b in zip(tokens, tokens[1:]):
+        if a not in _LINEAR_STOPWORDS or b not in _LINEAR_STOPWORDS:
+            yield f"b:{a}_{b}", 0.5
+
+
+def linear_embed_text(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
+    """The seed ``embed_text``: one memo probe and one ``acc +=`` per feature."""
+    acc = np.zeros(dim, dtype=np.float64)
+    any_feature = False
+    for feature, weight in _linear_features(text):
+        acc += weight * _linear_direction(feature, dim)
+        any_feature = True
+    if not any_feature:
+        return np.zeros(dim, dtype=np.float64)
+    norm = np.linalg.norm(acc)
+    if norm > 0:
+        acc /= norm
+    return acc
+
+
 # ===========================================================================
 # Workloads
 # ===========================================================================
@@ -319,6 +372,30 @@ def make_probe_stream(queries: Sequence[str], length: int, seed: int = 13) -> Li
     n = len(queries)
     picks = (rng.random(length) ** 2 * n).astype(int)
     return [queries[min(int(p), n - 1)] + " please" for p in picks]
+
+
+def make_embed_texts(n: int, seed: int = 19) -> List[str]:
+    """``n`` prompt-like texts for the embedding cell: 5-12 words from
+    ``n // 4`` random-letter pseudo-words (a vocabulary the other
+    generators never use, so its features start cold), about one word in
+    four a stopword, plus a running number."""
+    rng = rng_from(seed)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    vocab = [
+        "".join(rng.choice(letters, size=int(rng.integers(3, 10))))
+        for _ in range(max(64, n // 4))
+    ]
+    stopwords = sorted(_LINEAR_STOPWORDS)
+    texts = []
+    for i in range(n):
+        picks = [
+            stopwords[int(rng.integers(len(stopwords)))]
+            if rng.random() < 0.25
+            else vocab[int(rng.integers(len(vocab)))]
+            for _ in range(int(rng.integers(5, 13)))
+        ]
+        texts.append(" ".join(picks) + f" #{i}?")
+    return texts
 
 
 # ===========================================================================
@@ -530,6 +607,8 @@ class HotpathReport:
     ann_text: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # Puts into a full cache, per policy then size (:func:`run_put_full`).
     put_full: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
+    # Embedding a text, seed loop vs direction table, per size (:func:`run_embed`).
+    embed: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # OPENBLAS_NUM_THREADS as the run saw it (None: unset, BLAS picks).
     blas_threads: Optional[int] = None
 
@@ -556,6 +635,7 @@ class HotpathReport:
             "ann": self.ann,
             "ann_text": self.ann_text,
             "cache_put_full": self.put_full,
+            "embed": self.embed,
             "blas_threads": self.blas_threads,
         }
 
@@ -622,6 +702,24 @@ class HotpathReport:
                  "Vector ms/op", "Speedup", "Mismatch"],
                 full_rows,
                 title="Put into a full cache (evicts): seed scan vs eviction heap",
+            )
+        embed_rows = [
+            (
+                int(size),
+                round(cell["linear_cold_ms"], 4),
+                round(cell["vector_cold_ms"], 4),
+                round(cell["linear_ms_per_op"], 4),
+                round(cell["vector_ms_per_op"], 4),
+                round(cell["speedup"], 1),
+            )
+            for size, cell in sorted(self.embed.items(), key=lambda kv: int(kv[0]))
+        ]
+        if embed_rows:
+            table += "\n" + format_table(
+                ["Texts", "Linear cold", "Table cold", "Linear ms/text", "Table ms/text",
+                 "Speedup"],
+                embed_rows,
+                title="Embed a text: seed per-feature loop vs direction table",
             )
         return table + f"\nEquivalence: diverged={self.diverged} (0 = drop-in)"
 
@@ -777,6 +875,50 @@ def run_put_full(
     return cells
 
 
+_EMBED_SIZES = (1000, 10_000)
+_EMBED_WARM_PASSES = 5
+
+
+def run_embed(seed: int = 19) -> Tuple[Dict[str, Dict[str, float]], int]:
+    """Embedding a text: the seed per-feature loop against the table.
+
+    At 1k and 10k texts, both sides embed the same :func:`make_embed_texts`
+    batch six times, interleaved pass by pass. The first pass is timed
+    alone (``*_cold_ms``, ms per text: it generates every new feature's
+    direction); the warm ``*_ms_per_op`` is the median of the other five.
+    Returns the cells and the number of (pass, text) vectors whose bytes
+    differ between the two sides."""
+    sides = {"linear": linear_embed_text, "vector": embed_text}
+    cells: Dict[str, Dict[str, float]] = {}
+    mismatches = 0
+    for size in _EMBED_SIZES:
+        texts = make_embed_texts(size, seed=seed + size)
+        cold: Dict[str, float] = {}
+        warm: Dict[str, List[float]] = {side: [] for side in sides}
+        for n in range(_EMBED_WARM_PASSES + 1):
+            vectors = {}
+            for side, embed in sides.items():
+                start = time.perf_counter()
+                vectors[side] = [embed(text) for text in texts]
+                ms = (time.perf_counter() - start) * 1000.0 / size
+                if n == 0:
+                    cold[side] = ms
+                else:
+                    warm[side].append(ms)
+            mismatches += sum(
+                a.tobytes() != b.tobytes() for a, b in zip(vectors["linear"], vectors["vector"])
+            )
+        linear_ms, vector_ms = (float(np.median(warm[side])) for side in sides)
+        cells[str(size)] = {
+            "linear_cold_ms": cold["linear"],
+            "vector_cold_ms": cold["vector"],
+            "linear_ms_per_op": linear_ms,
+            "vector_ms_per_op": vector_ms,
+            "speedup": linear_ms / max(vector_ms, 1e-9),
+        }
+    return cells, mismatches
+
+
 def run_hotpaths(
     sizes: Sequence[int] = (1000, 10000, 50000),
     seed: int = 11,
@@ -796,9 +938,12 @@ def run_hotpaths(
     include the index-level flat-vs-pruned sweeps of
     :func:`run_index_sweep` on clustered / text data, and
     ``put_full_sizes`` for the full-cache put cells of :func:`run_put_full`.
+    The embedding cells of :func:`run_embed` always run, and first, so the
+    direction table has not seen the other cells' words.
     """
     blas = os.environ.get("OPENBLAS_NUM_THREADS")
     report = HotpathReport(sizes=list(sizes), blas_threads=int(blas) if blas else None)
+    report.embed, embed_diverged = run_embed(seed=seed + 8)
     ops: Dict[str, Dict[str, Dict[str, float]]] = {
         "cache_lookup": {},
         "cache_put": {},
@@ -937,6 +1082,8 @@ def run_hotpaths(
 
     report.ops = ops
     report.equivalence = run_equivalence(seed=seed)
+    report.equivalence["embed"] = {"diverged": embed_diverged}
+    report.equivalence["diverged"] += embed_diverged
     if ann_sizes:
         report.ann = run_index_sweep(sizes=ann_sizes, seed=seed + 6)
     if ann_text_sizes:

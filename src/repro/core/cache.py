@@ -43,6 +43,7 @@ exactness for sublinear probes at large capacities.
 
 from __future__ import annotations
 
+import copy
 import enum
 import heapq
 import math
@@ -577,6 +578,8 @@ class SemanticCache:
         self.embedder = EmbeddingModel(dim=embedding_dim)
         self.entries: Dict[str, CacheEntry] = {}
         self.index = _build_index(index, embedding_dim, capacity)
+        # An empty copy, configuration and all, for a restore to rebuild from.
+        self._empty_index = copy.deepcopy(self.index)
         self.stats = CacheStats()
         self._clock = 0
         # Built by the first eviction; see _EvictionOrder.
@@ -946,18 +949,21 @@ class SemanticCache:
         pure function of the text, so the vectors are bit-identical to the
         ones that were live when the entries were saved); an exact-match
         cache keeps no vectors and gets none. The vector index is rebuilt
-        from scratch in entry order, and the eviction order from the loaded
-        entries by the next eviction."""
+        in entry order from an empty copy of the index the cache was built
+        with (same class, metric and settings), and the eviction order from
+        the loaded entries by the next eviction."""
         with self._lock:
             self.entries.clear()
             # Un-flushed write-behind puts die with the entries they shadow.
             self._pending_puts = {}
-            self.index = type(self.index)(dim=self.embedder.dim)
-            vectors = not self._exact_match
+            self.index = copy.deepcopy(self._empty_index)
+            entries = list(entries)
+            if not self._exact_match:
+                matrix = self.embedder.embed_batch([entry.key for entry in entries])
+                for entry, vector in zip(entries, matrix):
+                    entry.embedding = vector
+                    self.index.add(entry.key, vector)
             for entry in entries:
-                if vectors:
-                    entry.embedding = self.embedder.embed(entry.key)
-                    self.index.add(entry.key, entry.embedding)
                 self.entries[entry.key] = entry
             self._order = None
             # The wholesale replacement invalidates any in-flight batch

@@ -8,7 +8,6 @@ domain-pluggable rather than hard-wired to the paper's example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro._util import rng_from

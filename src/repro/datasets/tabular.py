@@ -11,8 +11,8 @@ emits a privacy-friendlier synthetic table that mimics the marginals (the
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 

@@ -1,13 +1,16 @@
 """Deterministic text embeddings (the simulated embedding model).
 
-Uses the feature-hashing trick: every word unigram and character trigram is
-mapped to a stable pseudo-random Gaussian direction (seeded by a blake2b
-hash of the feature), and a text's embedding is the TF-weighted mean of its
-feature directions, L2-normalized. Properties that matter here:
+Uses the feature-hashing trick: every word unigram, character trigram and
+word bigram is mapped to a stable pseudo-random Gaussian direction (seeded
+by a blake2b hash of the feature), and a text's embedding is the weighted
+sum of its feature directions, L2-normalized. Properties that matter here:
 
 * texts sharing words/roots get high cosine similarity (semantic-ish);
 * fully deterministic across processes (no :func:`hash` randomization);
-* cheap enough to embed thousands of prompts in tests.
+* cheap: a direction is generated once per process and stored as one row
+  of a per-dimension matrix, and a token's unigram and trigram rows are
+  memoized, so embedding a text on known vocabulary is one gather, one
+  multiply and one reduce.
 
 This stands in for the LLM-produced embeddings the paper assumes for prompt
 stores, semantic caches and multi-modal lakes.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,49 +38,154 @@ _STOPWORDS = frozenset(
     """.split()
 )
 
-# Process-wide feature-direction memo. Left unlocked on purpose: single
-# get/set dict operations are atomic under CPython, values are pure
-# functions of the key, and a racy double-compute stores the same vector.
-_direction_cache: Dict[str, np.ndarray] = {}
+# Rows reserved per dimension's direction table: 200,000, or fewer where
+# that would pass 128 MiB (above 83 dimensions). ``np.zeros`` maps the
+# block lazily, so only rows a feature has claimed are ever resident.
+_MAX_FEATURES = 200_000
+_MAX_TABLE_BYTES = 128 << 20
+# Tokens whose rows a table memoizes before it starts the memo over.
+_MAX_TOKENS = 65_536
 
 
 def _direction(feature: str, dim: int) -> np.ndarray:
     key = f"{dim}:{feature}"
-    cached = _direction_cache.get(key)
-    if cached is not None:
-        return cached
     rng = np.random.default_rng(stable_hash(key, bits=63))
     vec = rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
-    if len(_direction_cache) < 200_000:
-        _direction_cache[key] = vec
     return vec
 
 
-def _features(text: str) -> Iterable[tuple]:
-    """Yield (feature, weight) pairs for a text."""
-    tokens = [w.lower() for w in words(text)]
-    for token in tokens:
-        weight = 0.25 if token in _STOPWORDS else 1.0
-        yield f"w:{token}", weight
-        if len(token) >= 5:
-            for i in range(len(token) - 2):
-                yield f"t:{token[i : i + 3]}", 0.3
+def _token_features(token: str) -> Iterator[Tuple[str, float]]:
+    yield f"w:{token}", 0.25 if token in _STOPWORDS else 1.0
+    if len(token) >= 5:
+        for i in range(len(token) - 2):
+            yield f"t:{token[i : i + 3]}", 0.3
+
+
+def _bigram_features(tokens: List[str]) -> Iterator[Tuple[str, float]]:
     # Bigrams capture a little word order.
     for a, b in zip(tokens, tokens[1:]):
         if a not in _STOPWORDS or b not in _STOPWORDS:
             yield f"b:{a}_{b}", 0.5
 
 
+def _features(tokens: List[str]) -> Iterable[Tuple[str, float]]:
+    """Yield a text's (feature, weight) pairs, in summation order."""
+    for token in tokens:
+        yield from _token_features(token)
+    yield from _bigram_features(tokens)
+
+
+class _DirectionTable:
+    """Every feature direction of one dimension, generated once.
+
+    ``matrix[rows[feature]]`` is ``_direction(feature, dim)``. Rows are
+    appended under a lock and a feature is published in ``rows`` only
+    after its row is written, so lock-free readers never see a half-built
+    row; the matrix is reserved up front and never moves. ``tokens``
+    memoizes the rows and weights of a token's unigram and trigram
+    features; entries are pure functions of the token, so racing writers
+    store equal values. A feature past the reserved rows gets no row.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        rows = max(1, min(_MAX_FEATURES, _MAX_TABLE_BYTES // (8 * dim)))
+        self.matrix = np.zeros((rows, dim), dtype=np.float64)
+        self.rows: Dict[str, int] = {}
+        self.tokens: Dict[str, Tuple[List[int], List[float]]] = {}
+        self._lock = threading.Lock()
+
+    def row(self, feature: str) -> Optional[int]:
+        row = self.rows.get(feature)
+        if row is not None:
+            return row
+        with self._lock:
+            row = self.rows.get(feature)
+            if row is None and len(self.rows) < len(self.matrix):
+                row = len(self.rows)
+                self.matrix[row] = _direction(feature, self.dim)
+                self.rows[feature] = row
+        return row
+
+    def token(self, token: str) -> Optional[Tuple[List[int], List[float]]]:
+        hit = self.tokens.get(token)
+        if hit is not None:
+            return hit
+        ids: List[int] = []
+        weights: List[float] = []
+        for feature, weight in _token_features(token):
+            row = self.row(feature)
+            if row is None:
+                return None
+            ids.append(row)
+            weights.append(weight)
+        if len(self.tokens) >= _MAX_TOKENS:
+            self.tokens.clear()
+        self.tokens[token] = (ids, weights)
+        return ids, weights
+
+
+_tables: Dict[int, _DirectionTable] = {}
+_tables_lock = threading.Lock()
+
+
+def _table(dim: int) -> _DirectionTable:
+    table = _tables.get(dim)
+    if table is None:
+        with _tables_lock:
+            table = _tables.setdefault(dim, _DirectionTable(dim))
+    return table
+
+
+def _embed_features(tokens: List[str], table: _DirectionTable) -> np.ndarray:
+    """The per-feature loop: one ``acc +=`` per feature, in _features() order."""
+    acc = np.zeros(table.dim, dtype=np.float64)
+    for feature, weight in _features(tokens):
+        row = table.row(feature)
+        vec = _direction(feature, table.dim) if row is None else table.matrix[row]
+        acc += weight * vec
+    return acc
+
+
+def _gather(
+    tokens: List[str], table: _DirectionTable
+) -> Optional[Tuple[List[int], List[float]]]:
+    """A text's feature rows and weights in _features() order; None when a
+    feature is past the table."""
+    ids: List[int] = []
+    weights: List[float] = []
+    for token in tokens:
+        hit = table.token(token)
+        if hit is None:
+            return None
+        ids += hit[0]
+        weights += hit[1]
+    for feature, weight in _bigram_features(tokens):
+        row = table.row(feature)
+        if row is None:
+            return None
+        ids.append(row)
+        weights.append(weight)
+    return ids, weights
+
+
 def embed_text(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Embed ``text`` into a unit vector of dimension ``dim``."""
-    acc = np.zeros(dim, dtype=np.float64)
-    any_feature = False
-    for feature, weight in _features(text):
-        acc += weight * _direction(feature, dim)
-        any_feature = True
-    if not any_feature:
+    tokens = [w.lower() for w in words(text)]
+    if not tokens:
         return np.zeros(dim, dtype=np.float64)
+    table = _table(dim)
+    # A one-column reduce sums pairwise; from two columns on, each output
+    # element sums its rows first to last, exactly as the per-feature loop
+    # adds them: the same bytes.
+    gathered = _gather(tokens, table) if dim > 1 else None
+    if gathered is None:
+        acc = _embed_features(tokens, table)
+    else:
+        rows = table.matrix.take(gathered[0], axis=0)
+        rows *= np.array(gathered[1])[:, None]
+        acc = np.add.reduce(rows, axis=0)
     norm = np.linalg.norm(acc)
     if norm > 0:
         acc /= norm

@@ -174,6 +174,37 @@ class TestHotpathsPutFullBranch:
         assert any("cache_put_full.weighted.1024.mismatches = 3" in p for p in problems)
 
 
+def _embed_cell(linear_ms=0.08, vector_ms=0.027):
+    return {
+        "linear_cold_ms": 0.3,
+        "vector_cold_ms": 0.25,
+        "linear_ms_per_op": linear_ms,
+        "vector_ms_per_op": vector_ms,
+        "speedup": linear_ms / vector_ms,
+    }
+
+
+class TestHotpathsEmbedBranch:
+    def test_table_inside_the_floor_passes(self, gate, tmp_path):
+        report = _hotpaths_report(embed={"1000": _embed_cell(), "10000": _embed_cell(0.11)})
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        assert gate.check_report(path) == []
+
+    def test_table_not_halving_the_loop_fails(self, gate, tmp_path):
+        report = _hotpaths_report(embed={"10000": _embed_cell(0.08, 0.05)})
+        path = _write(tmp_path, "BENCH_hotpaths.smoke.json", report)
+        problems = gate.check_report(path)
+        assert len(problems) == 1
+        assert "embed speedup 1.60 at 10000 texts below the 2.0x floor" in problems[0]
+
+    def test_byte_mismatches_fail(self, gate, tmp_path):
+        report = _hotpaths_report(embed={"1000": _embed_cell()})
+        report["equivalence"] = {"diverged": 0, "embed": {"diverged": 4}}
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        problems = gate.check_report(path)
+        assert any("equivalence.embed.diverged = 4" in p for p in problems)
+
+
 class TestCommittedArtifacts:
     def test_committed_reports_still_pass_the_gate(self, gate):
         repo = GATE_PATH.parents[1]
