@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from repro.bench.perf import DEFAULT_RECOVERY_REPORT_PATH, run_recovery
+from repro.bench.recovery import DEFAULT_RECOVERY_REPORT_PATH, run_recovery
 
 
 def _report_path(smoke: bool = False) -> str:

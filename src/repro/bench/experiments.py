@@ -9,8 +9,8 @@ by roughly what factor, where the crossovers fall — reproduces the paper
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.reporting import format_table
 from repro.core.cache import EvictionPolicy, SemanticCache

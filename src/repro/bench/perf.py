@@ -1356,20 +1356,3 @@ def run_chaos(
         report.write(write_path)
     return report
 
-
-# Semantic-SQL benchmark lives in its own module; re-exported here so the
-# perf surface stays one import (matching the hotpaths/chaos runs).
-from repro.bench.semsql import (  # noqa: E402
-    DEFAULT_SEMSQL_REPORT_PATH,
-    SEMSQL_SCHEMA,
-    SemanticSQLReport,
-    run_semantic_sql,
-)
-
-# Crash-recovery benchmark likewise lives in its own module.
-from repro.bench.recovery import (  # noqa: E402
-    DEFAULT_RECOVERY_REPORT_PATH,
-    RECOVERY_SCHEMA,
-    RecoveryReport,
-    run_recovery,
-)

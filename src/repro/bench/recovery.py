@@ -182,7 +182,7 @@ def run_recovery(
     )
 
     reference = _build(LLMClient())
-    ref_completions = [reference.complete(prompt) for prompt in prompts]
+    reference_answers = [reference.complete(prompt) for prompt in prompts]
     ref_state = comparable_state(snapshot_stack_state(reference))
 
     # How many provider-level requests does the uncrashed stream make?
@@ -218,7 +218,7 @@ def run_recovery(
                     "journal_len": journal_len,
                     "replayed": replayed,
                     "recovery_ms": recovery_ms,
-                    "completions_diverged": completions != ref_completions,
+                    "completions_diverged": completions != reference_answers,
                     "state_diverged": state != ref_state,
                 }
             )
@@ -268,7 +268,7 @@ def run_recovery(
             "provider_calls_saved": cold_calls,
             "cost_saved_usd": cold_cost,
             "answers_match_reference": [c.text for c in warm_answers]
-            == [c.text for c in ref_completions[:n_distinct]],
+            == [c.text for c in reference_answers[:n_distinct]],
         }
     finally:
         shutil.rmtree(directory, ignore_errors=True)

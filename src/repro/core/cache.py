@@ -55,6 +55,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro._util import cosine
+from repro.llm.client import Completion
 from repro.llm.embeddings import EmbeddingModel
 from repro.vectordb import FlatIndex, HNSWIndex, IVFIndex, auto_index
 from repro.vectordb.distance import Metric, scalar_similarity
@@ -91,6 +92,9 @@ class CacheEntry:
     inserted_at: int = 0
     crf: float = 0.0  # LRFU "combined recency and frequency" value
     crf_updated_at: int = 0
+    # The completion whose text is ``response``, replayed in full by a
+    # reuse hit; None when the writer had none (a bare ``put``).
+    completion: Optional[Completion] = None
 
     def touch_lrfu(self, clock: int, lrfu_lambda: float) -> None:
         """Record one reference under LRFU: decay the CRF then add 1.
@@ -816,9 +820,17 @@ class SemanticCache:
     # ------------------------------------------------------------- updates
 
     def put(
-        self, query: str, response: str, kind: str = "original", cost: float = 0.0
+        self,
+        query: str,
+        response: str,
+        kind: str = "original",
+        cost: float = 0.0,
+        completion: Optional[Completion] = None,
     ) -> Optional[CacheEntry]:
         """Insert (or refresh) an entry, evicting if over capacity.
+
+        ``completion`` (the answer ``response`` came from) rides on the
+        entry; a refresh replaces or clears it with the response.
 
         Embedding and the index add are write-behind: the entry is parked
         in ``_pending_puts`` and materialized (one batched embed sweep,
@@ -833,9 +845,9 @@ class SemanticCache:
             self._clock += 1
             entry = self.entries.get(query)
             if entry is not None:
-                return self._refresh(entry, response, cost)
+                return self._refresh(entry, response, cost, completion)
             if self.admission is None:
-                return self._insert(query, response, kind, cost, None)
+                return self._insert(query, response, kind, cost, None, completion)
         # Admission probe and embedding run off the cache lock: the
         # predictor and the embedder memo each carry their own lock, and
         # neither depends on cache state.
@@ -849,12 +861,15 @@ class SemanticCache:
             if entry is not None:
                 # Another thread inserted the same key while we were off
                 # the lock — refresh rather than duplicate the index row.
-                return self._refresh(entry, response, cost)
-            return self._insert(query, response, kind, cost, embedding)
+                return self._refresh(entry, response, cost, completion)
+            return self._insert(query, response, kind, cost, embedding, completion)
 
-    def _refresh(self, entry: CacheEntry, response: str, cost: float) -> CacheEntry:
+    def _refresh(
+        self, entry: CacheEntry, response: str, cost: float, completion: Optional[Completion]
+    ) -> CacheEntry:
         entry.response = response
         entry.cost_of_miss = cost
+        entry.completion = completion
         self._touch(entry)
         return entry
 
@@ -865,6 +880,7 @@ class SemanticCache:
         kind: str,
         cost: float,
         embedding: Optional[np.ndarray],
+        completion: Optional[Completion],
     ) -> CacheEntry:
         """Add a new entry at the current clock (under the cache lock),
         evicting down to capacity first."""
@@ -882,6 +898,7 @@ class SemanticCache:
             inserted_at=self._clock,
             crf=1.0,
             crf_updated_at=self._clock,
+            completion=completion,
         )
         self.entries[query] = entry
         if self._order is not None:

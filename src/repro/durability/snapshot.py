@@ -4,8 +4,9 @@ Three components hold serving state worth surviving a restart, and each
 gets a ``snapshot_*`` / ``restore_*_into`` pair:
 
 * :class:`~repro.core.cache.SemanticCache` — entries (with hit counters,
-  LRFU clock values and insertion order), aggregate stats, the eviction
-  clock, and the admission predictor's ring when one is attached.
+  LRFU clock values, insertion order and, when set, the completion a reuse
+  hit replays), aggregate stats, the eviction clock, and the admission
+  predictor's ring when one is attached.
   **Embeddings are not stored**: the embedding model is a pure function of
   the text, so restore re-embeds each key and provably reproduces the
   original vectors bit for bit.
@@ -22,7 +23,9 @@ asserts end to end.
 :func:`snapshot_stack_state` / :func:`restore_stack_state` lift the codecs
 to a whole :class:`~repro.serving.stack.ServingStack` by walking its
 middleware chain (``provider.inner…``) and snapshotting whichever stateful
-layers are installed, plus the cache middleware's completion replay store.
+layers are installed. Payloads written before cache entries carried their
+completions keep them in a separate ``replay`` section, which restore
+still reads.
 """
 
 from __future__ import annotations
@@ -75,10 +78,12 @@ def snapshot_cache(cache: SemanticCache) -> Dict[str, object]:
     records is embedded and indexed exactly as a probe would see it."""
     with cache._lock:
         cache._flush_puts()
-        entries = [
-            {field: getattr(entry, field) for field in _ENTRY_FIELDS}
-            for entry in cache.entries.values()
-        ]
+        entries = []
+        for entry in cache.entries.values():
+            stored = {field: getattr(entry, field) for field in _ENTRY_FIELDS}
+            if entry.completion is not None:
+                stored["completion"] = completion_to_dict(entry.completion)
+            entries.append(stored)
         data: Dict[str, object] = {
             "capacity": cache.capacity,
             "reuse_threshold": cache.reuse_threshold,
@@ -163,6 +168,7 @@ def restore_cache_into(cache: SemanticCache, data: Dict[str, object]) -> None:
             inserted_at=int(stored["inserted_at"]),
             crf=float(stored["crf"]),
             crf_updated_at=int(stored["crf_updated_at"]),
+            completion=completion_from_dict(stored["completion"]) if "completion" in stored else None,
         )
         for stored in data["entries"]  # type: ignore[union-attr]
     ]
@@ -280,7 +286,7 @@ def restore_stats_into(stats: ServiceStats, data: Dict[str, object]) -> None:
 
 
 def completion_to_dict(completion: Completion) -> Dict[str, object]:
-    """Serialize a completion (the cache middleware's replay store)."""
+    """Serialize a completion (the one a cache entry replays on a reuse hit)."""
     return {
         "text": completion.text,
         "model": completion.model,
@@ -339,9 +345,9 @@ def snapshot_stack_state(stack: object) -> Dict[str, object]:
     """Snapshot every stateful layer a serving stack actually has.
 
     The payload's ``state`` section holds one sub-document per component
-    found: ``cache`` (+ ``replay``, the cache middleware's completion
-    store), ``meter`` (the terminal client's usage meter) and ``stats``,
-    which also carries the budget layer's spend. The ``layers`` list pins the
+    found: ``cache`` (the cache layer's entries with their completions),
+    ``meter`` (the terminal client's usage meter) and ``stats``, which also
+    carries the budget layer's spend. The ``layers`` list pins the
     stack shape so recovery into a differently-composed stack fails loudly
     instead of silently dropping state.
     """
@@ -351,11 +357,6 @@ def snapshot_stack_state(stack: object) -> Dict[str, object]:
     cache_mw = _find_layer(stack, SemanticCacheMiddleware)
     if cache_mw is not None:
         state["cache"] = snapshot_cache(cache_mw.cache)
-        with cache_mw._replay_lock:
-            state["replay"] = {
-                key: completion_to_dict(completion)
-                for key, completion in cache_mw._completions.items()
-            }
     meter = _find_meter(stack)
     if meter is not None:
         state["meter"] = snapshot_meter(meter)
@@ -389,12 +390,17 @@ def restore_stack_state(stack: object, payload: Dict[str, object]) -> None:
         cache_mw = _find_layer(stack, SemanticCacheMiddleware)
         if cache_mw is None:
             raise ValueError("snapshot has cache state but the stack has no cache layer")
-        restore_cache_into(cache_mw.cache, state["cache"])  # type: ignore[arg-type]
+        # Older payloads keep the completions in a ``replay`` section: each
+        # goes onto the entry that still holds its text, never a refreshed one.
         replay: Dict[str, Dict[str, object]] = state.get("replay", {})  # type: ignore[assignment]
-        with cache_mw._replay_lock:
-            cache_mw._completions = {
-                key: completion_from_dict(data) for key, data in replay.items()
-            }
+        cache_state = dict(state["cache"])  # type: ignore[arg-type]
+        cache_state["entries"] = [
+            {**stored, "completion": replay[stored["key"]]}
+            if replay.get(stored["key"], {}).get("text") == stored["response"]
+            else stored
+            for stored in cache_state["entries"]  # type: ignore[union-attr]
+        ]
+        restore_cache_into(cache_mw.cache, cache_state)
     if "meter" in state:
         meter = _find_meter(stack)
         if meter is not None:

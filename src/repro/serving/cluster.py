@@ -367,14 +367,21 @@ class ShardedSemanticCache:
     # ------------------------------------------------------------- updates
 
     def put(
-        self, tenant: str, key: str, response: str, kind: str = "original", cost: float = 0.0
+        self,
+        tenant: str,
+        key: str,
+        response: str,
+        kind: str = "original",
+        cost: float = 0.0,
+        completion: Optional[Completion] = None,
     ) -> Optional[CacheEntry]:
-        """Insert (or refresh) an entry in the owning shard's partition."""
+        """Insert (or refresh) an entry in the owning shard's partition;
+        ``completion`` rides on the entry as in :meth:`SemanticCache.put`."""
         with self._lock:
             for shard in self.router.shards:
                 cache = self._partitions[shard].get(tenant)
                 if cache is not None and key in cache:
-                    return cache.put(key, response, kind=kind, cost=cost)
+                    return cache.put(key, response, kind=kind, cost=cost, completion=completion)
             shard = self.router.route_request(tenant, key)
             cache = self._partition(shard, tenant, create=True)
             seq_map = self._seq.setdefault(tenant, {})
@@ -389,7 +396,7 @@ class ShardedSemanticCache:
                     if partition is not None:
                         live.update(partition.entries)
                 self._seq[tenant] = {k: v for k, v in seq_map.items() if k in live}
-            return cache.put(key, response, kind=kind, cost=cost)
+            return cache.put(key, response, kind=kind, cost=cost, completion=completion)
 
     def describe(self) -> str:
         return (
@@ -523,7 +530,6 @@ class ServingCluster:
         self.cache_kind = cache_kind
         self.default_policy = TenantPolicy()
         self._policies: Dict[str, TenantPolicy] = {}
-        self._completions: Dict[Tuple[str, str], Completion] = {}
         self.requests_by_shard: Dict[str, int] = {shard: 0 for shard in self.router.shards}
         self._lock = threading.RLock()
         self._workers: Optional[Dict[str, _ShardWorker]] = None
@@ -571,17 +577,14 @@ class ServingCluster:
         if self.cache is not None:
             found = counted_probe(self.cache.lookup, (tenant, key), (self.stats, tstats))
             if found.tier == "reuse" and found.entry is not None:
-                owner = found.owner_tenant if found.owner_tenant is not None else tenant
                 marker: Dict[str, object] = {
                     "tier": "reuse",
                     "similarity": round(found.similarity, 6),
                 }
                 if found.shared:
-                    marker["shared_from"] = owner
+                    marker["shared_from"] = found.owner_tenant
                 return cached_completion(
-                    found.entry.response,
-                    {"serving.cache": marker},
-                    original=self._completions.get((owner, found.entry.key)),
+                    found.entry.response, {"serving.cache": marker}, original=found.entry.completion
                 )
             if found.tier == "augment" and found.entry is not None:
                 effective_prompt = augmented_prompt(found.entry, prompt)
@@ -605,25 +608,18 @@ class ServingCluster:
             )
         if self.cache is not None:
             put_start = time.perf_counter()
-            admitted = self.cache.put(
-                tenant, key, completion.text, kind=self.cache_kind, cost=completion.cost
+            self.cache.put(
+                tenant,
+                key,
+                completion.text,
+                kind=self.cache_kind,
+                cost=completion.cost,
+                completion=completion,
             )
             put_ms = (time.perf_counter() - put_start) * 1000.0
             for section in (self.stats, tstats):
                 with section.lock:
                     section.cache_put_ms += put_ms
-            if admitted is not None:
-                with self._lock:
-                    self._completions[(tenant, key)] = completion
-                    if len(self._completions) > 8 * self.cache.spec.total_capacity:
-                        live = {
-                            (t, k)
-                            for t in self.stats.tenant_names()
-                            for k in self.cache.entries_of(t)
-                        }
-                        self._completions = {
-                            pair: c for pair, c in self._completions.items() if pair in live
-                        }
         return completion
 
     def complete(

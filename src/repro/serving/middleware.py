@@ -23,8 +23,8 @@ All layers write their counters into one shared
 :class:`~repro.serving.stats.ServiceStats`, holding its lock around each
 update so a stack can be driven from many threads at once (see
 :mod:`repro.serving.scheduler`). The budget layer keeps no state of its
-own: its spend is a stats counter. The cache middleware's replay store
-carries its own lock; the hot structures underneath —
+own: its spend is a stats counter. Nor does the cache layer: a reuse hit
+replays the completion its cache entry carries. The hot structures —
 :class:`~repro.core.cache.SemanticCache`, the admission predictor, the
 embedding memo, the usage meter — are locked where they live.
 """
@@ -32,9 +32,8 @@ embedding memo, the usage meter — are locked where they live.
 from __future__ import annotations
 
 import copy
-import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,11 +197,6 @@ class SemanticCacheMiddleware(Middleware):
         self.cache = cache if cache is not None else SemanticCache()
         self.key_fn = key_fn
         self.cache_kind = cache_kind
-        # Original completions by cache key, so reuse hits can replay the
-        # full Completion (model, confidence, engine) at zero cost. Guarded
-        # by its own lock: pruning rebuilds the dict.
-        self._completions: Dict[str, Completion] = {}
-        self._replay_lock = threading.Lock()
 
     def begin_batch(self, prompts: Sequence[str], model: Optional[str] = None) -> None:
         """Precompute this batch's cache probes in one matrix pass.
@@ -231,38 +225,23 @@ class SemanticCacheMiddleware(Middleware):
         lookup = counted_probe(self.cache.lookup, (key,), (self.stats,))
         entry = lookup.entry
         if lookup.tier == "reuse" and entry is not None:
-            # No original in the replay store means it was pruned after an
-            # eviction, or the entry predates this layer.
             return cached_completion(
                 entry.response,
                 {"serving.cache": {"tier": "reuse", "similarity": round(lookup.similarity, 6)}},
-                original=self._completions.get(entry.key),
+                original=entry.completion,
             )
         effective_prompt = prompt
         if lookup.tier == "augment" and entry is not None:
             effective_prompt = augmented_prompt(entry, prompt)
         completion = self.inner.complete(effective_prompt, model=model)
         put_start = time.perf_counter()
-        admitted = self.cache.put(key, completion.text, kind=self.cache_kind, cost=completion.cost)
+        self.cache.put(
+            key, completion.text, kind=self.cache_kind, cost=completion.cost, completion=completion
+        )
         put_ms = (time.perf_counter() - put_start) * 1000.0
         with self.stats.lock:
             self.stats.cache_put_ms += put_ms
-        if admitted:
-            with self._replay_lock:
-                self._completions[key] = completion
-                self._prune_replay_store()
         return completion
-
-    def _prune_replay_store(self) -> None:
-        # Keep the replay store aligned with the cache after evictions.
-        # Callers hold _replay_lock; the rebuilt dict is swapped in whole so
-        # the lock-free read in complete() always sees a consistent mapping.
-        if len(self._completions) > 2 * self.cache.capacity:
-            self._completions = {
-                key: completion
-                for key, completion in self._completions.items()
-                if key in self.cache.entries
-            }
 
 
 class CascadeMiddleware(Middleware):

@@ -4,10 +4,19 @@ import inspect
 
 import repro.bench
 import repro.core
+import repro.durability
+import repro.llm
 import repro.serving
+import repro.sqldb
 import repro.vectordb
 from repro.core import SemanticCache
-from repro.serving import AsyncGateway, BatchingScheduler, ServingCluster, build_stack
+from repro.serving import (
+    AsyncGateway,
+    BatchingScheduler,
+    ServingCluster,
+    ShardedSemanticCache,
+    build_stack,
+)
 from repro.sqldb import SemanticRuntime
 from repro.vectordb import ExactIVFIndex
 
@@ -79,6 +88,69 @@ VECTORDB = [
     "tune_nprobe",
 ]
 
+LLM = [
+    "Completion",
+    "CompletionProvider",
+    "EmbeddingModel",
+    "FAULT_KINDS",
+    "Fact",
+    "FaultInjectingProvider",
+    "KnowledgeBase",
+    "LLMClient",
+    "MODEL_REGISTRY",
+    "ModelSpec",
+    "ReseedableProvider",
+    "Usage",
+    "UsageMeter",
+    "make_client",
+    "count_tokens",
+    "embed_text",
+    "get_model",
+    "list_models",
+    "resolve_model_name",
+    "tokenize_text",
+]
+
+SQLDB = [
+    "Column",
+    "Database",
+    "EstimatedCost",
+    "Result",
+    "SQLType",
+    "SemanticOpCost",
+    "SemanticRuntime",
+    "SemanticStats",
+    "Table",
+    "TableSchema",
+    "estimate_cost",
+    "explain",
+    "optimize_semantic",
+    "parse_expression",
+    "parse_sql",
+    "parse_statement",
+    "query_features",
+    "select_contains_semantic",
+]
+
+DURABILITY = [
+    "DurableStateStore",
+    "Journal",
+    "SNAPSHOT_SCHEMA",
+    "StackDurability",
+    "atomic_write_json",
+    "atomic_write_text",
+    "comparable_state",
+    "completion_from_dict",
+    "completion_to_dict",
+    "restore_cache_into",
+    "restore_meter_into",
+    "restore_stack_state",
+    "restore_stats_into",
+    "snapshot_cache",
+    "snapshot_meter",
+    "snapshot_stack_state",
+    "snapshot_stats",
+]
 
 BENCH = [
     "HotpathReport",
@@ -124,6 +196,21 @@ def test_serving_exports():
 def test_core_exports():
     assert repro.core.__all__ == CORE
     assert all(hasattr(repro.core, name) for name in CORE)
+
+
+def test_llm_exports():
+    assert repro.llm.__all__ == LLM
+    assert all(hasattr(repro.llm, name) for name in LLM)
+
+
+def test_sqldb_exports():
+    assert repro.sqldb.__all__ == SQLDB
+    assert all(hasattr(repro.sqldb, name) for name in SQLDB)
+
+
+def test_durability_exports():
+    assert repro.durability.__all__ == DURABILITY
+    assert all(hasattr(repro.durability, name) for name in DURABILITY)
 
 
 def test_bench_exports():
@@ -198,6 +285,20 @@ def test_semantic_cache_options():
         "lrfu_lambda",
         "admission",
         "index",
+    ]
+
+
+def test_cache_put_arguments():
+    # A put carries the entry's data; the completion a reuse hit replays is
+    # one of them, and nothing else rides along.
+    assert _options(SemanticCache.put) == ["query", "response", "kind", "cost", "completion"]
+    assert _options(ShardedSemanticCache.put) == [
+        "tenant",
+        "key",
+        "response",
+        "kind",
+        "cost",
+        "completion",
     ]
 
 
