@@ -8,8 +8,10 @@ priority + EDF), parks excess arrivals on bounded queues, sheds requests
 that are already hopeless, and answers expired-in-queue work through the
 resilience fallback chain instead of timing out. Work the busy backend is
 predicted to finish after its deadline (slack below the gateway's smoothed
-backend time) takes the same fallback path at dispatch, so few full
-answers arrive late: the printed ``late=`` count stays small.
+backend time) takes the same fallback path while it waits, so few full
+answers arrive late: the printed ``late=`` count stays small. The gateway
+forwards no more than the scheduler's four workers can start, so the
+backlog stays where priority applies.
 
 Run with:  python examples/gateway_serving.py
 """
@@ -61,11 +63,7 @@ async def serve(requests):
     stack = build_backend()
     # workers=4: sleeps release the GIL, so dispatch overlap is real.
     scheduler = BatchingScheduler(stack, workers=4, max_wait_ms=0.0)
-    async with AsyncGateway(
-        scheduler,
-        max_inflight=4,  # shallow window: backlog stays where priority applies
-        max_queue_per_class=16,
-    ) as gateway:
+    async with AsyncGateway(scheduler, max_queue_per_class=16) as gateway:
         # One deliberately hopeless request: shed on arrival, never served.
         try:
             await gateway.submit("Question: already too late?", deadline_ms=0)

@@ -85,6 +85,14 @@ class Submitter(Protocol):
 
     stats: object  # the ServiceStats every layer behind this door writes to
 
+    @property
+    def concurrency(self) -> Optional[int]:
+        """Forwarded requests the tier starts at once, whichever they are;
+        a front door that forwards more only queues them where its own
+        ordering no longer applies. None when no such number exists
+        because the request decides which worker serves it."""
+        ...
+
     def submit(
         self, prompt: str, model: Optional[str] = None, *, tenant: Optional[str] = None
     ) -> "Future[Completion]":

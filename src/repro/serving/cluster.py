@@ -655,6 +655,13 @@ class ServingCluster:
         self._ensure_workers()[shard].requests.put((prompt, tenant, model, future))
         return future
 
+    @property
+    def concurrency(self) -> Optional[int]:
+        """None: each request runs on its key's shard worker, so requests
+        forwarded together can land on one shard while others idle, and no
+        window both keeps every shard busy and every shard queue empty."""
+        return None
+
     def close(self) -> None:
         """Stop the shard workers (idempotent)."""
         with self._lock:

@@ -12,6 +12,13 @@ whether to *serve*, *wait*, *degrade* or *shed*:
   picks the earliest absolute deadline (EDF), breaking ties by submission
   order. With one class and no deadlines this degenerates to FIFO, which
   is what keeps the deterministic core intact (see below).
+* **One queue** — in front of a scheduler the gateway forwards only what
+  the backend can start (its
+  :attr:`~repro.llm.provider.Submitter.concurrency`), so the whole backlog
+  waits here, where class, deadline and shedding apply, and none of it in
+  the backend's FIFO. A cluster reports no concurrency, since each
+  request runs on its key's shard; there the window is ``max_inflight``
+  and forwarded requests may still queue class-blind on a busy shard.
 * **Admission control** — each class has a bounded queue
   (``max_queue_per_class``); a submit against a full queue parks on an
   asyncio future until the pump drains a slot (backpressure) instead of
@@ -23,15 +30,19 @@ whether to *serve*, *wait*, *degrade* or *shed*:
   either — serving it would burn capacity on an answer nobody can use.
   Nor is one the backend cannot finish in time: the gateway keeps a
   smoothed dispatch-to-resolve time of the backend, and while the backend
-  is busy a popped request with less slack than that is treated as
-  expired. An idle backend is never predicted, so an estimate left high by
-  a slow phase cannot shed isolated requests.
+  is busy a queued request with less slack than that is treated as
+  expired. Every wake scans the head of each class for such requests
+  before it dispatches, whether or not a backend slot is free. An idle
+  backend is never predicted, so an estimate left high by a slow phase
+  cannot shed isolated requests.
 * **Graceful degradation** — instead of a bare timeout, an
   expired-in-queue request is routed through the existing
   :meth:`~repro.serving.resilience.ResilienceMiddleware.degrade` fallback
   chain (cheaper models → read-only cache peek → typed error), so the
   caller gets a cheap partial answer *now* rather than a full answer too
-  late. With no resilience layer in the stack the request is shed.
+  late. The fallback runs on the event loop's executor and holds no
+  backend slot. With no resilience layer in the stack the request is
+  shed.
 
 Determinism contract: the pump forwards requests to the backend in a
 total order that is a pure function of (class priority, deadline,
@@ -169,9 +180,13 @@ class AsyncGateway:
         Bound on each class's admission queue; submits beyond it park on
         backpressure until the pump frees a slot.
     max_inflight:
-        Requests forwarded to the backend but not yet resolved. Clamped
-        to the backend's own queue bound when known, so forwarding never
-        blocks the event loop.
+        Upper bound on requests forwarded to the backend but not yet
+        resolved. The window is also clamped to the backend's
+        ``concurrency`` when it reports one, so a forwarded request starts
+        at once rather than wait class-blind in the backend's queue, and
+        to its queue bound when known, so forwarding never blocks the
+        event loop. Only a backend without ``concurrency`` (a cluster)
+        is held to ``max_inflight`` alone.
     shed_expired:
         When False the gateway never sheds or degrades — expired requests
         are forwarded anyway (the "no admission control" baseline).
@@ -231,8 +246,11 @@ class AsyncGateway:
         if self._owns_backend:  # plain provider: own a single-worker scheduler
             backend = BatchingScheduler(backend, max_wait_ms=0.0, stats=stats)
         self._backend = backend
-        # A bounded backend queue blocks its submitter when full; never
-        # forward more than it can take without blocking the event loop.
+        # Forward no more than the backend can start: the rest waits here,
+        # where class, EDF and shedding apply. A bounded backend queue
+        # blocks its submitter when full, so never more than it takes.
+        if backend.concurrency is not None:
+            max_inflight = min(max_inflight, backend.concurrency)
         backend_queue_bound = getattr(backend, "max_queue", None)
         if backend_queue_bound is not None:
             max_inflight = min(max_inflight, backend_queue_bound)
@@ -249,7 +267,8 @@ class AsyncGateway:
             cls: deque() for cls in self.classes
         }
         self._seq = 0
-        self._inflight = 0
+        self._inflight = 0  # forwarded or degrading: what close() drains
+        self._forwarded = 0  # at the backend: what the window bounds
         # Smoothed dispatch -> resolve seconds of the backend; None until
         # the first completion teaches it.
         self._backend_s: Optional[float] = None
@@ -522,30 +541,46 @@ class AsyncGateway:
                 return
 
     def _advance(self) -> None:
-        """Forward queued requests while inflight slots are free: strict
-        class priority, EDF within class, shed/degrade work that has expired
-        or that the busy backend is predicted to finish after its deadline."""
-        while self._inflight < self.max_inflight:
+        """Shed doomed heads, then forward while the window has room:
+        strict class priority, EDF within class. The scan runs again after
+        each dispatch, since a busy backend is what arms the prediction."""
+        while True:
+            self._shed_doomed_heads()
+            if self._forwarded >= self.max_inflight:
+                return
             ticket = self._pop_next()
             if ticket is None:
                 return
-            now = self._clock()
-            if self.shed_expired and ticket.abs_deadline is not None:
-                slack = ticket.abs_deadline - now
+            self._dispatch(ticket, self._clock())
+
+    def _shed_doomed_heads(self) -> None:
+        """Shed or degrade, in every class, queued requests that have
+        expired or that the busy backend is predicted to finish after their
+        deadline, whether or not a slot is free. A class's head has its
+        least slack, so the scan stops at the first head that can make it."""
+        if not self.shed_expired:
+            return
+        now = self._clock()
+        # Predict only while the backend is busy: an idle backend starts at
+        # once, whatever an earlier slow phase taught.
+        predicted = self._backend_s if self._forwarded > 0 else None
+        for cls in self.classes:
+            heap = self._queues[cls]
+            while heap:
+                key, _, ticket = heap[0]
+                slack = key - now  # +inf without a deadline: never doomed
                 if slack <= 0:
-                    self._expire(ticket, now)
-                    continue
-                # Predict only while the backend is busy: an idle backend
-                # starts at once, whatever an earlier slow phase taught.
-                predicted = self._backend_s if self._inflight > 0 else None
-                if predicted is not None and slack < predicted:
+                    reason = "deadline expired in queue"
+                elif predicted is not None and slack < predicted:
                     reason = (
                         f"predicted backend time {predicted * 1000.0:.1f}ms exceeds "
                         f"remaining slack {slack * 1000.0:.1f}ms"
                     )
-                    self._expire(ticket, now, reason)
-                    continue
-            self._dispatch(ticket, now)
+                else:
+                    break
+                heapq.heappop(heap)
+                self._release_slot(cls)
+                self._expire(ticket, now, reason)
 
     def _pop_next(self) -> Optional[GatewayTicket]:
         for cls in self.classes:
@@ -597,6 +632,7 @@ class AsyncGateway:
 
     def _dispatch(self, ticket: GatewayTicket, now: float) -> None:
         self._inflight += 1
+        self._forwarded += 1
         ticket.queue_ms = (now - ticket.enqueued_at) * 1000.0
         request = ticket.request
         try:
@@ -607,6 +643,7 @@ class AsyncGateway:
             )
         except Exception as exc:
             self._inflight -= 1
+            self._forwarded -= 1
             self._settle(ticket, "error", exc)
             return
         assert self._loop is not None
@@ -616,6 +653,7 @@ class AsyncGateway:
 
     def _on_backend_done(self, ticket: GatewayTicket, backend_future) -> None:
         self._inflight -= 1
+        self._forwarded -= 1
         now = self._clock()
         took = now - (ticket.enqueued_at + ticket.queue_ms / 1000.0)
         previous = self._backend_s
@@ -632,8 +670,12 @@ class AsyncGateway:
                 ticket.late = True
                 completion = self._annotated(completion, ticket, late=True)
             self._settle(ticket, "ok", completion)
-        assert self._wake is not None
-        self._wake.set()
+        # Fill the freed slot now, not one pump-task hop later; the pump
+        # needs waking only to finish a close.
+        self._advance()
+        if self._closing:
+            assert self._wake is not None
+            self._wake.set()
 
     # ------------------------------------------------------ shed / degrade
 
@@ -653,9 +695,7 @@ class AsyncGateway:
         )
         self._settle(ticket, "shed", error, counted_as=status)
 
-    def _expire(
-        self, ticket: GatewayTicket, now: float, reason: str = "deadline expired in queue"
-    ) -> None:
+    def _expire(self, ticket: GatewayTicket, now: float, reason: str) -> None:
         """Deadline lapsed, or predicted to lapse, in queue: degrade through
         the resilience chain when one is wired, otherwise shed. ``reason``
         says which, in the error message or the degraded marker."""
@@ -663,7 +703,9 @@ class AsyncGateway:
         if self._degrade_fn is None:
             self._resolve_shed(ticket, "shed", waited_ms, reason)
             return
-        self._inflight += 1  # degradation occupies an inflight slot too
+        # Runs on the executor, not on a backend worker: the degradation
+        # is waited for at close but holds no slot of the window.
+        self._inflight += 1
         ticket.queue_ms = waited_ms
         assert self._loop is not None
         degrade_future = self._loop.run_in_executor(

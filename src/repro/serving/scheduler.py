@@ -353,6 +353,12 @@ class BatchingScheduler:
         with self._lock:
             return len(self._pending)
 
+    @property
+    def concurrency(self) -> int:
+        """Requests the dispatchers can start at once: one batch per
+        worker, and a batch is one request unless ``combine`` is set."""
+        return self.workers * (self.max_batch_size if self.combine else 1)
+
     def describe(self) -> str:
         """The provider's pipeline with the scheduler stage prepended."""
         inner = (

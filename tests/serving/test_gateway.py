@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlineExceededError, SchedulerClosedError
 from repro.llm.client import LLMClient
-from repro.serving import AsyncGateway, GatewayRequest, build_stack
+from repro.serving import (
+    AsyncGateway,
+    BatchingScheduler,
+    GatewayRequest,
+    ServingCluster,
+    build_stack,
+)
 
 
 class ManualClock:
@@ -379,11 +385,14 @@ class TestPredictiveShedding:
     )
     def test_no_deadline_or_shed_expired_false_never_predicts(self, shed_expired, deadline_ms):
         provider = GatedProvider()
+        # Two workers: the second request is forwarded while the first
+        # keeps the backend busy, which is when a prediction could fire.
+        backend = BatchingScheduler(provider, workers=2, max_wait_ms=0.0)
         clock = ManualClock()
 
         async def run():
             async with AsyncGateway(
-                provider, clock=clock.now, shed_expired=shed_expired, degrader=None
+                backend, clock=clock.now, shed_expired=shed_expired, degrader=None
             ) as gateway:
                 await teach_backend_time(gateway, provider, clock, 0.200)
                 busy = await hold_backend_busy(gateway)
@@ -396,7 +405,10 @@ class TestPredictiveShedding:
                 await busy.future
                 return ticket, completion
 
-        ticket, completion = asyncio.run(run())
+        try:
+            ticket, completion = asyncio.run(run())
+        finally:
+            backend.close()
         assert ticket.status == "ok" and completion.text
         assert "Question: served?" in provider.calls
 
@@ -421,6 +433,153 @@ class TestPredictiveShedding:
         assert [p for p in provider.calls if "isolated" in p] == [
             f"Question: isolated {i}?" for i in range(5)
         ]
+
+
+class GatedBatchProvider(GatedProvider):
+    """A gated provider that also answers combined batches."""
+
+    def complete_batch(self, shared_prefix, items, model=None):
+        assert self.release.wait(timeout=10)
+        with self._lock:
+            self.calls.extend(shared_prefix + item for item in items)
+        return self.inner.complete_batch(shared_prefix, items, model=model)
+
+
+class TestDispatchWindow:
+    """The gateway forwards only what the backend can start; the rest of
+    the backlog stays in the class heaps, where EDF and shedding apply."""
+
+    @pytest.mark.parametrize(
+        "options, window",
+        # A combined batch waits up to 50 ms to fill, so both take full ones.
+        [({}, 2), ({"combine": True, "max_batch_size": 3, "max_wait_ms": 50.0}, 6)],
+        ids=["one-per-worker", "combine-batch-3"],
+    )
+    def test_forwards_no_more_than_the_backend_can_start(self, options, window):
+        provider = GatedBatchProvider()
+        backend = BatchingScheduler(provider, **{"workers": 2, "max_wait_ms": 0.0, **options})
+        assert backend.concurrency == window
+        prompts = questions(window + 4, "window")
+
+        async def run():
+            async with AsyncGateway(backend, classes=("all",)) as gateway:
+                assert gateway.max_inflight == window
+                tasks = [asyncio.ensure_future(gateway.submit(p)) for p in prompts]
+                try:
+                    await wait_until(lambda: gateway.queue_depths()["all"] == 4)
+                    await asyncio.sleep(0.02)  # room for a stray forward
+                    forwarded = backend.stats.scheduler_submitted
+                    depth = backend.queue_depth
+                finally:
+                    provider.release.set()
+                completions = await asyncio.gather(*tasks)
+                return forwarded, depth, completions
+
+        try:
+            forwarded, depth, completions = asyncio.run(run())
+        finally:
+            backend.close()
+        assert forwarded == window
+        assert depth == 0  # every forwarded request started at once
+        assert all(c.text for c in completions)
+        assert sorted(provider.calls) == sorted(prompts)
+
+    def test_doomed_lower_class_request_is_shed_while_every_slot_is_busy(self):
+        provider = GatedProvider()
+        clock = ManualClock()
+
+        async def run():
+            async with AsyncGateway(provider, clock=clock.now, degrader=None) as gateway:
+                await teach_backend_time(gateway, provider, clock, 0.200)
+                busy = await hold_backend_busy(gateway)
+                waiting = await gateway.enqueue(
+                    GatewayRequest("Question: next in line?", priority="interactive")
+                )
+                doomed = await gateway.enqueue(
+                    GatewayRequest("Question: doomed?", priority="batch", deadline_ms=100.0)
+                )
+                try:
+                    await wait_until(lambda: doomed.future.done(), timeout_s=1.0)
+                    depths = gateway.queue_depths()
+                finally:
+                    provider.release.set()
+                with pytest.raises(DeadlineExceededError):
+                    await doomed.future
+                await asyncio.gather(busy.future, waiting.future)
+                return doomed, waiting, depths
+
+        doomed, waiting, depths = asyncio.run(run())
+        # Shed from behind the queued interactive request, before any slot freed.
+        assert depths == {"interactive": 1, "standard": 0, "batch": 0}
+        assert doomed.status == "shed"
+        assert waiting.status == "ok"
+        assert "Question: doomed?" not in provider.calls
+
+    def test_degradation_in_flight_does_not_block_the_next_dispatch(self):
+        provider = GatedProvider()
+        clock = ManualClock()
+        degrade_gate = threading.Event()
+        fallback = LLMClient(model="gpt-3.5-turbo")
+
+        def degrade(prompt, model):
+            assert degrade_gate.wait(timeout=10)
+            return fallback.complete(prompt, model=model)
+
+        async def run():
+            async with AsyncGateway(provider, clock=clock.now, degrader=degrade) as gateway:
+                await teach_backend_time(gateway, provider, clock, 0.200)
+                busy = await hold_backend_busy(gateway)
+                doomed = await gateway.enqueue(
+                    GatewayRequest("Question: doomed?", deadline_ms=100.0)
+                )
+                await wait_until(lambda: gateway._inflight == 2)  # degrading
+                following = await gateway.enqueue("Question: following?")
+                try:
+                    await asyncio.sleep(0.02)
+                    queued_while_busy = gateway.queue_depths()["standard"]
+                    provider.release.set()
+                    await asyncio.wait_for(asyncio.shield(following.future), 5.0)
+                    degrading = not doomed.future.done()
+                finally:
+                    provider.release.set()
+                    degrade_gate.set()
+                await asyncio.gather(busy.future, doomed.future)
+                return queued_while_busy, degrading, doomed, following
+
+        queued_while_busy, degrading, doomed, following = asyncio.run(run())
+        assert queued_while_busy == 1  # the busy backend's one slot was taken
+        assert degrading  # served while the fallback still ran
+        assert following.status == "ok"
+        assert doomed.status == "degraded"
+        assert "Question: doomed?" not in provider.calls
+
+    def test_cluster_shards_are_not_starved_by_a_busy_shard(self):
+        # A cluster runs each request on its key's shard, so a window of
+        # one per shard would hold the idle shard's request behind two
+        # forwarded to the busy one.
+        providers = {"shard-0": GatedProvider(), "shard-1": RecordingProvider()}
+        cluster = ServingCluster(lambda shard: providers[shard], n_shards=2, cache=False)
+        by_shard = {"shard-0": [], "shard-1": []}
+        for prompt in questions(40, "shard"):
+            by_shard[cluster.router.route_request("default", prompt)].append(prompt)
+        prompts = by_shard["shard-0"][:2] + by_shard["shard-1"][:1]
+
+        async def run():
+            async with AsyncGateway(cluster, classes=("all",)) as gateway:
+                tasks = [asyncio.ensure_future(gateway.submit(p)) for p in prompts]
+                try:
+                    done, _ = await asyncio.wait(tasks[2:], timeout=5.0)
+                finally:
+                    providers["shard-0"].release.set()
+                await asyncio.gather(*tasks)
+                return len(done)
+
+        try:
+            served_while_shard_0_busy = asyncio.run(run())
+        finally:
+            cluster.close()
+        assert served_while_shard_0_busy == 1
+        assert providers["shard-1"].calls == prompts[2:]
 
 
 class TestBackpressure:

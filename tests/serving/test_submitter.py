@@ -55,8 +55,23 @@ def test_both_tiers_satisfy_the_protocol(kind):
     try:
         assert isinstance(backend, Submitter)
         assert backend.stats is not None
+        # A cluster request runs on its key's shard: no fixed count.
+        assert backend.concurrency == (1 if kind == "scheduler" else None)
     finally:
         backend.close()
+
+
+def test_concurrency_counts_what_each_tier_starts_at_once():
+    stack = build_stack(LLMClient())
+    scheduler = BatchingScheduler(stack, workers=3, max_batch_size=4)
+    combining = BatchingScheduler(stack, workers=2, max_batch_size=4, combine=True)
+    cluster = ServingCluster(lambda shard: LLMClient(), n_shards=3)
+    try:
+        assert [scheduler.concurrency, combining.concurrency, cluster.concurrency] == [3, 8, None]
+        assert all(isinstance(b, Submitter) for b in (scheduler, combining, cluster))
+    finally:
+        for backend in (scheduler, combining, cluster):
+            backend.close()
 
 
 @pytest.mark.parametrize("kind,via_gateway", DOORS, ids=DOOR_IDS)
