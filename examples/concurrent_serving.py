@@ -1,12 +1,13 @@
 """Concurrent serving: many client threads, one request scheduler.
 
 Eight threads fire QA traffic at a cache-fronted serving stack through
-`repro.serving.BatchingScheduler`. Its dispatcher threads each take the
-next request in submission order, send it through the middleware stack,
-and resolve futures in submission order — with one dispatcher the
-answers (and the cache/budget state behind them) are bit-identical to a
-serial loop, while with eight a simulated service latency shows the
-throughput the overlap buys.
+`repro.serving.BatchingScheduler`. Its queue is a FIFO: each dispatcher
+thread takes the next request in arrival order, sends it through the
+middleware stack, and resolves its future as soon as the answer is back.
+With eight dispatchers a simulated service latency shows the throughput
+the overlap buys; with one, `complete_many` submits in order from the
+calling thread, and the answers (and the cache/budget state behind them)
+are bit-identical to a serial loop.
 
 Run with:  python examples/concurrent_serving.py
 """
@@ -59,13 +60,12 @@ def main() -> None:
     served = BatchingScheduler(stack, workers=N_THREADS)
     print(f"pipeline:          {served.describe()}")
     results = [None] * len(prompts)
-    base = served.reserve(len(prompts))
 
     def client_thread(offset: int) -> None:
-        # Each thread owns a strided slice; explicit submission indexes keep
-        # the logical order independent of thread interleaving.
+        # Each thread owns a strided slice; requests are served in the
+        # order they arrive, however the threads interleave.
         for i in range(offset, len(prompts), N_THREADS):
-            results[i] = served.submit(prompts[i], index=base + i)
+            results[i] = served.submit(prompts[i])
 
     start = time.perf_counter()
     threads = [
@@ -82,9 +82,9 @@ def main() -> None:
           f"{concurrent_s * 1000:7.1f} ms ({len(prompts) / concurrent_s:7.1f} QPS, "
           f"{serial_s / concurrent_s:.1f}x)")
 
-    # workers=N overlaps dispatch for throughput, so the cache may fill in
-    # a different order than serially; answers can differ on which similar
-    # entry a probe hits first.
+    # Arrival order depends on thread interleaving, and workers=N overlaps
+    # dispatch, so the cache may fill in a different order than serially;
+    # answers can differ on which similar entry a probe hits first.
     accuracy = sum(t == a for t, a in zip(concurrent_texts, answers)) / len(answers)
     print(f"accuracy: {accuracy:.2f}")
     print(served.stats.render())
@@ -92,9 +92,7 @@ def main() -> None:
     # --- determinism: workers=1 reproduces the serial loop bit for bit -----
     stack = build_serving_stack()
     with BatchingScheduler(stack, workers=1) as deterministic:
-        ordered_texts = [
-            c.text for c in deterministic.complete_many(prompts, submitters=N_THREADS)
-        ]
+        ordered_texts = [c.text for c in deterministic.complete_many(prompts)]
     print(f"workers=1 run matches the serial loop exactly: "
           f"{ordered_texts == serial_texts}")
 

@@ -32,24 +32,21 @@ from repro.serving import BatchingScheduler, ServiceStats, build_stack, last_que
 TABLE1_MODELS = ("babbage-002", "gpt-3.5-turbo", "gpt-4")
 
 
-def _served_texts(
-    provider: object, prompts: Sequence[str], parallel: bool, workers: int
-) -> List[str]:
+def _served_texts(provider: object, prompts: Sequence[str], parallel: bool) -> List[str]:
     """Answer ``prompts`` in order, serially or through the scheduler.
 
-    The parallel path feeds the batching scheduler from ``workers``
-    submitter threads with explicit submission indexes and executes with a
-    single dispatch worker, so completions — and every stateful layer the
-    provider carries (cache, budget, meter) — are bit-identical to the
-    serial loop. This is the determinism contract the Table I/III
-    ``parallel=`` flags rely on; it trades execution overlap for exact
-    reproducibility (the end-to-end benchmark in ``benchmarks/e2e``
-    measures the throughput side instead).
+    The parallel path submits the workload to the batching scheduler in
+    order and executes with a single dispatch worker, so completions — and
+    every stateful layer the provider carries (cache, budget, meter) — are
+    bit-identical to the serial loop. This is the determinism contract the
+    Table I/III ``parallel=`` flags rely on; it trades execution overlap
+    for exact reproducibility (the end-to-end benchmark in
+    ``benchmarks/e2e`` measures the throughput side instead).
     """
     if not parallel:
         return [provider.complete(prompt).text for prompt in prompts]
     with BatchingScheduler(provider, workers=1) as served:
-        completions = served.complete_many(prompts, submitters=max(1, workers))
+        completions = served.complete_many(prompts)
     return [completion.text for completion in completions]
 
 
@@ -85,13 +82,11 @@ def run_table1(
     with_context: bool = True,
     thresholds: Tuple[float, float] = (0.55, 0.52),
     parallel: bool = False,
-    workers: int = 4,
 ) -> Table1Result:
     """Reproduce Table I: per-model accuracy/cost plus the cascade row.
 
-    ``parallel=True`` serves each workload through the batching scheduler
-    with ``workers`` submitter threads; results are bit-identical to the
-    serial run (see :func:`_served_texts`)."""
+    ``parallel=True`` serves each workload through the batching scheduler;
+    results are bit-identical to the serial run (see :func:`_served_texts`)."""
     world = default_world()
     examples = generate_hotpot(world, n=n_queries, seed=seed)
 
@@ -108,7 +103,7 @@ def run_table1(
     rows: List[Tuple[str, float, float]] = []
     for model in TABLE1_MODELS:
         client = LLMClient(model=model)
-        texts = _served_texts(client, prompts, parallel, workers)
+        texts = _served_texts(client, prompts, parallel)
         hits = sum(1 for text, answer in zip(texts, answers) if text == answer)
         rows.append((model, hits / len(examples), round(client.meter.cost, 4)))
 
@@ -121,7 +116,7 @@ def run_table1(
         chain=TABLE1_MODELS,
         decision_models=[ConfidenceDecisionModel(t) for t in thresholds],
     )
-    texts = _served_texts(stack, prompts, parallel, workers)
+    texts = _served_texts(stack, prompts, parallel)
     hits = sum(1 for text, answer in zip(texts, answers) if text == answer)
     rows.append(("LLM cascade", hits / len(examples), round(cascade_client.meter.cost, 4)))
     return Table1Result(rows=rows, n_queries=len(examples))
@@ -234,7 +229,6 @@ def run_table3(
     model: str = "gpt-4",
     reuse_threshold: float = 0.90,
     parallel: bool = False,
-    workers: int = 4,
 ) -> Table3Result:
     """Reproduce Table III: w/o Cache vs Cache(O) vs Cache(A).
 
@@ -274,7 +268,7 @@ def run_table3(
 
     # --- w/o cache --------------------------------------------------------
     client = LLMClient(model=model)
-    texts = _served_texts(client, prompts, parallel, workers)
+    texts = _served_texts(client, prompts, parallel)
     hits = sum(1 for text, answer in zip(texts, answers) if text == answer)
     rows.append(("w/o Cache", hits / len(instances), round(client.meter.cost, 4)))
 
@@ -289,7 +283,7 @@ def run_table3(
         policy=EvictionPolicy.WEIGHTED,
     )
     stack = build_stack(client, cache=cache, cache_key_fn=last_question_key, stats=ServiceStats())
-    texts = _served_texts(stack, prompts, parallel, workers)
+    texts = _served_texts(stack, prompts, parallel)
     hits = sum(1 for text, answer in zip(texts, answers) if text == answer)
     rows.append(("Cache(O)", hits / len(instances), round(client.meter.cost, 4)))
     diagnostics["Cache(O)"] = {

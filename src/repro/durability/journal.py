@@ -9,12 +9,16 @@ Appends are flushed to the OS on every record; ``sync=True`` additionally
 fsyncs each append (real-crash durability at a real latency price — the
 simulated crash tests don't kill the process, so the default is the cheap
 flush).
+
+Appends and truncation are serialised by :attr:`Journal.lock`, so
+concurrent writers get unique, contiguous sequence numbers.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Dict, List, Optional
 
 
@@ -25,6 +29,9 @@ class Journal:
         self.path = path
         self.sync = sync
         self._handle = None
+        # Reentrant: StackDurability holds it across an append and the
+        # checkpoint that append triggers, which clears the journal.
+        self.lock = threading.RLock()
         # Resume the sequence from whatever already survives on disk.
         self._next_seq = len(self.records())
 
@@ -39,23 +46,25 @@ class Journal:
 
     def append(self, record: Dict[str, object]) -> int:
         """Append one record; returns its sequence number."""
-        seq = self._next_seq
-        payload = dict(record)
-        payload["seq"] = seq
-        handle = self._ensure_open()
-        handle.write(json.dumps(payload) + "\n")
-        handle.flush()
-        if self.sync:
-            os.fsync(handle.fileno())
-        self._next_seq = seq + 1
-        return seq
+        with self.lock:
+            seq = self._next_seq
+            payload = dict(record)
+            payload["seq"] = seq
+            handle = self._ensure_open()
+            handle.write(json.dumps(payload) + "\n")
+            handle.flush()
+            if self.sync:
+                os.fsync(handle.fileno())
+            self._next_seq = seq + 1
+            return seq
 
     def clear(self) -> None:
         """Truncate the journal (after a checkpoint has absorbed it)."""
-        self.close()
-        if os.path.exists(self.path):
-            os.unlink(self.path)
-        self._next_seq = 0
+        with self.lock:
+            self.close()
+            if os.path.exists(self.path):
+                os.unlink(self.path)
+            self._next_seq = 0
 
     def close(self) -> None:
         if self._handle is not None:

@@ -107,8 +107,7 @@ class StackDurability:
         """Journal one acknowledged single completion."""
         if self.replaying:
             return
-        self.store.journal.append({"op": "complete", "prompt": prompt, "model": model})
-        self._bump()
+        self._append({"op": "complete", "prompt": prompt, "model": model})
 
     def record_complete_batch(
         self, shared_prefix: str, items: List[str], model: Optional[str]
@@ -117,7 +116,7 @@ class StackDurability:
         the batch is one combined request and replays as one)."""
         if self.replaying:
             return
-        self.store.journal.append(
+        self._append(
             {
                 "op": "complete_batch",
                 "prefix": shared_prefix,
@@ -125,21 +124,30 @@ class StackDurability:
                 "model": model,
             }
         )
-        self._bump()
 
-    def _bump(self) -> None:
-        self._since_checkpoint += 1
-        if self.checkpoint_every is not None and self._since_checkpoint >= self.checkpoint_every:
-            self.checkpoint()
+    def _append(self, record: Dict[str, object]) -> None:
+        # The journal's lock orders every append against every checkpoint:
+        # a record lands either before a snapshot (and is absorbed by it)
+        # or after (and stays in the new journal). It is never taken while
+        # holding the cache lock; the snapshot takes that lock inside it.
+        with self.store.journal.lock:
+            self.store.journal.append(record)
+            self._since_checkpoint += 1
+            if (
+                self.checkpoint_every is not None
+                and self._since_checkpoint >= self.checkpoint_every
+            ):
+                self.checkpoint()
 
     # ------------------------------------------------------- checkpoint/recover
 
     def checkpoint(self) -> str:
         """Snapshot the stack's state; the journal is absorbed and cleared.
         Returns the snapshot path."""
-        payload = snapshot_stack_state(self.stack)
-        self.store.write_snapshot(payload)
-        self._since_checkpoint = 0
+        with self.store.journal.lock:
+            payload = snapshot_stack_state(self.stack)
+            self.store.write_snapshot(payload)
+            self._since_checkpoint = 0
         return self.store.snapshot_path
 
     def recover(self) -> int:

@@ -19,10 +19,10 @@ pipeline without code changes; :class:`ServiceStats` snapshots what each
 layer did. A bare ``LLMClient`` *is* a valid provider and behaves
 bit-identically with or without this package installed around it.
 
-For traffic from many threads, put a :class:`BatchingScheduler` (a
-queue drained by a dispatcher pool) in front of any stack: ``submit()`` returns
-futures that resolve in submission order, and with one dispatch worker a
-concurrent run is bit-identical to the serial loop.
+For traffic from many threads, put a :class:`BatchingScheduler` (a FIFO
+queue drained by a dispatcher pool) in front of any stack: ``submit()``
+returns a future that resolves as soon as its answer is back, and with one
+dispatch worker ``complete_many()`` is bit-identical to the serial loop.
 
 Backends fail; :class:`ResilienceMiddleware` (``resilience=True`` in
 :func:`build_stack`) absorbs :class:`~repro.errors.TransientLLMError`

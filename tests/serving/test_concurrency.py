@@ -176,8 +176,15 @@ class TestFullStackConcurrency:
             cache=SemanticCache(capacity=64, reuse_threshold=0.9, augment_threshold=0.7),
         )
         prompts = [f"Question: stress item {i % 24}?" for i in range(96)]
+        futures = [None] * len(prompts)
         with BatchingScheduler(stack, max_batch_size=4, workers=4) as served:
-            completions = served.complete_many(prompts, submitters=N_THREADS)
+
+            def client(thread_id):
+                for i in range(thread_id, len(prompts), N_THREADS):
+                    futures[i] = served.submit(prompts[i])
+
+            _run_threads(client)
+            completions = [future.result(timeout=30) for future in futures]
         assert len(completions) == len(prompts)
         assert all(c.text for c in completions)
         stats = stack.stats

@@ -20,17 +20,14 @@ from repro.serving import (
 class RecordingProvider:
     """Provider double that records every call it receives."""
 
-    def __init__(self, fail_on=None, delay_ms=0.0):
+    def __init__(self, fail_on=None):
         self.inner = LLMClient()
         self.calls = []
         self.batch_calls = []
         self.fail_on = fail_on or set()
-        self.delay_ms = delay_ms
         self._lock = threading.Lock()
 
     def complete(self, prompt, model=None):
-        if self.delay_ms:
-            time.sleep(self.delay_ms / 1000.0)
         with self._lock:
             self.calls.append(prompt)
         if prompt in self.fail_on:
@@ -86,21 +83,32 @@ class TestBatchingScheduler:
 
     def test_wait_deadline_counts_from_submission_not_drain(self):
         # Regression: the flush deadline used to start when a request was
-        # drained into a batch, so a request parked behind an explicit-index
-        # gap waited max_wait_ms *twice* — once for the gap, once for the
-        # batch clock.
-        provider = RecordingProvider()
+        # drained into a batch, so a request that queued while the only
+        # worker was busy waited max_wait_ms *twice* — once in the queue,
+        # once for the batch clock.
+        release = threading.Event()
+        holding = threading.Event()
+
+        class GatedProvider(RecordingProvider):
+            def complete_batch(self, prefix, items, model=None):
+                holding.set()
+                release.wait(timeout=10)
+                return super().complete_batch(prefix, items, model=model)
+
         with BatchingScheduler(
-            provider, max_batch_size=100, max_wait_ms=600.0, combine=True
+            GatedProvider(), max_batch_size=2, max_wait_ms=600.0, combine=True
         ) as scheduler:
-            base = scheduler.reserve(2)
-            parked = scheduler.submit("Question: parked behind a gap?", index=base + 1)
-            time.sleep(0.7)  # the parked request's deadline expires here
+            try:
+                busy = [scheduler.submit(f"Question: busy {i}?") for i in range(2)]
+                assert holding.wait(timeout=5)  # a full batch holds the worker
+                parked = scheduler.submit("Question: parked behind a busy worker?")
+                time.sleep(0.7)  # the parked request's deadline expires here
+            finally:
+                release.set()
             start = time.perf_counter()
-            filler = scheduler.submit("Question: fills the gap?", index=base)
             parked.result(timeout=10)
-            filler.result(timeout=10)
             elapsed = time.perf_counter() - start
+            assert all(future.result(timeout=10).text for future in busy)
         # With the bug the partial batch would sit out a fresh 600 ms wait.
         assert elapsed < 0.45
 
@@ -224,20 +232,30 @@ class TestBatchingScheduler:
             assert good_before.result(timeout=10).text
             assert good_after.result(timeout=10).text
 
-    def test_resolution_in_submission_order(self):
-        # Two dispatch workers, first batch much slower than the second:
-        # batch 2 finishes first but futures must still resolve 0..5.
-        provider = RecordingProvider(delay_ms=30.0)
-        done_order = []
-        with BatchingScheduler(
-            provider, max_batch_size=3, max_wait_ms=1.0, workers=2
-        ) as scheduler:
-            futures = [scheduler.submit(f"Question: q{i}?") for i in range(6)]
-            for i, future in enumerate(futures):
-                future.add_done_callback(lambda _f, i=i: done_order.append(i))
-            for future in futures:
-                future.result(timeout=10)
-        assert done_order == sorted(done_order)
+    def test_later_request_resolves_while_an_earlier_one_is_held(self):
+        # Regression: futures used to resolve strictly in submission order,
+        # so B — finished on the second worker — stayed unresolved until
+        # the held A returned, and the gateway counted it as in flight.
+        release = threading.Event()
+        holding = threading.Event()
+
+        class GatedProvider(RecordingProvider):
+            def complete(self, prompt, model=None):
+                if prompt == "Question: A?":
+                    holding.set()
+                    release.wait(timeout=10)
+                return super().complete(prompt, model=model)
+
+        with BatchingScheduler(GatedProvider(), workers=2) as scheduler:
+            try:
+                a = scheduler.submit("Question: A?")
+                assert holding.wait(timeout=5)
+                b = scheduler.submit("Question: B?")
+                assert b.result(timeout=5).text
+                assert not a.done()  # A is still running
+            finally:
+                release.set()
+            assert a.result(timeout=10).text
 
     def test_workers_overlap_provider_calls(self):
         # Clock-free throughput check: the provider answers only once a
@@ -258,9 +276,10 @@ class TestBatchingScheduler:
             assert all(future.result(timeout=10).text for future in futures)
 
     def test_free_worker_takes_the_next_request_while_others_are_held(self):
-        # Without combine a batch is one request. Once B, C and D become
-        # contiguous at once, C must start on the free worker — not queue
-        # behind B's provider call in a shared batch on B's worker.
+        # Without combine a batch is one request. With A holding one
+        # worker, B, C and D arrive together: C must start on the free
+        # worker — not queue behind B's provider call in a shared batch on
+        # B's worker.
         held = {"A": threading.Event(), "B": threading.Event()}
         started = {name: threading.Event() for name in "ABCD"}
 
@@ -274,26 +293,22 @@ class TestBatchingScheduler:
 
         with BatchingScheduler(GatedProvider(), workers=3, max_batch_size=4) as scheduler:
             try:
-                base = scheduler.reserve(4)
-                a = scheduler.submit("Question: A?", index=base)
+                a = scheduler.submit("Question: A?")
                 assert started["A"].wait(timeout=5)
-                later = [
-                    scheduler.submit(f"Question: {name}?", index=base + offset)
-                    for offset, name in ((3, "D"), (2, "C"), (1, "B"))
-                ]
+                later = [scheduler.submit(f"Question: {name}?") for name in "BCD"]
                 assert started["B"].wait(timeout=5)
                 assert started["C"].wait(timeout=5)
-                assert not a.done() and not later[2].done()  # A and B still held
+                assert not a.done() and not later[0].done()  # A and B still held
             finally:
                 for gate in held.values():
                     gate.set()
             assert all(future.result(timeout=10).text for future in [a, *later])
 
     def test_cancelled_future_is_skipped_and_the_worker_survives(self):
-        # Regression: a future cancelled while queued made _resolve raise
+        # Regression: a future cancelled while queued made the worker raise
         # InvalidStateError, killing the only worker; every later future
-        # hung. It must never reach the provider, and must still leave the
-        # resolution gate so later futures are released.
+        # hung. It must never reach the provider, and later futures must
+        # still be served.
         release = threading.Event()
         holding = threading.Event()
 
@@ -336,24 +351,6 @@ class TestBatchingScheduler:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_explicit_index_rejects_reuse(self):
-        with BatchingScheduler(RecordingProvider(), max_wait_ms=10_000.0) as scheduler:
-            base = scheduler.reserve(2)
-            scheduler.submit("Question: one?", index=base)
-            with pytest.raises(ValueError, match="already used"):
-                scheduler.submit("Question: dup?", index=base)
-            scheduler.submit("Question: two?", index=base + 1)
-
-    def test_close_drains_index_gaps(self):
-        # Reserve 3 indexes but only fill two, leaving a permanent gap;
-        # close() must still resolve the submitted futures.
-        with BatchingScheduler(RecordingProvider(), max_wait_ms=10_000.0) as scheduler:
-            base = scheduler.reserve(3)
-            first = scheduler.submit("Question: first?", index=base)
-            last = scheduler.submit("Question: last?", index=base + 2)
-        assert first.result(timeout=10).text
-        assert last.result(timeout=10).text
-
     def test_combine_uses_complete_batch_with_shared_prefix(self):
         provider = RecordingProvider()
         with BatchingScheduler(
@@ -383,17 +380,6 @@ class TestBatchingScheduler:
             texts = [f.result(timeout=10).text for f in futures]
         assert texts == expected
 
-    def test_seed_stride_uses_reseeded_streams(self):
-        client = LLMClient()
-        prompts = [f"Question: stream check {i}?" for i in range(4)]
-        expected = [
-            LLMClient().reseeded(i * 1000).complete(p).text for i, p in enumerate(prompts)
-        ]
-        with BatchingScheduler(client, seed_stride=1000, max_batch_size=2) as scheduler:
-            futures = [scheduler.submit(p) for p in prompts]
-            texts = [f.result(timeout=10).text for f in futures]
-        assert texts == expected
-
     def test_invalid_parameters(self):
         provider = RecordingProvider()
         with pytest.raises(ValueError):
@@ -414,28 +400,24 @@ class TestSchedulerFacade:
         prompts = [f"Question: who is number {i}?" for i in range(10)]
         client = LLMClient()
         serial = [client.complete(p).text for p in prompts]
-        for submitters in (1, 4):
-            with BatchingScheduler(LLMClient()) as served:
-                texts = [c.text for c in served.complete_many(prompts, submitters=submitters)]
-            assert texts == serial
+        with BatchingScheduler(LLMClient()) as served:
+            texts = [c.text for c in served.complete_many(prompts)]
+        assert texts == serial
 
-    @pytest.mark.parametrize("submitters", [1, 2])
-    def test_complete_many_raises_submit_error_from_any_feeder(self, submitters):
-        # Regression: with submitters > 1 a feeder thread's exception died
-        # with the thread, and the unset futures surfaced as AttributeError.
+    def test_complete_many_raises_submit_error_from_any_feeder(self):
+        # close() lands mid-workload: the failed submission re-raises its
+        # typed error instead of leaving an unset future behind.
         served = BatchingScheduler(LLMClient())
-        reserve = served.reserve
+        submit = served.submit
 
-        def reserve_then_close(n):
-            base = reserve(n)
-            served.close(wait=False)  # close lands between reserve and submit
-            return base
+        def submit_then_close(*args, **kwargs):
+            future = submit(*args, **kwargs)
+            served.close(wait=False)
+            return future
 
-        served.reserve = reserve_then_close
+        served.submit = submit_then_close
         with pytest.raises(SchedulerClosedError):
-            served.complete_many(
-                [f"Question: q{i}?" for i in range(4)], submitters=submitters
-            )
+            served.complete_many([f"Question: q{i}?" for i in range(4)])
         served.close()
 
     def test_complete_many_empty(self):
@@ -463,8 +445,11 @@ class TestSchedulerFacade:
             served.complete("Question: describe?")
             description = served.describe()
             report = served.stats.render()
-        assert description.startswith("scheduler(batch=4, workers=2) -> cache")
+        # Without combine every batch is one request, whatever max_batch_size.
+        assert description.startswith("scheduler(batch=1, workers=2) -> cache")
         assert "scheduler" in report
+        with BatchingScheduler(stack, max_batch_size=4, combine=True) as combining:
+            assert combining.describe().startswith("scheduler(batch=4, workers=1)")
 
     def test_embed_passthrough(self):
         client = LLMClient()

@@ -246,7 +246,6 @@ def test_scheduler_options():
         "workers",
         "max_queue",
         "combine",
-        "seed_stride",
         "stats",
     ]
 
