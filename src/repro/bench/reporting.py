@@ -36,7 +36,6 @@ def render_service_stats(stats) -> str:
     llm = snapshot["llm"]
     cache = snapshot["cache"]
     cascade = snapshot["cascade"]
-    retry = snapshot["retry"]
     budget = snapshot["budget"]
     rows.append(("cache", "reuse hits", cache["reuse_hits"]))
     rows.append(("cache", "augment hits", cache["augment_hits"]))
@@ -50,19 +49,22 @@ def render_service_stats(stats) -> str:
     rows.append(("cascade", "escalations", cascade["escalations"]))
     for model, count in cascade["answered_by"].items():
         rows.append(("cascade", f"answered by {model}", count))
-    rows.append(("retry", "retries", retry["retries"]))
-    rows.append(("retry", "rescues", retry["rescues"]))
     if budget["limit_usd"] is not None:
         rows.append(("budget", "limit ($)", budget["limit_usd"]))
         rows.append(("budget", "spent ($)", budget["spent_usd"]))
         rows.append(("budget", "rejections", budget["rejections"]))
     resilience = snapshot.get("resilience", {})
-    if resilience.get("transient_errors") or resilience.get("breaker_short_circuits"):
+    if (
+        resilience.get("transient_errors")
+        or resilience.get("validation_rejections")
+        or resilience.get("breaker_short_circuits")
+    ):
         rows.append(("resilience", "transient errors", resilience["transient_errors"]))
         for kind, count in resilience["by_kind"].items():
             rows.append(("resilience", f"  {kind}", count))
         rows.append(("resilience", "retries", resilience["retries"]))
         rows.append(("resilience", "recoveries", resilience["recoveries"]))
+        rows.append(("resilience", "validation rejections", resilience["validation_rejections"]))
         rows.append(("resilience", "backoff (ms)", resilience["backoff_ms"]))
         rows.append(("resilience", "breaker opens", resilience["breaker_opens"]))
         rows.append(("resilience", "breaker probes", resilience["breaker_probes"]))

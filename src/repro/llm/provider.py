@@ -4,7 +4,7 @@ service.
 Every component that *consumes* completions (the Section II applications,
 the Section III optimizations) is written against this protocol rather than
 the concrete :class:`~repro.llm.client.LLMClient`, so that any stack of
-:mod:`repro.serving` middleware — cache, cascade, retry, budget, metrics —
+:mod:`repro.serving` middleware — cache, cascade, resilience, budget, metrics —
 can stand in for the raw client transparently.
 
 The protocol lives in the ``llm`` layer (not ``serving``) so the dependency
@@ -61,8 +61,8 @@ class ReseedableProvider(Protocol):
     Deterministic completions make temperature-style resampling impossible;
     the simulator's analogue is a sibling provider with a shifted seed (the
     idiom :func:`repro.core.validation.self_consistency` already uses).
-    :class:`~repro.serving.RetryMiddleware` relies on this to re-draw
-    rejected completions deterministically.
+    :class:`~repro.serving.ResilienceMiddleware` relies on this to retry
+    a transient failure or re-draw a rejected completion deterministically.
     """
 
     def reseeded(self, offset: int) -> "CompletionProvider":

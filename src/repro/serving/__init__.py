@@ -14,9 +14,9 @@ optimization as a layer over any provider:
 'cache -> cascade -> metrics -> LLMClient'
 
 Every application in :mod:`repro.apps` accepts any provider, so the same
-workload runs against a bare client or a full cache→cascade→retry→budget
-pipeline without code changes; :class:`ServiceStats` snapshots what each
-layer did. A bare ``LLMClient`` *is* a valid provider and behaves
+workload runs against a bare client or a full
+cache→cascade→resilience→budget pipeline without code changes;
+:class:`ServiceStats` snapshots what each layer did. A bare ``LLMClient`` *is* a valid provider and behaves
 bit-identically with or without this package installed around it.
 
 For traffic from many threads, put a :class:`BatchingScheduler` (a FIFO
@@ -24,10 +24,13 @@ queue drained by a dispatcher pool) in front of any stack: ``submit()``
 returns a future that resolves as soon as its answer is back, and with one
 dispatch worker ``complete_many()`` is bit-identical to the serial loop.
 
-Backends fail; :class:`ResilienceMiddleware` (``resilience=True`` in
-:func:`build_stack`) absorbs :class:`~repro.errors.TransientLLMError`
-failures with deterministic capped backoff, per-model circuit breakers
-and a graceful-degradation fallback chain — see
+Backends fail, and answers fail checks; :class:`ResilienceMiddleware`
+(``resilience=True`` in :func:`build_stack`) is the one retry loop. It
+absorbs :class:`~repro.errors.TransientLLMError` failures with
+deterministic capped backoff, per-model circuit breakers and a
+graceful-degradation fallback chain, and with
+``ResilienceConfig(validator=...)`` it redraws rejected completions
+within the same attempt budget — see
 :mod:`repro.serving.resilience` and the chaos benchmark
 (:func:`repro.bench.perf.run_chaos`).
 
@@ -57,7 +60,6 @@ from repro.serving.middleware import (
     CascadeMiddleware,
     MetricsMiddleware,
     Middleware,
-    RetryMiddleware,
     SemanticCacheMiddleware,
     last_question_key,
 )
@@ -83,7 +85,6 @@ __all__ = [
     "ReseedableProvider",
     "ResilienceConfig",
     "ResilienceMiddleware",
-    "RetryMiddleware",
     "SemanticCacheMiddleware",
     "ServiceStats",
     "ServingCluster",

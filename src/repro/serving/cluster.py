@@ -462,7 +462,6 @@ class ServingCluster:
         vnodes: int = 64,
         cache: object = True,
         key_fn: Optional[Callable[[str], str]] = None,
-        cache_kind: str = "original",
         tenant_capacity: int = 4096,
         reuse_threshold: float = 0.95,
         augment_threshold: float = 0.75,
@@ -498,7 +497,6 @@ class ServingCluster:
         else:
             self.cache = None
         self.key_fn = key_fn
-        self.cache_kind = cache_kind
         self.default_policy = TenantPolicy()
         self._policies: Dict[str, TenantPolicy] = {}
         self.requests_by_shard: Dict[str, int] = {shard: 0 for shard in self.router.shards}
@@ -585,12 +583,7 @@ class ServingCluster:
         if self.cache is not None:
             put_start = time.perf_counter()
             self.cache.put(
-                tenant,
-                key,
-                completion.text,
-                kind=self.cache_kind,
-                cost=completion.cost,
-                completion=completion,
+                tenant, key, completion.text, cost=completion.cost, completion=completion
             )
             put_ms = (time.perf_counter() - put_start) * 1000.0
             for section in (self.stats, tstats):

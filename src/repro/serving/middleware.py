@@ -11,8 +11,9 @@ optimizations that previously each wrapped the client ad hoc:
   hits enrich the prompt with the cached pair as an extra example.
 * :class:`CascadeMiddleware` — the cheap→expensive model cascade (III-B1);
   requests that name an explicit model bypass routing.
-* :class:`RetryMiddleware` — output validation feedback (III-E):
-  low-confidence or validator-rejected completions are re-drawn
+* :class:`~repro.serving.resilience.ResilienceMiddleware` — the one retry
+  loop: transient failures and, through ``ResilienceConfig.validator``,
+  output validation feedback (III-E) — rejected completions are re-drawn
   deterministically through a seed-shifted sibling provider.
 * :class:`BudgetMiddleware` — a dollar ceiling across the whole stack
   (III-B's cost control at the serving seam rather than per client).
@@ -190,13 +191,11 @@ class SemanticCacheMiddleware(Middleware):
         inner: CompletionProvider,
         cache: Optional[SemanticCache] = None,
         key_fn: Optional[Callable[[str], str]] = None,
-        cache_kind: str = "original",
         stats: Optional[ServiceStats] = None,
     ) -> None:
         super().__init__(inner, stats)
         self.cache = cache if cache is not None else SemanticCache()
         self.key_fn = key_fn
-        self.cache_kind = cache_kind
 
     def begin_batch(self, prompts: Sequence[str], model: Optional[str] = None) -> None:
         """Precompute this batch's cache probes in one matrix pass.
@@ -235,9 +234,7 @@ class SemanticCacheMiddleware(Middleware):
             effective_prompt = augmented_prompt(entry, prompt)
         completion = self.inner.complete(effective_prompt, model=model)
         put_start = time.perf_counter()
-        self.cache.put(
-            key, completion.text, kind=self.cache_kind, cost=completion.cost, completion=completion
-        )
+        self.cache.put(key, completion.text, cost=completion.cost, completion=completion)
         put_ms = (time.perf_counter() - put_start) * 1000.0
         with self.stats.lock:
             self.stats.cache_put_ms += put_ms
@@ -302,100 +299,6 @@ class CascadeMiddleware(Middleware):
         return clone
 
 
-class RetryMiddleware(Middleware):
-    """Deterministic re-draw of rejected completions (III-E feedback).
-
-    A completion is rejected when its confidence is below
-    ``min_confidence`` or the ``validator`` (a predicate over the
-    :class:`Completion`) returns False. Rejected completions are re-drawn
-    up to ``max_retries`` times through a seed-shifted sibling of the inner
-    provider (``inner.reseeded(attempt * seed_step)``), so retries are as
-    deterministic as everything else. The best completion by confidence is
-    returned if no redraw is accepted; inner providers that cannot reseed
-    are retried once at most (an identical redraw proves nothing).
-
-    Like the cascade, the returned completion's usage, cost and latency are
-    summed over *every* attempt, so outer layers (the budget ceiling, the
-    cache's ``cost_of_miss``) account the true price of the redraws rather
-    than just the winning draw's.
-    """
-
-    def __init__(
-        self,
-        inner: CompletionProvider,
-        max_retries: int = 2,
-        min_confidence: Optional[float] = None,
-        validator: Optional[Callable[[Completion], bool]] = None,
-        seed_step: int = 1,
-        stats: Optional[ServiceStats] = None,
-    ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        super().__init__(inner, stats)
-        self.max_retries = max_retries
-        self.min_confidence = min_confidence
-        self.validator = validator
-        self.seed_step = seed_step
-
-    def _acceptable(self, completion: Completion) -> bool:
-        if self.min_confidence is not None and completion.confidence < self.min_confidence:
-            return False
-        if self.validator is not None and not self.validator(completion):
-            return False
-        return True
-
-    def complete(self, prompt: str, model: Optional[str] = None) -> Completion:
-        with self.stats.lock:
-            self.stats.retry_requests += 1
-        completion = self.inner.complete(prompt, model=model)
-        if self._acceptable(completion):
-            return completion
-        best = completion
-        attempts = [completion]
-        retries = 0
-        for attempt in range(1, self.max_retries + 1):
-            reseedable = hasattr(self.inner, "reseeded")
-            provider = self.inner.reseeded(attempt * self.seed_step) if reseedable else self.inner
-            redraw = provider.complete(prompt, model=model)
-            attempts.append(redraw)
-            retries += 1
-            with self.stats.lock:
-                self.stats.retries += 1
-            if redraw.confidence > best.confidence:
-                best = redraw
-            if self._acceptable(redraw):
-                best = redraw
-                with self.stats.lock:
-                    self.stats.retry_rescues += 1
-                break
-            if not reseedable:
-                break
-        metadata = dict(best.metadata)
-        metadata["serving.retries"] = retries
-        return best.with_usage(
-            Usage(
-                prompt_tokens=sum(a.usage.prompt_tokens for a in attempts),
-                completion_tokens=sum(a.usage.completion_tokens for a in attempts),
-            ),
-            sum(a.cost for a in attempts),
-            latency_ms=sum(a.latency_ms for a in attempts),
-            metadata=metadata,
-        )
-
-    def complete_batch(
-        self,
-        shared_prefix: str,
-        items: List[str],
-        model: Optional[str] = None,
-    ) -> List[Completion]:
-        """Pass batches through **without validation or redraws**: a
-        shared-prefix batch is one combined request, so re-drawing a single
-        rejected item would re-pay the whole prefix and skew the batch's
-        net-cost accounting. Callers that need per-item validation should
-        complete items individually."""
-        return self.inner.complete_batch(shared_prefix, items, model=model)
-
-
 class BudgetMiddleware(Middleware):
     """A dollar ceiling over everything below this layer.
 
@@ -410,8 +313,8 @@ class BudgetMiddleware(Middleware):
     A budget is per stats section: the spend is
     ``stats.budget_spent_usd``, checked and charged under ``stats.lock``.
     Every ``reseeded`` sibling shares the stats object, so redraws through
-    a seed-shifted clone (validation retries, resilience recoveries)
-    charge the *same* number, and a snapshot of the stats carries it.
+    a seed-shifted clone (the resilience layer's retries, for either
+    trigger) charge the *same* number, and a snapshot of the stats carries it.
     """
 
     def __init__(

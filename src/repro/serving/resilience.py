@@ -1,10 +1,14 @@
 """Failure handling for the serving stack: retries, breakers, degradation.
 
 The optimizations in :mod:`repro.serving.middleware` all presume the layers
-below them answer; a real LLM backend is sometimes rate-limited, slow, or
-down. :class:`ResilienceMiddleware` is the layer that absorbs those
-failures (modelled as :class:`~repro.errors.TransientLLMError`, normally
-injected by :class:`~repro.llm.faults.FaultInjectingProvider`):
+below them answer, and answer well; a real LLM backend is sometimes
+rate-limited, slow, or down, and sometimes returns an output a check
+rejects. :class:`ResilienceMiddleware` is the one layer that retries. Its
+loop has two triggers: a transient failure (modelled as
+:class:`~repro.errors.TransientLLMError`, normally injected by
+:class:`~repro.llm.faults.FaultInjectingProvider`) and, when
+``ResilienceConfig.validator`` is set, a completion the validator rejects
+(the output-validation feedback of Section III-E):
 
 * **Capped exponential backoff** — a failed attempt is retried through a
   seed-shifted sibling provider (``inner.reseeded(attempt * seed_step)``),
@@ -13,8 +17,17 @@ injected by :class:`~repro.llm.faults.FaultInjectingProvider`):
   added to the returned completion's ``latency_ms`` (together with the
   time each doomed attempt burned) and never sleep the calling thread —
   chaos benchmarks stay deterministic and fast.
+* **Validation redraws** — a rejected completion is kept as a candidate
+  and redrawn at the next seed offset with no backoff; it counts as a
+  breaker success, because the backend answered. If no redraw is
+  accepted, the best candidate by confidence is returned. A redrawn
+  answer is billed for every completion drawn (usage, cost and latency
+  summed in draw order), so the budget and the cache's ``cost_of_miss``
+  see the true price. Batches are never validated: a redraw would re-pay
+  the whole shared prefix.
 * **Retry budget** — at most ``max_attempts`` tries at the requested model
-  per request; after that the request degrades rather than loops.
+  per request, whichever trigger spends them; when none drew a
+  completion the request degrades rather than loops.
 * **Per-model circuit breaker** — ``breaker_threshold`` *consecutive*
   exhausted requests open the breaker for that model; while open, the next
   ``breaker_cooldown`` requests short-circuit straight to the fallback
@@ -23,19 +36,19 @@ injected by :class:`~repro.llm.faults.FaultInjectingProvider`):
   re-opens it. Cooldown is counted in requests, not wall-clock, keeping
   state transitions replayable. Each model's state sits under its own
   lock, so breakers never serialize traffic across models.
-* **Graceful degradation** — when the retry budget is exhausted or the
-  breaker short-circuits, the request falls back to (1) the configured
-  cheaper ``fallback_models`` in order, one attempt each; (2) a
-  semantic-cache answer via the read-only
-  :meth:`~repro.core.cache.SemanticCache.peek` (either hit tier —
-  a near-duplicate answer beats no answer); (3) a typed
+* **Graceful degradation** — when the retry budget is exhausted without
+  a completion, or the breaker short-circuits, the request falls back to
+  (1) the configured cheaper ``fallback_models`` in order, one attempt
+  each; (2) a semantic-cache answer via the read-only
+  :meth:`~repro.core.cache.SemanticCache.peek` (either hit tier — a
+  near-duplicate answer beats no answer); (3) a typed
   :class:`~repro.errors.ResilienceExhaustedError`.
 
-A request whose first attempt succeeds is returned **untouched** — with
-zero injected faults this layer is bit-identical to not having it, which
-``repro.bench.perf.run_chaos`` verifies. Every recovery decorates the
-completion's metadata under ``"serving.resilience"`` and increments the
-shared :class:`~repro.serving.stats.ServiceStats` counters.
+A request whose first attempt is accepted is returned **untouched** — with
+zero injected faults and no validator this layer is bit-identical to not
+having it, which ``repro.bench.perf.run_chaos`` verifies. Every recovery
+decorates the completion's metadata under ``"serving.resilience"`` and
+increments the shared :class:`~repro.serving.stats.ServiceStats` counters.
 """
 
 from __future__ import annotations
@@ -46,11 +59,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.cache import SemanticCache
 from repro.errors import ResilienceExhaustedError, TransientLLMError
-from repro.llm.client import Completion
+from repro.llm.client import Completion, Usage
 from repro.llm.faults import resolve_model_name
 from repro.llm.provider import CompletionProvider
 from repro.serving.middleware import Middleware, cached_completion
 from repro.serving.stats import ServiceStats
+
+Validator = Callable[[Completion], bool]  # True accepts a completion
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,9 @@ class ResilienceConfig:
     breaker_threshold: int = 5  # consecutive exhausted requests to open
     breaker_cooldown: int = 8  # short-circuited requests before a probe
     fallback_models: Sequence[str] = ("babbage-002",)
+    # Output check for complete(): a rejected completion is redrawn within
+    # the same budget (``min_confidence=t`` is ``lambda c: c.confidence >= t``).
+    validator: Optional[Validator] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -149,11 +167,11 @@ class _Breaker:
 class ResilienceMiddleware(Middleware):
     """Catch transient errors from the layers below and recover.
 
-    Sits between the retry/validation layer and the budget layer (see
+    Sits between the cascade and the budget layer (see
     :func:`~repro.serving.stack.build_stack`): close enough to the
-    terminal client that each recovery attempt is individually budgeted
-    and metered, high enough that the cascade's per-stage requests each
-    get their own retry budget and breaker accounting.
+    terminal client that each attempt is individually budgeted and
+    metered, high enough that the cascade's per-stage requests each get
+    their own retry budget, validation and breaker accounting.
     """
 
     def __init__(
@@ -204,28 +222,35 @@ class ResilienceMiddleware(Middleware):
         breaker: _Breaker,
         attempts: int,
         call: Callable[[CompletionProvider], object],
-    ) -> Tuple[object, int, float, Optional[TransientLLMError]]:
+        validator: Optional[Validator] = None,
+    ) -> Tuple[List[object], bool, int, float, Optional[TransientLLMError]]:
         """The retry loop: ``call(provider)`` up to ``attempts`` times.
 
         Attempt 0 goes to ``inner`` itself, retry ``k`` to
-        ``inner.reseeded(k * seed_step)``. Counts every transient error,
-        the simulated backoff between attempts, and the breaker
-        transitions. Returns ``(result, retries, added_ms, None)`` on
-        success or ``(None, attempts, added_ms, last_error)`` once the
-        budget is exhausted; ``added_ms`` is what the doomed attempts and
-        their backoffs cost."""
+        ``inner.reseeded(k * seed_step)``; an inner that cannot reseed is
+        tried twice at most (an identical re-request proves nothing). A
+        transient error is counted and followed by a simulated backoff; a
+        result ``validator`` rejects is kept and redrawn at once. Counts
+        the retries, rejections and breaker transitions. Returns
+        ``(drawn, accepted, retries, added_ms, last_error)``: every result
+        drawn, in order; whether the last one was accepted; the index of
+        the final attempt; and what the failed attempts and their backoffs
+        cost."""
+        reseedable = hasattr(self.inner, "reseeded")
+        drawn: List[object] = []
+        accepted = False
         added_ms = 0.0
         last_error: Optional[TransientLLMError] = None
         for attempt in range(attempts):
             provider = self.inner
-            if attempt > 0 and hasattr(self.inner, "reseeded"):
+            if attempt > 0 and reseedable:
                 provider = self.inner.reseeded(attempt * self.config.seed_step)
+            retrying = attempt + 1 < attempts and (reseedable or attempt == 0)
             try:
                 result = call(provider)
             except TransientLLMError as error:
                 self._count_error(error)
                 last_error = error
-                retrying = attempt + 1 < attempts
                 backoff = self.config.backoff_ms(attempt + 1) if retrying else 0.0
                 added_ms += error.latency_ms  # two adds, in this order: the
                 added_ms += backoff  # float sum complete() has always produced
@@ -233,35 +258,58 @@ class ResilienceMiddleware(Middleware):
                     self.stats.backoff_ms += error.latency_ms + backoff
                     if retrying:
                         self.stats.resilience_retries += 1
-                if attempt > 0 and not hasattr(self.inner, "reseeded"):
-                    break  # an identical re-request can only fail again
-                continue
+            else:
+                drawn.append(result)
+                accepted = validator is None or validator(result)
+                if accepted:
+                    break
+                with self.stats.lock:
+                    self.stats.validation_rejections += 1
+                    if retrying:
+                        self.stats.resilience_retries += 1
+            if not retrying:
+                break
+        if drawn:  # the backend answered, whether or not it was accepted
             if breaker.record_success():
                 with self.stats.lock:
                     self.stats.breaker_closes += 1
-            if attempt > 0:
+            if accepted and attempt > 0:
                 with self.stats.lock:
                     self.stats.resilience_recoveries += 1
-            return result, attempt, added_ms, None
-        if breaker.record_failure():
+        elif breaker.record_failure():
             with self.stats.lock:
                 self.stats.breaker_opens += 1
-        return None, attempts, added_ms, last_error
+        return drawn, accepted, attempt, added_ms, last_error
 
     @staticmethod
-    def _recovered(completion: Completion, added_ms: float, **how: object) -> Completion:
-        """``completion`` marked with ``how`` it was recovered and charged
-        the ``added_ms`` the failed attempts before it burned."""
+    def _recovered(
+        completion: Completion,
+        added_ms: float,
+        draws: Sequence[Completion] = (),
+        **how: object,
+    ) -> Completion:
+        """``completion`` marked with ``how`` it was recovered, billed for
+        every completion drawn (``draws`` in draw order, by default just
+        itself) and charged the ``added_ms`` the failed attempts burned."""
+        draws = draws or (completion,)
         metadata = dict(completion.metadata)
         metadata["serving.resilience"] = {**how, "added_ms": round(added_ms, 4)}
         return completion.with_usage(
-            completion.usage,
-            completion.cost,
-            latency_ms=completion.latency_ms + added_ms,
+            Usage(
+                prompt_tokens=sum(d.usage.prompt_tokens for d in draws),
+                completion_tokens=sum(d.usage.completion_tokens for d in draws),
+            ),
+            sum(d.cost for d in draws),
+            latency_ms=sum(d.latency_ms for d in draws) + added_ms,
             metadata=metadata,
         )
 
     def complete(self, prompt: str, model: Optional[str] = None) -> Completion:
+        return self._complete(prompt, model, self.config.validator)
+
+    def _complete(
+        self, prompt: str, model: Optional[str], validator: Optional[Validator]
+    ) -> Completion:
         model_name = resolve_model_name(self.inner, model)
         breaker = self.breaker_for(model_name)
         admission = breaker.admit()
@@ -275,14 +323,18 @@ class ResilienceMiddleware(Middleware):
         # A probe gets a single attempt: one request must not re-hammer a
         # backend the breaker just finished shedding load from.
         attempts = 1 if admission == "probe" else self.config.max_attempts
-        completion, retries, added_ms, last_error = self._attempt(
-            breaker, attempts, lambda provider: provider.complete(prompt, model=model)
+        drawn, accepted, retries, added_ms, last_error = self._attempt(
+            breaker,
+            attempts,
+            lambda provider: provider.complete(prompt, model=model),
+            validator,
         )
-        if completion is None:
+        if not drawn:
             return self._degrade(prompt, model_name, added_ms, last_error)
         if retries == 0:
-            return completion  # fault-free fast path: untouched
-        return self._recovered(completion, added_ms, retries=retries)
+            return drawn[0]  # fault-free fast path: untouched
+        best = drawn[-1] if accepted else max(drawn, key=lambda c: c.confidence)
+        return self._recovered(best, added_ms, drawn, retries=retries)
 
     def complete_batch(
         self,
@@ -290,18 +342,21 @@ class ResilienceMiddleware(Middleware):
         items: List[str],
         model: Optional[str] = None,
     ) -> List[Completion]:
-        """Retry a combined batch with the same backoff schedule; if the
-        budget runs dry, degrade to per-item :meth:`complete` calls so
-        each item gets the full fallback chain (losing the shared-prefix
-        refund — the price of answering at all)."""
+        """Retry a combined batch with the same backoff schedule, but
+        **without validation**: a shared-prefix batch is one combined
+        request, so redrawing one rejected item would re-pay the whole
+        prefix. If the budget runs dry, degrade to per-item requests
+        (unvalidated too) so each item gets the full fallback chain
+        (losing the shared-prefix refund — the price of answering at all)."""
         breaker = self.breaker_for(resolve_model_name(self.inner, model))
         if breaker.admit() != "shed":
-            completions, retries, added_ms, _error = self._attempt(
+            drawn, _accepted, retries, added_ms, _error = self._attempt(
                 breaker,
                 self.config.max_attempts,
                 lambda provider: provider.complete_batch(shared_prefix, items, model=model),
             )
-            if completions is not None:
+            if drawn:
+                completions = drawn[0]
                 if retries == 0:
                     return completions
                 share = added_ms / max(len(completions), 1)
@@ -309,7 +364,7 @@ class ResilienceMiddleware(Middleware):
         else:
             with self.stats.lock:
                 self.stats.breaker_short_circuits += 1
-        return [self.complete(shared_prefix + item, model=model) for item in items]
+        return [self._complete(shared_prefix + item, model, None) for item in items]
 
     # ------------------------------------------------------------ degradation
 

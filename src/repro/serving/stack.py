@@ -2,7 +2,7 @@
 
 :func:`build_stack` wires the standard layer order
 
-    cache → cascade → retry → resilience → budget → metrics → client
+    cache → cascade → resilience → budget → metrics → client
 
 installing only the layers asked for, and shares one
 :class:`~repro.serving.stats.ServiceStats` across all of them. The result
@@ -27,7 +27,6 @@ from repro.serving.middleware import (
     BudgetMiddleware,
     CascadeMiddleware,
     MetricsMiddleware,
-    RetryMiddleware,
     SemanticCacheMiddleware,
 )
 from repro.serving.resilience import ResilienceConfig, ResilienceMiddleware
@@ -89,13 +88,6 @@ class ServingStack:
         if end is not None:
             end()
 
-    def reseeded(self, offset: int) -> "ServingStack":
-        # Durability deliberately does not follow the clone: two journaling
-        # stacks over one journal would double-record every redraw.
-        if hasattr(self.provider, "reseeded"):
-            return ServingStack(self.provider.reseeded(offset), self.stats, self.layers)
-        return self
-
     # ------------------------------------------------------------ durability
 
     def checkpoint(self) -> str:
@@ -126,12 +118,8 @@ def build_stack(
     *,
     cache: Union[SemanticCache, bool, None] = None,
     cache_key_fn: Optional[Callable[[str], str]] = None,
-    cache_kind: str = "original",
     chain: Optional[Sequence[str]] = None,
     decision_models: Optional[Sequence[object]] = None,
-    max_retries: int = 0,
-    min_confidence: Optional[float] = None,
-    validator: Optional[Callable[[Completion], bool]] = None,
     budget_usd: Optional[float] = None,
     resilience: Union[ResilienceConfig, bool, None] = None,
     stats: Optional[ServiceStats] = None,
@@ -144,11 +132,12 @@ def build_stack(
     Parameters mirror the middleware constructors: pass ``cache=True`` (or
     a configured :class:`SemanticCache`) for the cache layer, a model
     ``chain`` (and optional ``decision_models``) for the cascade,
-    ``max_retries`` with ``min_confidence``/``validator`` for retries,
     ``budget_usd`` for the spend ceiling, and ``resilience=True`` (or a
-    :class:`~repro.serving.resilience.ResilienceConfig`) for transient-
-    failure handling — backoff retries, per-model circuit breakers and
-    the graceful-degradation fallback chain. When both the cache and
+    :class:`~repro.serving.resilience.ResilienceConfig`) for the one retry
+    loop — backoff retries, per-model circuit breakers, the
+    graceful-degradation fallback chain and, with
+    ``ResilienceConfig(validator=...)``, redraws of rejected completions
+    (output validation, III-E). When both the cache and
     resilience layers are installed, the resilience layer's last-resort
     fallback reads (without mutating) the same semantic cache. The metrics
     layer is always installed so ``stats`` reflects the terminal traffic.
@@ -160,15 +149,15 @@ def build_stack(
     before the first request** — warm-starting the cache, the usage meter
     and stats (budget spend included) to the exact pre-crash values (see :mod:`repro.durability`).
     Recovery requires rebuilding with the same layer composition and
-    component configuration as the run that wrote the state.
+    component configuration as the run that wrote the state. Recovered
+    state equals live state only when **one worker** drives the stack.
+    Under a multi-worker scheduler the journal stays consistent, but it
+    records requests in the order they finished, and serial replay in that
+    order lets a request hit an entry that, live, a concurrent request had
+    not put yet: cache, meter, stats and spend then differ from the live run.
     ``durable_sync=True`` additionally fsyncs every journal append and
     snapshot (real-crash durability at a latency cost).
     """
-    if max_retries > 0 and min_confidence is None and validator is None:
-        raise ValueError(
-            "max_retries > 0 needs min_confidence or validator — with no "
-            "acceptance criterion no retry layer would be installed"
-        )
     stats = stats if stats is not None else ServiceStats()
     cache_obj: Optional[SemanticCache] = None
     if isinstance(cache, SemanticCache):
@@ -189,15 +178,6 @@ def build_stack(
             stats=stats,
         )
         layers.append("resilience")
-    if max_retries > 0:
-        provider = RetryMiddleware(
-            provider,
-            max_retries=max_retries,
-            min_confidence=min_confidence,
-            validator=validator,
-            stats=stats,
-        )
-        layers.append("retry")
     if chain is not None or decision_models is not None:
         provider = CascadeMiddleware(
             provider,
@@ -211,7 +191,6 @@ def build_stack(
             provider,
             cache=cache_obj,
             key_fn=cache_key_fn,
-            cache_kind=cache_kind,
             stats=stats,
         )
         layers.append("cache")

@@ -127,11 +127,6 @@ class ServiceStats:
     escalations: int = 0
     answered_by: Dict[str, int] = field(default_factory=dict)
 
-    # Retry layer.
-    retry_requests: int = 0
-    retries: int = 0
-    retry_rescues: int = 0
-
     # Budget layer: the spend a ceiling is checked against lives here, and
     # nowhere else. The cluster's front door also counts a tenant's
     # accepted requests and quota rejections in the tenant's namespace.
@@ -144,8 +139,9 @@ class ServiceStats:
     # Resilience layer (repro.serving.resilience): failure handling.
     transient_errors: int = 0
     transient_errors_by_kind: Dict[str, int] = field(default_factory=dict)
-    resilience_retries: int = 0
-    resilience_recoveries: int = 0  # requests saved by a backoff retry
+    resilience_retries: int = 0  # after a transient error or a rejected output
+    resilience_recoveries: int = 0  # requests answered (and accepted) by a retry
+    validation_rejections: int = 0  # completions the validator rejected
     backoff_ms: float = 0.0  # simulated backoff + wasted-attempt time
     breaker_opens: int = 0
     breaker_probes: int = 0  # half-open trial requests let through
@@ -365,11 +361,6 @@ class ServiceStats:
                     "escalations": self.escalations,
                     "answered_by": dict(sorted(self.answered_by.items())),
                 },
-                "retry": {
-                    "requests": self.retry_requests,
-                    "retries": self.retries,
-                    "rescues": self.retry_rescues,
-                },
                 "budget": {
                     "limit_usd": self.budget_limit_usd,
                     "spent_usd": round(self.budget_spent_usd, 6),
@@ -382,6 +373,7 @@ class ServiceStats:
                     "by_kind": dict(sorted(self.transient_errors_by_kind.items())),
                     "retries": self.resilience_retries,
                     "recoveries": self.resilience_recoveries,
+                    "validation_rejections": self.validation_rejections,
                     "backoff_ms": round(self.backoff_ms, 3),
                     "breaker_opens": self.breaker_opens,
                     "breaker_probes": self.breaker_probes,

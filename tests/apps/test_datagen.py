@@ -11,7 +11,6 @@ from repro.apps.datagen import (
 )
 from repro.datasets import generate_patients, generate_timing_workload
 from repro.datasets.workloads import build_analytics_db
-from repro.llm import LLMClient
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.explore import LLMDatabase, MultiModalLake
-from repro.apps.explore.llmdb import VirtualColumn, VirtualTable, film_virtual_table
+from repro.apps.explore.llmdb import film_virtual_table
 from repro.apps.integrate import (
     ColumnTypeAnnotator,
     DataCleaner,
@@ -14,7 +14,6 @@ from repro.apps.integrate import (
 )
 from repro.apps.integrate.schema_matching import ColumnSpec
 from repro.datasets import generate_column_corpus, generate_er_pairs, generate_lake
-from repro.llm import LLMClient
 from repro.sqldb.types import SQLType
 
 

@@ -1,7 +1,6 @@
 """Tests: LLM-routed pipeline recommendation (II-B4) and usage reporting."""
 
 import numpy as np
-import pytest
 
 from repro.apps.transform import PipelineSearcher
 from repro.apps.transform.pipeline import profile_dataset, recommendation_prompt, recommend_operations

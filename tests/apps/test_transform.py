@@ -19,7 +19,7 @@ from repro.apps.transform.columns import columns_joinable
 from repro.apps.transform.tables import render_json_records, render_xml_records
 from repro.apps.transform.transaction import make_accounts_db
 from repro.datasets import generate_joinable_pairs, generate_nl2sql
-from repro.errors import TransformError, ValidationError
+from repro.errors import TransformError
 from repro.llm import LLMClient
 from repro.tablekit import Grid
 

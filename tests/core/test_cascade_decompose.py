@@ -16,7 +16,7 @@ from repro.core.decompose import (
     recompose_sql,
     shared_subquery_plan,
 )
-from repro.datasets import build_concert_db, generate_hotpot, generate_nl2sql, paper_queries
+from repro.datasets import generate_hotpot, generate_nl2sql, paper_queries
 from repro.datasets.spider import execution_match
 from repro.llm import LLMClient
 

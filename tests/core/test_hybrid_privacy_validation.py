@@ -24,7 +24,7 @@ from repro.core.validation import (
     explain_by_occlusion,
     self_consistency,
 )
-from repro.datasets import build_concert_db, generate_er_pairs
+from repro.datasets import generate_er_pairs
 from repro.llm import LLMClient
 from repro.vectordb import Collection, FilterStrategy
 

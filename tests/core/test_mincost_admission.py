@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cache import AdmissionPredictor, SemanticCache
 from repro.core.decompose import QueryOptimizer
-from repro.datasets import build_concert_db, generate_nl2sql, paper_queries
+from repro.datasets import generate_nl2sql, paper_queries
 from repro.datasets.spider import execution_match
 from repro.llm import LLMClient
 

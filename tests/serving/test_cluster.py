@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.cache import CacheStats, EvictionPolicy, SemanticCache
+from repro.core.cache import EvictionPolicy, SemanticCache
 from repro.core.privacy import CacheSharingGate, isolation_gate
 from repro.errors import BudgetExceededError, QuotaExceededError
 from repro.llm.provider import make_client

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.cache import SemanticCache
 from repro.core.cascade import CascadeClient, ConfidenceDecisionModel
 from repro.core.prompts.templates import qa_prompt
 from repro.datasets import generate_hotpot
@@ -14,7 +13,8 @@ from repro.serving import (
     CascadeMiddleware,
     CompletionProvider,
     MetricsMiddleware,
-    RetryMiddleware,
+    ResilienceConfig,
+    ResilienceMiddleware,
     SemanticCacheMiddleware,
     ServiceStats,
     last_question_key,
@@ -126,24 +126,38 @@ class TestCascadeMiddleware:
         assert stats.cascade_requests == 0
 
 
+def redrawing(inner, max_attempts, validator, stats=None):
+    """The resilience layer with only its validation trigger exercised."""
+    config = ResilienceConfig(max_attempts=max_attempts, validator=validator)
+    return ResilienceMiddleware(inner, config=config, stats=stats)
+
+
+def confident(threshold):
+    return lambda completion: completion.confidence >= threshold
+
+
 class TestRetryMiddleware:
+    """Validator redraws: a rejected completion is one of the two triggers
+    of :class:`ResilienceMiddleware`'s retry loop."""
+
     def test_unreachable_threshold_exhausts_retries(self, examples):
         stats = ServiceStats()
-        retry = RetryMiddleware(
+        retry = redrawing(
             LLMClient(model="babbage-002"),
-            max_retries=2,
-            min_confidence=1.01,  # unattainable: every draw is rejected
+            max_attempts=3,
+            validator=confident(1.01),  # unattainable: every draw is rejected
             stats=stats,
         )
         completion = retry.complete(qa_prompt(examples[0].question))
-        assert completion.metadata["serving.retries"] == 2
-        assert stats.retries == 2
-        assert stats.retry_rescues == 0
+        assert completion.metadata["serving.resilience"]["retries"] == 2
+        assert stats.resilience_retries == 2
+        assert stats.validation_rejections == 3
+        assert stats.resilience_recoveries == 0
 
     def test_redraws_are_deterministic_seed_shifts(self, examples):
         prompt = qa_prompt(examples[2].question)
         client = LLMClient(model="babbage-002", seed=0)
-        retry = RetryMiddleware(client, max_retries=1, min_confidence=1.01)
+        retry = redrawing(client, max_attempts=2, validator=confident(1.01))
         best = retry.complete(prompt)
         first = LLMClient(model="babbage-002", seed=0).complete(prompt)
         redraw = LLMClient(model="babbage-002", seed=1).complete(prompt)
@@ -159,46 +173,46 @@ class TestRetryMiddleware:
             return len(seen) > 1
 
         stats = ServiceStats()
-        retry = RetryMiddleware(
-            LLMClient(), max_retries=3, validator=reject_first, stats=stats
-        )
+        retry = redrawing(LLMClient(), max_attempts=4, validator=reject_first, stats=stats)
         completion = retry.complete(qa_prompt(examples[3].question))
-        assert completion.metadata["serving.retries"] == 1
-        assert stats.retries == 1
-        assert stats.retry_rescues == 1
+        assert completion.metadata["serving.resilience"]["retries"] == 1
+        assert stats.resilience_retries == 1
+        assert stats.validation_rejections == 1
+        assert stats.resilience_recoveries == 1
 
     def test_accepted_first_draw_skips_retries(self, examples):
         stats = ServiceStats()
-        retry = RetryMiddleware(
-            LLMClient(model="gpt-4"), max_retries=3, min_confidence=0.0, stats=stats
+        retry = redrawing(
+            LLMClient(model="gpt-4"), max_attempts=4, validator=confident(0.0), stats=stats
         )
         retry.complete(qa_prompt(examples[4].question))
-        assert stats.retry_requests == 1
-        assert stats.retries == 0
+        assert stats.resilience_retries == 0
+        assert stats.validation_rejections == 0
 
     def test_usage_and_cost_aggregate_over_all_attempts(self, examples):
-        # Regression: the retry layer used to return only the best draw's
+        # Regression: the redraw loop used to return only the best draw's
         # usage/cost, hiding the redraw price from budget/metrics above it.
         prompt = qa_prompt(examples[5].question)
-        retry = RetryMiddleware(
-            LLMClient(model="babbage-002", seed=0), max_retries=2, min_confidence=1.01
+        retry = redrawing(
+            LLMClient(model="babbage-002", seed=0), max_attempts=3, validator=confident(1.01)
         )
         best = retry.complete(prompt)
         draws = [
             LLMClient(model="babbage-002", seed=offset).complete(prompt)
             for offset in (0, 1, 2)
         ]
-        assert best.cost == pytest.approx(sum(d.cost for d in draws))
+        # Summed in draw order, so the totals are exact, not approximate.
+        assert best.cost == sum(d.cost for d in draws)
         assert best.usage.prompt_tokens == sum(d.usage.prompt_tokens for d in draws)
         assert best.usage.completion_tokens == sum(d.usage.completion_tokens for d in draws)
-        assert best.latency_ms == pytest.approx(sum(d.latency_ms for d in draws))
+        assert best.latency_ms == sum(d.latency_ms for d in draws)
         # The *content* is still the single best draw's.
         winner = max(draws, key=lambda d: d.confidence)
         assert (best.text, best.confidence) == (winner.text, winner.confidence)
 
     def test_single_accepted_draw_charges_exactly_once(self, examples):
         prompt = qa_prompt(examples[0].question)
-        retry = RetryMiddleware(LLMClient(), max_retries=3, min_confidence=0.0)
+        retry = redrawing(LLMClient(), max_attempts=4, validator=confident(0.0))
         assert retry.complete(prompt) == LLMClient().complete(prompt)
 
     def test_batches_bypass_validation_and_redraws(self):
@@ -206,17 +220,17 @@ class TestRetryMiddleware:
         # a reject-everything validator must not trigger a single redraw.
         stats = ServiceStats()
         client = LLMClient()
-        retry = RetryMiddleware(
-            client, max_retries=3, validator=lambda completion: False, stats=stats
+        retry = redrawing(
+            client, max_attempts=4, validator=lambda completion: False, stats=stats
         )
         items = ["Question: A?", "Question: B?"]
         via_retry = retry.complete_batch("Shared prefix.\n", items)
         direct = LLMClient().complete_batch("Shared prefix.\n", items)
         assert via_retry == direct
-        assert stats.retries == 0
-        assert stats.retry_requests == 0
+        assert stats.resilience_retries == 0
+        assert stats.validation_rejections == 0
         assert client.meter.calls == len(items)  # no redraw traffic
-        assert "without validation" in RetryMiddleware.complete_batch.__doc__
+        assert "without validation" in ResilienceMiddleware.complete_batch.__doc__
 
 
 class TestBudgetMiddleware:
@@ -235,7 +249,7 @@ class TestBudgetMiddleware:
             BudgetMiddleware(LLMClient(), budget_usd=-1.0)
 
     def test_reseeded_clones_share_one_ledger(self, examples):
-        # Regression: reseeded siblings (how the retry layer redraws) used
+        # Regression: reseeded siblings (how the resilience layer redraws) used
         # to carry a copied spend float, so redraw charges escaped the
         # original's ceiling.
         stats = ServiceStats()

@@ -266,6 +266,106 @@ class TestCircuitBreaker:
         assert stats.breaker_closes == 1
 
 
+class RecordingClient(LLMClient):
+    """An LLMClient that remembers the last completion object it returned."""
+
+    def complete(self, prompt, model=None):
+        self.last = super().complete(prompt, model=model)
+        return self.last
+
+
+class TestValidationTrigger:
+    """A rejected output is the loop's second trigger, beside a transient error."""
+
+    @staticmethod
+    def _verdicts(*verdicts):
+        remaining = iter(verdicts)
+        return lambda completion: next(remaining)
+
+    def test_one_attempt_budget_for_both_triggers(self):
+        stats = ServiceStats()
+        provider = ScriptedProvider(fail_first=1, error_latency_ms=40.0)
+        config = ResilienceConfig(
+            max_attempts=3, backoff_base_ms=50.0, validator=self._verdicts(False, True)
+        )
+        completion = ResilienceMiddleware(provider, config=config, stats=stats).complete(PROMPT)
+        # Attempt 0 fails, attempt 1 is drawn and rejected, attempt 2 accepted.
+        rejected = LLMClient().reseeded(1).complete(PROMPT)
+        accepted = LLMClient().reseeded(2).complete(PROMPT)
+        assert provider.calls == 3
+        assert completion.text == accepted.text
+        assert completion.cost == rejected.cost + accepted.cost
+        assert completion.usage.completion_tokens == (
+            rejected.usage.completion_tokens + accepted.usage.completion_tokens
+        )
+        assert completion.latency_ms == (rejected.latency_ms + accepted.latency_ms) + 90.0
+        assert completion.metadata["serving.resilience"] == {"retries": 2, "added_ms": 90.0}
+        assert (stats.transient_errors, stats.validation_rejections) == (1, 1)
+        assert (stats.resilience_retries, stats.resilience_recoveries) == (2, 1)
+
+    def test_budget_spent_returns_the_rejected_draw_not_a_degraded_answer(self):
+        stats = ServiceStats()
+        provider = ScriptedProvider(fail_first=1, error_latency_ms=40.0)
+        config = ResilienceConfig(
+            max_attempts=2, backoff_base_ms=50.0, validator=self._verdicts(False)
+        )
+        completion = ResilienceMiddleware(provider, config=config, stats=stats).complete(PROMPT)
+        rejected = LLMClient().reseeded(1).complete(PROMPT)
+        assert provider.calls == 2  # no fallback model was asked
+        assert (completion.text, completion.model) == (rejected.text, rejected.model)
+        assert completion.cost == rejected.cost
+        assert completion.latency_ms == rejected.latency_ms + 90.0
+        assert completion.metadata["serving.resilience"] == {"retries": 1, "added_ms": 90.0}
+        assert stats.fallback_model_answers == 0 and stats.resilience_exhausted == 0
+        assert (stats.resilience_retries, stats.resilience_recoveries) == (1, 0)
+
+    def test_rejections_alone_never_open_the_breaker(self):
+        stats = ServiceStats()
+        flaky = FaultInjectingProvider(LLMClient(), rates={"gpt-4": 0.0}, seed=1)
+        resilient = ResilienceMiddleware(
+            flaky,
+            config=ResilienceConfig(
+                max_attempts=2, breaker_threshold=2, validator=lambda completion: False
+            ),
+            stats=stats,
+        )
+        for _ in range(5):
+            answer = resilient.complete(PROMPT, model="gpt-4")
+            assert answer.model == "gpt-4"
+            assert "fallback" not in answer.metadata["serving.resilience"]
+        assert stats.validation_rejections == 10
+        assert resilient.breaker_state("gpt-4") == "closed"
+        # A rejected answer is a breaker success: it resets the count of
+        # consecutive exhausted requests between two outages.
+        flaky.rates["gpt-4"] = 1.0
+        resilient.complete(PROMPT, model="gpt-4")
+        flaky.rates["gpt-4"] = 0.0
+        resilient.complete(PROMPT, model="gpt-4")
+        flaky.rates["gpt-4"] = 1.0
+        resilient.complete(PROMPT, model="gpt-4")
+        assert resilient.breaker_state("gpt-4") == "closed"
+        assert stats.breaker_opens == 0
+
+    def test_batch_fallback_items_are_not_validated(self):
+        stats = ServiceStats()
+        provider = ScriptedProvider(fail_first=2)  # both batch attempts fail
+        config = ResilienceConfig(max_attempts=2, validator=lambda completion: False)
+        resilient = ResilienceMiddleware(provider, config=config, stats=stats)
+        completions = resilient.complete_batch("P.\n", ["Question: A?", "Question: B?"])
+        assert [c.text for c in completions] == [
+            LLMClient().complete("P.\nQuestion: A?").text,
+            LLMClient().complete("P.\nQuestion: B?").text,
+        ]
+        assert provider.calls == 4  # one per item after the batch: no redraws
+        assert stats.validation_rejections == 0
+
+    @pytest.mark.parametrize("validator", [None, lambda completion: True])
+    def test_accepted_first_draw_is_the_identical_object(self, validator):
+        client = RecordingClient()
+        resilient = ResilienceMiddleware(client, config=ResilienceConfig(validator=validator))
+        assert resilient.complete(PROMPT) is client.last
+
+
 class TestStackIntegration:
     def test_build_stack_wires_the_layer(self):
         stack = build_stack(

@@ -16,6 +16,7 @@ from repro.llm.faults import FaultInjectingProvider
 from repro.serving import (
     BatchingScheduler,
     CompletionProvider,
+    ResilienceConfig,
     ServiceStats,
     ServingStack,
     build_stack,
@@ -94,7 +95,6 @@ class TestComposedStack:
             "latency",
             "cache",
             "cascade",
-            "retry",
             "budget",
             "resilience",
             "scheduler",
@@ -116,31 +116,22 @@ class TestComposedStack:
         stack = build_stack(LLMClient(), cache=True)
         assert stack.describe() == "cache -> metrics -> LLMClient"
 
-    def test_retries_without_acceptance_criterion_rejected(self):
-        # Regression: max_retries used to be silently dropped when neither
-        # min_confidence nor validator was given — the caller believed they
-        # had a retry layer and had none.
-        with pytest.raises(ValueError, match="min_confidence or validator"):
-            build_stack(LLMClient(), max_retries=3)
-
     def test_retries_with_criterion_accepted(self):
-        stack = build_stack(LLMClient(), max_retries=3, min_confidence=0.5)
-        assert stack.describe() == "retry -> metrics -> LLMClient"
+        config = ResilienceConfig(max_attempts=4, validator=lambda c: c.confidence >= 0.5)
+        stack = build_stack(LLMClient(), resilience=config)
+        assert stack.describe() == "resilience -> metrics -> LLMClient"
+        assert stack.provider.config.validator is config.validator
 
     def test_resilience_layer_position(self):
-        from repro.serving import ResilienceConfig
-
         stack = build_stack(
             LLMClient(),
             cache=True,
             chain=("babbage-002", "gpt-4"),
-            max_retries=1,
-            min_confidence=0.0,
             budget_usd=5.0,
-            resilience=ResilienceConfig(),
+            resilience=ResilienceConfig(validator=lambda c: c.confidence >= 0.0),
         )
         assert stack.describe() == (
-            "cache -> cascade -> retry -> resilience -> budget -> metrics -> LLMClient"
+            "cache -> cascade -> resilience -> budget -> metrics -> LLMClient"
         )
 
     def test_resilience_fallback_shares_the_stack_cache(self):
@@ -174,11 +165,9 @@ def test_budget_spend_is_the_billed_cost_under_faults_and_redraws():
     client = LLMClient()
     stack = build_stack(
         FaultInjectingProvider(client, default_rate=0.15, seed=3),
-        resilience=True,
+        resilience=ResilienceConfig(max_attempts=3, validator=lambda c: c.confidence >= 0.9),
         budget_usd=50.0,
         chain=("babbage-002", "gpt-3.5-turbo", "gpt-4"),
-        max_retries=2,
-        min_confidence=0.9,
     )
     prompts = [f"Question: which film did director number {i} make?" for i in range(200)]
     interval = sys.getswitchinterval()
@@ -193,6 +182,6 @@ def test_budget_spend_is_the_billed_cost_under_faults_and_redraws():
     # its attempts were billed is still charged.
     assert all(exc is None or isinstance(exc, ResilienceExhaustedError) for exc in failed)
     stats = stack.stats
-    assert stats.resilience_retries > 0 and stats.retries > 0
+    assert stats.resilience_retries > 0 and stats.validation_rejections > 0
     assert abs(stats.budget_spent_usd - stats.cost_usd) <= 1e-9
     assert abs(stats.budget_spent_usd - client.meter.cost) <= 1e-9

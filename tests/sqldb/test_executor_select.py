@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SQLCatalogError, SQLError
-from repro.sqldb import Database
 
 
 class TestProjectionAndFilter:

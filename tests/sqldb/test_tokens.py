@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
-from repro.sqldb.tokens import Token, TokenType, tokenize
+from repro.sqldb.tokens import TokenType, tokenize
 
 
 def kinds(sql):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from repro.core.cache import SemanticCache
-from repro.core.cascade import CascadeClient, ConfidenceDecisionModel
+from repro.core.cascade import CascadeClient
 from repro.core.decompose import QueryOptimizer
 from repro.core.prompts.templates import qa_prompt
 from repro.core.validation import SQLValidator
-from repro.datasets import build_concert_db, generate_nl2sql
+from repro.datasets import generate_nl2sql
 from repro.errors import (
     BudgetExceededError,
     ContextLengthExceededError,

@@ -4,8 +4,6 @@ Each test exercises several subsystems together, asserting the *outcome*
 (balances moved, labels filled, right record retrieved), not internals.
 """
 
-import pytest
-
 from repro.apps.datagen import MissingLabelAnnotator, SQLGenerator
 from repro.apps.explore import LLMDatabase, MultiModalLake
 from repro.apps.explore.llmdb import film_virtual_table
@@ -30,7 +28,6 @@ from repro.datasets import (
 )
 from repro.datasets.spider import execution_match
 from repro.llm import LLMClient
-from repro.llm.client import default_world
 from repro.serving import build_stack
 
 

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.datasets import build_concert_db
 from repro.sqldb import Database
 from repro.vectordb import Collection, Metric
 

@@ -37,7 +37,6 @@ SERVING = [
     "ReseedableProvider",
     "ResilienceConfig",
     "ResilienceMiddleware",
-    "RetryMiddleware",
     "SemanticCacheMiddleware",
     "ServiceStats",
     "ServingCluster",
@@ -306,12 +305,8 @@ def test_build_stack_options():
         "client",
         "cache",
         "cache_key_fn",
-        "cache_kind",
         "chain",
         "decision_models",
-        "max_retries",
-        "min_confidence",
-        "validator",
         "budget_usd",
         "resilience",
         "stats",
@@ -329,7 +324,6 @@ def test_cluster_options():
         "vnodes",
         "cache",
         "key_fn",
-        "cache_kind",
         "tenant_capacity",
         "reuse_threshold",
         "augment_threshold",
