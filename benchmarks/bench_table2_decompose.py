@@ -61,8 +61,6 @@ def test_table2_min_cost_plan(once):
 def test_table2_scales_with_overlap(once):
     """With fewer overlapping compounds the decomposition saving shrinks:
     sharing is the mechanism, so less sharing must mean less saving."""
-    import pytest
-
     from repro.bench.experiments import run_table2 as run
 
     overlapping = run(n_queries=30, compound_fraction=0.9)

@@ -9,7 +9,7 @@
   evaluation against DP-trained models.
 * :mod:`repro.core.privacy.sharing` — the cross-tenant cache-sharing gate
   the serving cluster consults (group policy + epsilon-budgeted
-  disclosure accounting over a :class:`PrivacyAccountant`).
+  disclosure accounting, one running sum of per-share spends).
 """
 
 from repro.core.privacy.attacks import membership_inference_advantage

@@ -11,9 +11,9 @@ that disclosure an explicit, budgeted decision instead of an accident:
   same sharing group. The serving cluster consults :meth:`allows` before
   every cross-tenant probe; with no gate configured it never probes at all.
 * **Privacy accounting** — every served cross-tenant hit is a disclosure
-  event recorded in a :class:`~repro.core.privacy.dp.PrivacyAccountant`
-  as an ``epsilon_per_share`` spend (treating a served cache line like one
-  invocation of a releasing mechanism, sequential composition as in DP).
+  event that spends ``epsilon_per_share`` (treating a served cache line
+  like one invocation of a releasing mechanism, basic sequential
+  composition as in DP: the spends add up).
   When the accumulated epsilon reaches ``epsilon_budget`` the gate closes
   again — sharing degrades to isolation rather than unbounded disclosure.
 * **Auditability** — the gate keeps a (consumer, owner) share ledger, so a
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.core.privacy.dp import PrivacyAccountant
 
 
 class CacheSharingGate:
@@ -49,7 +47,6 @@ class CacheSharingGate:
         *,
         epsilon_per_share: float = 0.1,
         epsilon_budget: Optional[float] = None,
-        accountant: Optional[PrivacyAccountant] = None,
     ) -> None:
         if epsilon_per_share < 0:
             raise ValueError("epsilon_per_share must be non-negative")
@@ -57,7 +54,6 @@ class CacheSharingGate:
             raise ValueError("epsilon_budget must be non-negative")
         self.epsilon_per_share = epsilon_per_share
         self.epsilon_budget = epsilon_budget
-        self.accountant = accountant if accountant is not None else PrivacyAccountant()
         self._group_of: Dict[str, int] = {}
         self._groups: List[Tuple[str, ...]] = []
         for group in groups:
@@ -71,6 +67,7 @@ class CacheSharingGate:
             self._groups.append(members)
         self.shares: Dict[Tuple[str, str], int] = {}  # (consumer, owner) -> count
         self.denied_budget = 0  # probes refused because epsilon ran out
+        self._epsilon = 0.0  # epsilon spent: one epsilon_per_share per share
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ policy
@@ -86,8 +83,7 @@ class CacheSharingGate:
 
     def epsilon_spent(self) -> float:
         """Total epsilon recorded so far (basic sequential composition)."""
-        epsilon, _delta = self.accountant.basic_composition()
-        return epsilon
+        return self._epsilon
 
     def budget_left(self) -> bool:
         if self.epsilon_budget is None:
@@ -118,7 +114,7 @@ class CacheSharingGate:
     def record_share(self, consumer: str, owner: str) -> None:
         """Account one served cross-tenant hit: epsilon spend + ledger."""
         with self._lock:
-            self.accountant.record(self.epsilon_per_share)
+            self._epsilon += self.epsilon_per_share
             key = (consumer, owner)
             self.shares[key] = self.shares.get(key, 0) + 1
 

@@ -52,7 +52,6 @@ from repro.serving.cluster import (
 from repro.serving.gateway import (
     AsyncGateway,
     GatewayRequest,
-    GatewayResult,
     GatewayTicket,
 )
 from repro.serving.middleware import (
@@ -77,7 +76,6 @@ __all__ = [
     "ClusterRouter",
     "CompletionProvider",
     "GatewayRequest",
-    "GatewayResult",
     "GatewayTicket",
     "LatencyHistogram",
     "MetricsMiddleware",

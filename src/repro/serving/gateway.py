@@ -57,9 +57,10 @@ The backend is a :class:`~repro.llm.provider.Submitter` — a
 :class:`~repro.serving.scheduler.BatchingScheduler` or a
 :class:`~repro.serving.cluster.ServingCluster`, built and closed by the
 caller — and every request is forwarded as ``backend.submit(prompt,
-model=, tenant=)``, nothing else. A plain
-:class:`~repro.llm.provider.CompletionProvider` is wrapped in an owned
-single-worker, flush-at-once scheduler (the deterministic path).
+model=, tenant=)``, nothing else. A request is a :class:`GatewayRequest`
+or a bare prompt string; :meth:`AsyncGateway.enqueue` returns its
+:class:`GatewayTicket`, and a caller that wants every outcome awaits the
+tickets' futures.
 """
 
 from __future__ import annotations
@@ -70,22 +71,11 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    AsyncIterator,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DeadlineExceededError, SchedulerClosedError
 from repro.llm.client import Completion
 from repro.serving.resilience import ResilienceMiddleware
-from repro.serving.scheduler import BatchingScheduler
 from repro.serving.stats import ServiceStats
 
 DEFAULT_CLASSES = ("interactive", "standard", "batch")
@@ -99,8 +89,9 @@ class GatewayRequest:
     ``deadline_ms`` is relative to submission time (simulated SLO):
     ``None`` means "no deadline — never shed, never degraded".
     ``priority`` must name one of the gateway's classes; ``None`` uses
-    the gateway's default class. ``tenant`` is forwarded to the backend
-    (``None`` is its default tenant; a single-stack scheduler ignores it).
+    ``standard`` when the gateway has that class, else its first.
+    ``tenant`` is forwarded to the backend (``None`` is its default
+    tenant; a single-stack scheduler ignores it).
     """
 
     prompt: str
@@ -131,23 +122,6 @@ class GatewayTicket:
     late: bool = False
 
 
-@dataclass
-class GatewayResult:
-    """One element of a :meth:`AsyncGateway.complete_many` stream."""
-
-    index: int
-    request: GatewayRequest
-    status: str  # ok | degraded | shed | error
-    completion: Optional[Completion] = None
-    error: Optional[BaseException] = None
-    queue_ms: float = 0.0
-    late: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.completion is not None
-
-
 def _find_resilience(root: object) -> Optional[ResilienceMiddleware]:
     """Walk a stack's provider/inner chain for the resilience layer."""
     seen = set()
@@ -167,15 +141,10 @@ class AsyncGateway:
     ----------
     backend:
         A :class:`~repro.llm.provider.Submitter` the caller builds and
-        closes (a ``BatchingScheduler`` or a ``ServingCluster``), or a
-        plain completion provider, which is wrapped in an owned
-        ``BatchingScheduler(provider, max_wait_ms=0.0)`` that the gateway
-        closes with itself.
+        closes (a ``BatchingScheduler`` or a ``ServingCluster``).
     classes:
-        Priority classes, highest priority first.
-    default_class:
-        Class used when a request names none; defaults to ``"standard"``
-        when present, else the first class.
+        Priority classes, highest priority first. A request that names
+        none goes to ``"standard"`` when present, else to the first.
     max_queue_per_class:
         Bound on each class's admission queue; submits beyond it park on
         backpressure until the pump frees a slot.
@@ -187,14 +156,11 @@ class AsyncGateway:
         to its queue bound when known, so forwarding never blocks the
         event loop. Only a backend without ``concurrency`` (a cluster)
         is held to ``max_inflight`` alone.
-    shed_expired:
-        When False the gateway never sheds or degrades — expired requests
-        are forwarded anyway (the "no admission control" baseline).
     degrader:
         ``"auto"`` (find :class:`ResilienceMiddleware` in the backend's
-        layer chain), ``None`` (shed instead of degrading), a
-        ``ResilienceMiddleware``, or any ``(prompt, model) ->
-        Completion`` callable.
+        layer chain), ``None`` (shed instead of degrading), or a
+        ``(prompt, model) -> Completion`` callable such as a resilience
+        layer's ``degrade``.
     clock:
         Monotonic-seconds callable; injectable for deterministic tests.
     """
@@ -204,13 +170,10 @@ class AsyncGateway:
         backend: object,
         *,
         classes: Sequence[str] = DEFAULT_CLASSES,
-        default_class: Optional[str] = None,
         max_queue_per_class: int = 256,
         max_inflight: int = 64,
-        shed_expired: bool = True,
-        degrader: Union[str, None, ResilienceMiddleware, Callable] = "auto",
+        degrader: Union[str, None, Callable] = "auto",
         clock: Callable[[], float] = time.monotonic,
-        stats: Optional[ServiceStats] = None,
     ) -> None:
         if not classes:
             raise ValueError("at least one priority class is required")
@@ -218,14 +181,14 @@ class AsyncGateway:
             raise ValueError("priority classes must be unique")
         if max_queue_per_class < 1:
             raise ValueError("max_queue_per_class must be >= 1")
+        if not hasattr(backend, "submit"):
+            raise TypeError(
+                f"backend must be a Submitter (a BatchingScheduler or a ServingCluster), "
+                f"not {type(backend).__name__}"
+            )
         self.classes: Tuple[str, ...] = tuple(classes)
-        if default_class is None:
-            default_class = "standard" if "standard" in self.classes else self.classes[0]
-        if default_class not in self.classes:
-            raise ValueError(f"default_class {default_class!r} not in classes")
-        self.default_class = default_class
+        self.default_class = "standard" if "standard" in self.classes else self.classes[0]
         self.max_queue_per_class = max_queue_per_class
-        self.shed_expired = shed_expired
         self._clock = clock
 
         # ---- degradation wiring ---------------------------------------
@@ -234,17 +197,12 @@ class AsyncGateway:
             layer = _find_resilience(backend)
             if layer is not None:
                 self._degrade_fn = layer.degrade
-        elif isinstance(degrader, ResilienceMiddleware):
-            self._degrade_fn = degrader.degrade
         elif callable(degrader):
             self._degrade_fn = degrader  # type: ignore[assignment]
         elif degrader is not None:
             raise ValueError(f"unsupported degrader: {degrader!r}")
 
         # ---- backend wiring -------------------------------------------
-        self._owns_backend = not hasattr(backend, "submit")
-        if self._owns_backend:  # plain provider: own a single-worker scheduler
-            backend = BatchingScheduler(backend, max_wait_ms=0.0, stats=stats)
         self._backend = backend
         # Forward no more than the backend can start: the rest waits here,
         # where class, EDF and shedding apply. A bounded backend queue
@@ -255,7 +213,7 @@ class AsyncGateway:
         if backend_queue_bound is not None:
             max_inflight = min(max_inflight, backend_queue_bound)
         self.max_inflight = max(1, max_inflight)
-        self.stats = stats if stats is not None else backend.stats
+        self.stats: ServiceStats = backend.stats
 
         # ---- queueing state (event-loop thread only) ------------------
         # Per class: min-heap of (abs_deadline | +inf, seq, ticket) — EDF
@@ -297,12 +255,10 @@ class AsyncGateway:
         await self.close()
 
     async def close(self) -> None:
-        """Stop accepting; drain queued + inflight work; close an owned
-        backend. Submits parked on backpressure raise
+        """Stop accepting and drain queued + inflight work; the backend
+        stays open. Submits parked on backpressure raise
         :class:`SchedulerClosedError` immediately."""
         if not self._started:
-            if self._owns_backend:
-                self._backend.close()
             return
         self._closing = True
         for dq in self._waiters.values():
@@ -313,40 +269,15 @@ class AsyncGateway:
         assert self._wake is not None and self._pump_task is not None
         self._wake.set()
         await self._pump_task
-        if self._owns_backend:
-            # close() joins scheduler threads — do it off the loop.
-            assert self._loop is not None
-            await self._loop.run_in_executor(None, self._backend.close)
 
     # ---------------------------------------------------------- submission
 
-    def _coerce(self, request: Union[str, GatewayRequest]) -> GatewayRequest:
-        if isinstance(request, GatewayRequest):
-            return request
-        return GatewayRequest(prompt=request)
-
-    async def enqueue(
-        self,
-        request: Union[str, GatewayRequest],
-        *,
-        model: Optional[str] = None,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        tenant: Optional[str] = None,
-    ) -> GatewayTicket:
-        """Admit one request; returns its ticket (future may already have
-        failed for an expired-at-submit shed). Parks on backpressure while
-        the class queue is full. Keyword overrides beat the request's own
-        fields when both are given."""
-        req = self._coerce(request)
-        if model or priority or deadline_ms is not None or tenant:
-            req = GatewayRequest(
-                prompt=req.prompt,
-                model=model or req.model,
-                priority=priority or req.priority,
-                deadline_ms=deadline_ms if deadline_ms is not None else req.deadline_ms,
-                tenant=tenant or req.tenant,
-            )
+    async def enqueue(self, request: Union[str, GatewayRequest]) -> GatewayTicket:
+        """Admit one request, a :class:`GatewayRequest` or a bare prompt;
+        returns its ticket (future may already have failed for an
+        expired-at-submit shed). Parks on backpressure while the class
+        queue is full."""
+        req = request if isinstance(request, GatewayRequest) else GatewayRequest(request)
         cls = req.priority or self.default_class
         if cls not in self._queues:
             raise ValueError(f"unknown priority class {cls!r}")
@@ -372,7 +303,7 @@ class AsyncGateway:
         )
         # Shed on arrival: an already-expired request never takes a queue
         # slot and is never dispatched.
-        if self.shed_expired and req.deadline_ms is not None and req.deadline_ms <= 0:
+        if req.deadline_ms is not None and req.deadline_ms <= 0:
             self._resolve_shed(ticket, "shed_at_submit", waited_ms=0.0)
             return ticket
 
@@ -399,7 +330,7 @@ class AsyncGateway:
         # than occupy a slot with a hopeless request. The slot we were woken
         # for is still free: hand the wake-up on, or the submitters parked
         # behind us wait for a dequeue that may never come.
-        if self.shed_expired and abs_deadline is not None and self._clock() >= abs_deadline:
+        if abs_deadline is not None and self._clock() >= abs_deadline:
             waited = (self._clock() - now) * 1000.0
             self._resolve_shed(ticket, "shed_at_submit", waited_ms=waited)
             self._release_slot(cls)
@@ -412,114 +343,13 @@ class AsyncGateway:
         self._wake.set()
         return ticket
 
-    async def submit(
-        self,
-        request: Union[str, GatewayRequest],
-        *,
-        model: Optional[str] = None,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        tenant: Optional[str] = None,
-    ) -> Completion:
+    async def submit(self, request: Union[str, GatewayRequest]) -> Completion:
         """Admit one request and await its completion (full or degraded).
 
         Raises :class:`~repro.errors.DeadlineExceededError` if the request
         was shed, or whatever terminal error the backend raised."""
-        ticket = await self.enqueue(
-            request,
-            model=model,
-            priority=priority,
-            deadline_ms=deadline_ms,
-            tenant=tenant,
-        )
+        ticket = await self.enqueue(request)
         return await ticket.future
-
-    async def complete_many(
-        self,
-        requests: Sequence[Union[str, GatewayRequest]],
-        *,
-        as_completed: bool = False,
-    ) -> AsyncIterator[GatewayResult]:
-        """Stream results for a batch of requests as they become available.
-
-        Partial results: each request yields a :class:`GatewayResult`
-        whether it produced a full answer, a degraded answer, or was shed
-        — the stream never aborts on a per-request failure. Default order
-        is submission order (each result yielded as soon as it and all its
-        predecessors are done); ``as_completed=True`` yields in completion
-        order instead."""
-        reqs = [self._coerce(r) for r in requests]
-        if not self._started:
-            await self.start()
-        done_q: "asyncio.Queue[Tuple[int, GatewayTicket]]" = asyncio.Queue()
-        tickets: List[Optional[GatewayTicket]] = [None] * len(reqs)
-        failures: List[Tuple[int, BaseException]] = []
-
-        async def produce() -> None:
-            for i, req in enumerate(reqs):
-                try:
-                    ticket = await self.enqueue(req)
-                except Exception as exc:  # gateway closed mid-stream
-                    failures.append((i, exc))
-                    done_q.put_nowait((i, self._failed_ticket(req, exc)))
-                    continue
-                tickets[i] = ticket
-                ticket.future.add_done_callback(
-                    lambda _f, i=i, t=ticket: done_q.put_nowait((i, t))
-                )
-
-        producer = asyncio.ensure_future(produce())
-        try:
-            if as_completed:
-                for _ in range(len(reqs)):
-                    index, ticket = await done_q.get()
-                    yield self._result_of(index, ticket)
-            else:
-                await producer
-                for index, maybe in enumerate(tickets):
-                    if maybe is None:
-                        exc = next(e for i, e in failures if i == index)
-                        yield self._result_of(
-                            index, self._failed_ticket(reqs[index], exc)
-                        )
-                        continue
-                    try:
-                        await maybe.future
-                    except Exception:
-                        pass
-                    yield self._result_of(index, maybe)
-        finally:
-            if not producer.done():
-                producer.cancel()
-            await asyncio.gather(producer, return_exceptions=True)
-
-    async def complete_all(
-        self, requests: Sequence[Union[str, GatewayRequest]]
-    ) -> List[Completion]:
-        """Completions for every request, in submission order; raises on
-        the first shed/error (the strict path used by determinism checks)."""
-        out: List[Completion] = []
-        async for result in self.complete_many(requests):
-            if result.error is not None:
-                raise result.error
-            assert result.completion is not None
-            out.append(result.completion)
-        return out
-
-    def _failed_ticket(self, req: GatewayRequest, exc: BaseException) -> GatewayTicket:
-        assert self._loop is not None
-        future: "asyncio.Future[Completion]" = self._loop.create_future()
-        future.set_exception(exc)
-        future.exception()  # consumed; silence "never retrieved"
-        return GatewayTicket(
-            seq=-1,
-            request=req,
-            priority=req.priority or self.default_class,
-            enqueued_at=self._clock(),
-            abs_deadline=None,
-            future=future,
-            status="error",
-        )
 
     # ------------------------------------------------------------- pumping
 
@@ -558,8 +388,6 @@ class AsyncGateway:
         expired or that the busy backend is predicted to finish after their
         deadline, whether or not a slot is free. A class's head has its
         least slack, so the scan stops at the first head that can make it."""
-        if not self.shed_expired:
-            return
         now = self._clock()
         # Predict only while the backend is busy: an idle backend starts at
         # once, whatever an earlier slow phase taught.
@@ -733,21 +561,3 @@ class AsyncGateway:
             self._settle(ticket, "degraded", completion)
         assert self._wake is not None
         self._wake.set()
-
-    def _result_of(self, index: int, ticket: GatewayTicket) -> GatewayResult:
-        future = ticket.future
-        error: Optional[BaseException] = None
-        completion: Optional[Completion] = None
-        if future.done():
-            error = future.exception()
-            if error is None:
-                completion = future.result()
-        return GatewayResult(
-            index=index,
-            request=ticket.request,
-            status=ticket.status,
-            completion=completion,
-            error=error,
-            queue_ms=ticket.queue_ms,
-            late=ticket.late,
-        )

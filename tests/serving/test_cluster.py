@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.core.cache import EvictionPolicy, SemanticCache
-from repro.core.privacy import CacheSharingGate, isolation_gate
+from repro.core.privacy import CacheSharingGate, PrivacyAccountant, isolation_gate
 from repro.errors import BudgetExceededError, QuotaExceededError
 from repro.llm.provider import make_client
 from repro.serving import ServiceStats
@@ -288,6 +288,32 @@ def test_gate_rejects_malformed_groups():
     gate = CacheSharingGate([("a", "b")])
     assert not gate.allows("a", "a")  # self-serving is not sharing
     assert not gate.allows("a", "outsider")
+
+
+def test_gate_epsilon_is_the_running_sum_of_its_shares():
+    gate = CacheSharingGate([("a", "b")], epsilon_per_share=0.1)
+    spent = 0.0
+    for _ in range(30):
+        gate.record_share("b", "a")
+        spent += 0.1  # a left fold, as sum() adds before Python 3.12
+        assert gate.epsilon_spent() == spent
+    assert gate.total_shares() == 30
+
+
+@pytest.mark.parametrize(
+    "epsilon, budget", [(0.1, 1.0), (0.1, 0.3), (0.3, 0.9), (0.07, 0.7), (0.25, 1.0)]
+)
+def test_gate_denies_at_the_share_count_of_an_accountant(epsilon, budget):
+    # The reference is one PrivacyAccountant record per share, summed
+    # again before every probe.
+    accountant = PrivacyAccountant()
+    while accountant.basic_composition()[0] + epsilon <= budget + 1e-12:
+        accountant.record(epsilon)
+    gate = CacheSharingGate([("a", "b")], epsilon_per_share=epsilon, epsilon_budget=budget)
+    while gate.allows("b", "a"):
+        gate.record_share("b", "a")
+    assert gate.total_shares() == len(accountant.spent)
+    assert gate.denied_budget == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""AsyncGateway: determinism, priority/EDF ordering, shed/degrade, streams.
+"""AsyncGateway: determinism, priority/EDF ordering, shed/degrade, backpressure.
 
 The load-bearing contract is bit-identical equivalence with the serial
 loop (workers=1, no deadlines) — the hypothesis properties at the bottom
@@ -22,6 +22,7 @@ from repro.serving import (
     ServingCluster,
     build_stack,
 )
+from tests.serving.support import completions_in_order, gateway_over
 
 
 class ManualClock:
@@ -73,36 +74,41 @@ def questions(n, tag="gw"):
 class TestGatewayBasics:
     def test_submit_returns_completion(self):
         async def run():
-            async with AsyncGateway(LLMClient()) as gateway:
+            async with gateway_over(LLMClient()) as gateway:
                 return await gateway.submit("Question: what is a gateway?")
 
         completion = asyncio.run(run())
         assert completion.text
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AsyncGateway(LLMClient(), classes=())
-        with pytest.raises(ValueError):
-            AsyncGateway(LLMClient(), classes=("a", "a"))
-        with pytest.raises(ValueError):
-            AsyncGateway(LLMClient(), classes=("a", "b"), default_class="c")
-        with pytest.raises(ValueError):
-            AsyncGateway(LLMClient(), max_queue_per_class=0)
-        with pytest.raises(ValueError):
-            AsyncGateway(LLMClient(), degrader=42)
+        with BatchingScheduler(LLMClient(), max_wait_ms=0.0) as backend:
+            with pytest.raises(ValueError):
+                AsyncGateway(backend, classes=())
+            with pytest.raises(ValueError):
+                AsyncGateway(backend, classes=("a", "a"))
+            with pytest.raises(ValueError):
+                AsyncGateway(backend, max_queue_per_class=0)
+            with pytest.raises(ValueError):
+                AsyncGateway(backend, degrader=42)
+
+    def test_backend_without_submit_is_rejected(self):
+        # A provider or stack has no ``submit``: the caller builds the
+        # scheduler (or cluster) and closes it.
+        for backend in (LLMClient(), build_stack(LLMClient(), cache=True)):
+            with pytest.raises(TypeError, match="BatchingScheduler.*ServingCluster"):
+                AsyncGateway(backend)
 
     def test_unknown_priority_class_rejected(self):
         async def run():
-            async with AsyncGateway(LLMClient()) as gateway:
-                await gateway.submit("Question: hm?", priority="platinum")
+            async with gateway_over(LLMClient()) as gateway:
+                await gateway.submit(GatewayRequest("Question: hm?", priority="platinum"))
 
         with pytest.raises(ValueError, match="platinum"):
             asyncio.run(run())
 
     def test_submit_after_close_raises(self):
         async def run():
-            gateway = AsyncGateway(LLMClient())
-            async with gateway:
+            async with gateway_over(LLMClient()) as gateway:
                 await gateway.submit("Question: warm-up?")
             with pytest.raises(SchedulerClosedError):
                 await gateway.submit("Question: too late?")
@@ -111,8 +117,8 @@ class TestGatewayBasics:
 
     def test_stats_snapshot_has_gateway_section(self):
         async def run():
-            async with AsyncGateway(LLMClient()) as gateway:
-                await gateway.submit("Question: stats?", priority="interactive")
+            async with gateway_over(LLMClient()) as gateway:
+                await gateway.submit(GatewayRequest("Question: stats?", priority="interactive"))
                 return gateway.stats.snapshot()
 
         snap = asyncio.run(run())
@@ -136,8 +142,8 @@ class TestDeterminism:
         gateway_stack = build_stack(LLMClient(), cache=True)
 
         async def run():
-            async with AsyncGateway(gateway_stack, classes=("all",)) as gateway:
-                return await gateway.complete_all(prompts)
+            async with gateway_over(gateway_stack, classes=("all",)) as gateway:
+                return await completions_in_order(gateway, prompts)
 
         got = asyncio.run(run())
         assert got == expected
@@ -152,7 +158,7 @@ class TestOrdering:
         provider = RecordingProvider()
 
         async def run():
-            async with AsyncGateway(provider, max_inflight=1) as gateway:
+            async with gateway_over(provider, max_inflight=1) as gateway:
                 tickets = []
                 for cls in ("batch", "standard", "interactive", "batch", "interactive"):
                     tickets.append(
@@ -171,7 +177,7 @@ class TestOrdering:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(
+            async with gateway_over(
                 provider, clock=clock.now, max_inflight=1
             ) as gateway:
                 tickets = [
@@ -206,12 +212,14 @@ class TestShedAndDegrade:
         provider = RecordingProvider()
 
         async def run():
-            async with AsyncGateway(provider) as gateway:
+            async with gateway_over(provider) as gateway:
+                ticket = await gateway.enqueue(GatewayRequest("Question: hopeless?", deadline_ms=0))
                 with pytest.raises(DeadlineExceededError) as excinfo:
-                    await gateway.submit("Question: hopeless?", deadline_ms=0)
-                return excinfo.value
+                    await ticket.future
+                return ticket, excinfo.value
 
-        error = asyncio.run(run())
+        ticket, error = asyncio.run(run())
+        assert ticket.status == "shed"
         assert error.deadline_ms == 0
         assert provider.calls == []
 
@@ -220,7 +228,7 @@ class TestShedAndDegrade:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(
+            async with gateway_over(
                 provider, clock=clock.now, degrader=None
             ) as gateway:
                 ticket = await gateway.enqueue(
@@ -240,7 +248,7 @@ class TestShedAndDegrade:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(stack, clock=clock.now) as gateway:
+            async with gateway_over(stack, clock=clock.now) as gateway:
                 ticket = await gateway.enqueue(
                     GatewayRequest("Question: expiring?", deadline_ms=5.0)
                 )
@@ -259,7 +267,7 @@ class TestShedAndDegrade:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(provider, clock=clock.now) as gateway:
+            async with gateway_over(provider, clock=clock.now) as gateway:
                 ticket = await gateway.enqueue(
                     GatewayRequest("Question: slow?", deadline_ms=100.0)
                 )
@@ -274,17 +282,6 @@ class TestShedAndDegrade:
         assert ticket.status == "ok"
         assert ticket.late
         assert completion.metadata["serving.gateway"]["late"] is True
-
-    def test_shed_expired_false_forwards_anyway(self):
-        provider = RecordingProvider()
-
-        async def run():
-            async with AsyncGateway(provider, shed_expired=False) as gateway:
-                return await gateway.submit("Question: stale?", deadline_ms=0)
-
-        completion = asyncio.run(run())
-        assert completion.text
-        assert len(provider.calls) == 1
 
 
 async def wait_until(condition, timeout_s=5.0):
@@ -324,7 +321,7 @@ class TestPredictiveShedding:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(provider, clock=clock.now, degrader=None) as gateway:
+            async with gateway_over(provider, clock=clock.now, degrader=None) as gateway:
                 await teach_backend_time(gateway, provider, clock, 0.200)
                 busy = await hold_backend_busy(gateway)
                 doomed = await gateway.enqueue(
@@ -356,7 +353,7 @@ class TestPredictiveShedding:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(stack, clock=clock.now) as gateway:
+            async with gateway_over(stack, clock=clock.now) as gateway:
                 await teach_backend_time(gateway, provider, clock, 0.200)
                 busy = await hold_backend_busy(gateway)
                 doomed = await gateway.enqueue(
@@ -380,10 +377,7 @@ class TestPredictiveShedding:
         assert marker["queue_ms"] == 0.0
         assert stack.stats.fallback_model_answers == 1
 
-    @pytest.mark.parametrize(
-        "shed_expired, deadline_ms", [(True, None), (False, 100.0)]
-    )
-    def test_no_deadline_or_shed_expired_false_never_predicts(self, shed_expired, deadline_ms):
+    def test_no_deadline_never_predicts(self):
         provider = GatedProvider()
         # Two workers: the second request is forwarded while the first
         # keeps the backend busy, which is when a prediction could fire.
@@ -391,13 +385,11 @@ class TestPredictiveShedding:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(
-                backend, clock=clock.now, shed_expired=shed_expired, degrader=None
-            ) as gateway:
+            async with AsyncGateway(backend, clock=clock.now, degrader=None) as gateway:
                 await teach_backend_time(gateway, provider, clock, 0.200)
                 busy = await hold_backend_busy(gateway)
                 ticket = await gateway.enqueue(
-                    GatewayRequest("Question: served?", deadline_ms=deadline_ms)
+                    GatewayRequest("Question: served?")
                 )
                 await wait_until(lambda: gateway._inflight == 2)  # dispatched while busy
                 provider.release.set()
@@ -420,13 +412,13 @@ class TestPredictiveShedding:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(provider, clock=clock.now, degrader=None) as gateway:
+            async with gateway_over(provider, clock=clock.now, degrader=None) as gateway:
                 await teach_backend_time(gateway, provider, clock, 0.500)
                 provider.release.set()  # the backend has recovered
-                return [
-                    await gateway.submit(f"Question: isolated {i}?", deadline_ms=100.0)
-                    for i in range(5)
+                requests = [
+                    GatewayRequest(f"Question: isolated {i}?", deadline_ms=100.0) for i in range(5)
                 ]
+                return [await gateway.submit(request) for request in requests]
 
         completions = asyncio.run(run())
         assert all(c.text for c in completions)
@@ -489,7 +481,7 @@ class TestDispatchWindow:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(provider, clock=clock.now, degrader=None) as gateway:
+            async with gateway_over(provider, clock=clock.now, degrader=None) as gateway:
                 await teach_backend_time(gateway, provider, clock, 0.200)
                 busy = await hold_backend_busy(gateway)
                 waiting = await gateway.enqueue(
@@ -526,7 +518,7 @@ class TestDispatchWindow:
             return fallback.complete(prompt, model=model)
 
         async def run():
-            async with AsyncGateway(provider, clock=clock.now, degrader=degrade) as gateway:
+            async with gateway_over(provider, clock=clock.now, degrader=degrade) as gateway:
                 await teach_backend_time(gateway, provider, clock, 0.200)
                 busy = await hold_backend_busy(gateway)
                 doomed = await gateway.enqueue(
@@ -587,7 +579,7 @@ class TestBackpressure:
         provider = GatedProvider()
 
         async def run():
-            async with AsyncGateway(
+            async with gateway_over(
                 provider, classes=("all",), max_queue_per_class=1, max_inflight=1
             ) as gateway:
                 tasks = [
@@ -610,7 +602,7 @@ class TestBackpressure:
         clock = ManualClock()
 
         async def run():
-            async with AsyncGateway(
+            async with gateway_over(
                 provider,
                 classes=("all",),
                 max_queue_per_class=1,
@@ -623,7 +615,7 @@ class TestBackpressure:
                     await asyncio.sleep(0.001)
                 b = asyncio.ensure_future(gateway.submit("Question: B?"))
                 parked = [
-                    asyncio.ensure_future(gateway.submit(p, deadline_ms=20.0))
+                    asyncio.ensure_future(gateway.submit(GatewayRequest(p, deadline_ms=20.0)))
                     for p in ("Question: C?", "Question: D?")
                 ]
                 while len(gateway._waiters["all"]) < 2:
@@ -644,10 +636,9 @@ class TestBackpressure:
         provider = GatedProvider()
 
         async def run():
-            gateway = AsyncGateway(
+            async with gateway_over(
                 provider, classes=("all",), max_queue_per_class=1, max_inflight=1
-            )
-            async with gateway:
+            ) as gateway:
                 accepted = asyncio.ensure_future(
                     gateway.submit("Question: admitted?")
                 )
@@ -668,51 +659,17 @@ class TestBackpressure:
         assert any(isinstance(r, SchedulerClosedError) for r in results)
 
 
-class TestStreams:
-    def test_complete_many_ordered_with_partial_failures(self):
-        prompts = [
-            GatewayRequest("Question: fine a?"),
-            GatewayRequest("Question: hopeless?", deadline_ms=0),
-            GatewayRequest("Question: fine b?"),
-        ]
-
-        async def run():
-            async with AsyncGateway(LLMClient()) as gateway:
-                return [r async for r in gateway.complete_many(prompts)]
-
-        results = asyncio.run(run())
-        assert [r.index for r in results] == [0, 1, 2]
-        assert results[0].ok and results[2].ok
-        assert not results[1].ok
-        assert isinstance(results[1].error, DeadlineExceededError)
-        assert results[1].status == "shed"
-
-    def test_complete_many_as_completed_yields_everything(self):
-        prompts = questions(5, "stream")
-
-        async def run():
-            async with AsyncGateway(LLMClient()) as gateway:
-                return [
-                    r
-                    async for r in gateway.complete_many(prompts, as_completed=True)
-                ]
-
-        results = asyncio.run(run())
-        assert sorted(r.index for r in results) == [0, 1, 2, 3, 4]
-        assert all(r.ok for r in results)
-
-    def test_complete_all_raises_on_shed(self):
-        async def run():
-            async with AsyncGateway(LLMClient()) as gateway:
-                await gateway.complete_all(
-                    ["Question: fine?", GatewayRequest("Question: dead?", deadline_ms=0)]
-                )
-
-        with pytest.raises(DeadlineExceededError):
-            asyncio.run(run())
-
-
 # ---------------------------------------------------------------- properties
+
+async def settled(tickets):
+    """``(request, completion | None, error | None)`` per ticket, in
+    enqueue order, once every ticket has settled."""
+    outcomes = await asyncio.gather(*(t.future for t in tickets), return_exceptions=True)
+    return [
+        (t.request, None, o) if isinstance(o, BaseException) else (t.request, o, None)
+        for t, o in zip(tickets, outcomes)
+    ]
+
 
 class_indexes = st.lists(
     st.integers(min_value=0, max_value=2), min_size=1, max_size=12
@@ -723,24 +680,30 @@ class_indexes = st.lists(
 @given(assignment=class_indexes)
 def test_property_class_interleavings_match_serial(assignment):
     """Any interleaving of priority classes, no deadlines: every request's
-    result is bit-identical to the serial loop's result for that prompt."""
+    result is bit-identical to the serial loop's result for that prompt,
+    and the backend sees the requests by class, then in submission order."""
     classes = ("interactive", "standard", "batch")
     prompts = questions(len(assignment), "prop")
     serial = LLMClient(seed=7)
     expected = {p: serial.complete(p) for p in prompts}
+    provider = RecordingProvider(seed=7)
 
     async def run():
-        async with AsyncGateway(LLMClient(seed=7)) as gateway:
-            reqs = [
-                GatewayRequest(p, priority=classes[k])
+        async with gateway_over(provider) as gateway:
+            tickets = [
+                await gateway.enqueue(GatewayRequest(p, priority=classes[k]))
                 for p, k in zip(prompts, assignment)
             ]
-            return [r async for r in gateway.complete_many(reqs)]
+            return await settled(tickets)
 
     results = asyncio.run(run())
-    assert all(r.ok for r in results)
-    for result in results:
-        assert result.completion == expected[result.request.prompt]
+    assert all(completion is not None for _, completion, _ in results)
+    for request, completion, _ in results:
+        assert completion == expected[request.prompt]
+    # Every request is queued before the pump first runs, and the window
+    # is one: the forward order is (class, seq), whatever the arrivals.
+    forward = [p for _, _, p in sorted(zip(assignment, range(len(prompts)), prompts))]
+    assert provider.calls == forward
 
 
 @settings(max_examples=15, deadline=None)
@@ -757,8 +720,8 @@ def test_property_single_class_cache_stack_matches_serial(picks):
     gateway_stack = build_stack(LLMClient(), cache=True)
 
     async def run():
-        async with AsyncGateway(gateway_stack, classes=("all",)) as gateway:
-            return await gateway.complete_all(prompts)
+        async with gateway_over(gateway_stack, classes=("all",)) as gateway:
+            return await completions_in_order(gateway, prompts)
 
     assert asyncio.run(run()) == expected
 
@@ -785,15 +748,15 @@ def test_property_expired_at_submit_always_shed_never_dispatched(deadlines):
     ]
 
     async def run():
-        async with AsyncGateway(provider) as gateway:
-            return [r async for r in gateway.complete_many(reqs)]
+        async with gateway_over(provider) as gateway:
+            return await settled([await gateway.enqueue(r) for r in reqs])
 
     results = asyncio.run(run())
-    for result, deadline in zip(results, deadlines):
+    for (request, completion, error), deadline in zip(results, deadlines):
         if deadline is not None and deadline <= 0:
-            assert isinstance(result.error, DeadlineExceededError)
-            assert result.request.prompt not in provider.calls
+            assert isinstance(error, DeadlineExceededError)
+            assert request.prompt not in provider.calls
         else:
-            assert result.ok
+            assert completion is not None
     shed = sum(1 for d in deadlines if d is not None and d <= 0)
     assert len(provider.calls) == len(deadlines) - shed

@@ -7,7 +7,6 @@ nothing else. Every test runs against both, bare and behind the gateway.
 """
 
 import asyncio
-import threading
 
 import pytest
 
@@ -21,6 +20,7 @@ from repro.serving import (
     ServingCluster,
     build_stack,
 )
+from tests.serving.support import completions_in_order, gateway_over
 
 BACKENDS = ("scheduler", "cluster")
 DOORS = [(kind, via) for kind in BACKENDS for via in (False, True)]
@@ -42,8 +42,8 @@ def serve(backend, via_gateway, requests):
 
     async def run():
         async with AsyncGateway(backend, classes=("all",)) as gateway:
-            return await gateway.complete_all(
-                [GatewayRequest(p, model=m, tenant=t) for p, m, t in requests]
+            return await completions_in_order(
+                gateway, [GatewayRequest(p, model=m, tenant=t) for p, m, t in requests]
             )
 
     return asyncio.run(run())
@@ -149,14 +149,14 @@ def test_close_is_idempotent(kind):
 
 def test_gateway_close_is_idempotent():
     async def run():
-        async with AsyncGateway(LLMClient()) as gateway:
+        async with gateway_over(LLMClient()) as gateway:
             await gateway.submit("Question: through the gateway?")
         await gateway.close()
 
     asyncio.run(run())
 
 
-def test_gateway_leaves_a_callers_backend_open_and_closes_its_own():
+def test_gateway_leaves_a_callers_backend_open():
     scheduler = BatchingScheduler(LLMClient())
 
     async def run(backend):
@@ -169,12 +169,6 @@ def test_gateway_leaves_a_callers_backend_open_and_closes_its_own():
     assert scheduler.submit("Question: still open?").result(timeout=10).text
     scheduler.close()
 
-    # A plain provider is wrapped in a scheduler the gateway owns: its
-    # threads are gone once the gateway has closed.
-    before = threading.active_count()
-    asyncio.run(run(LLMClient()))
-    assert threading.active_count() <= before
-
 
 def test_one_snapshot_shows_gateway_scheduler_and_cache():
     # No stats= anywhere: the scheduler adopts the stack's ServiceStats and
@@ -186,7 +180,7 @@ def test_one_snapshot_shows_gateway_scheduler_and_cache():
     async def run():
         async with AsyncGateway(scheduler) as gateway:
             assert gateway.stats is scheduler.stats is stack.stats
-            return await gateway.complete_all(prompts)
+            return await completions_in_order(gateway, prompts)
 
     try:
         asyncio.run(run())

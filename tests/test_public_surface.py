@@ -29,7 +29,6 @@ SERVING = [
     "ClusterRouter",
     "CompletionProvider",
     "GatewayRequest",
-    "GatewayResult",
     "GatewayTicket",
     "LatencyHistogram",
     "MetricsMiddleware",
@@ -220,18 +219,15 @@ def test_bench_exports():
 
 
 def test_gateway_has_no_scheduler_knobs():
-    # How requests are batched and dispatched is the backend's business: a
-    # caller who wants other than the default builds the scheduler.
+    # How requests are batched and dispatched is the backend's business:
+    # the caller builds the scheduler (or cluster) and closes it.
     assert _options(AsyncGateway.__init__) == [
         "backend",
         "classes",
-        "default_class",
         "max_queue_per_class",
         "max_inflight",
-        "shed_expired",
         "degrader",
         "clock",
-        "stats",
     ]
 
 
