@@ -33,7 +33,6 @@ from repro.bench.perf import DEFAULT_REPORT_PATH, run_equivalence, run_hotpaths
 # loop at >= this factor, with zero decision divergence.
 ACCEPTANCE_SIZE = 10_000
 ACCEPTANCE_SPEEDUP = 10.0
-SMOKE_ANN_SIZE = 8192  # above ExactIVFIndex's DEFAULT_TRAIN_THRESHOLD
 PUT_FULL_SIZES = (1024, 8192, 65536)
 
 
@@ -77,17 +76,9 @@ def test_hotpath_speedups(once):
 def main(argv) -> int:
     smoke = "--smoke" in argv
     sizes = (1000,) if smoke else (1000, 10_000, 50_000, 100_000)
-    # The index layer on its own: flat vs cluster-pruned exact search on
-    # clustered vectors (bounds prune) and on text embeddings (they cannot),
-    # zero mismatches required. Full runs sweep 100k-1M rows; the smoke run
-    # takes one cell of each regime just above the training threshold.
-    ann_sizes = (SMOKE_ANN_SIZE,) if smoke else (100_000, 300_000, 1_000_000)
-    ann_text_sizes = (SMOKE_ANN_SIZE,) if smoke else (100_000,)
     report = run_hotpaths(
         sizes=sizes,
         write_path=_report_path(smoke=smoke),
-        ann_sizes=ann_sizes,
-        ann_text_sizes=ann_text_sizes,
         put_full_sizes=PUT_FULL_SIZES[:2] if smoke else PUT_FULL_SIZES,
     )
     print(report.render())

@@ -494,12 +494,6 @@ def run_equivalence(
     total_diverged += batched_diverged
     report["batched"] = {"ops": len(stream), "diverged": batched_diverged}
 
-    # Cluster-pruned exact index vs flat scan, on a cache sized to train:
-    # the pruning is supposed to be a proof, so zero divergence is the bar.
-    ann_diverged = _ann_equivalence(seed=seed)
-    total_diverged += ann_diverged
-    report["ann"] = {"diverged": ann_diverged}
-
     report["diverged"] = total_diverged
     return report
 
@@ -527,47 +521,6 @@ def _batched_equivalence(stream: Sequence[str], chunk_size: int = 8) -> int:
         if list(serial.entries) != list(batched.entries):
             diverged += 1
     if serial.stats != batched.stats:
-        diverged += 1
-    return diverged
-
-
-def _ann_equivalence(seed: int, n_queries: int = 400, n_ops: int = 900) -> int:
-    """Replay one workload through a FlatIndex cache and an ExactIVFIndex
-    cache (training threshold lowered so clustering actually engages) and
-    count any divergence in lookups, contents, or stats."""
-    from repro.vectordb import ExactIVFIndex, FlatIndex, Metric
-
-    queries = make_queries(n_queries, seed=seed + 7)
-    stream = make_stream(queries, n_ops, seed=seed + 8)
-    stream = [q if i % 3 else q + " please" for i, q in enumerate(stream)]
-    flat = SemanticCache(
-        capacity=256,
-        reuse_threshold=0.9,
-        augment_threshold=0.7,
-        index=FlatIndex(dim=64, metric=Metric.COSINE),
-    )
-    pruned = SemanticCache(
-        capacity=256,
-        reuse_threshold=0.9,
-        augment_threshold=0.7,
-        index=ExactIVFIndex(dim=64, metric=Metric.COSINE, train_threshold=128),
-    )
-    diverged = 0
-    for query in stream:
-        flat_lookup = flat.lookup(query)
-        pruned_lookup = pruned.lookup(query)
-        if _lookup_sig(flat_lookup) != _lookup_sig(pruned_lookup):
-            diverged += 1
-        if flat_lookup.tier != "reuse":
-            flat.put(query, "answer", cost=0.01)
-        if pruned_lookup.tier != "reuse":
-            pruned.put(query, "answer", cost=0.01)
-        if list(flat.entries) != list(pruned.entries):
-            diverged += 1
-    if flat.stats != pruned.stats:
-        diverged += 1
-    if pruned.index.pruned_searches == 0:
-        # The comparison only means something if pruning actually ran.
         diverged += 1
     return diverged
 
@@ -600,11 +553,6 @@ class HotpathReport:
     sizes: List[int]
     ops: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
     equivalence: Dict[str, object] = field(default_factory=dict)
-    # Index-level flat vs cluster-pruned sweeps (one small cell each in
-    # smoke mode): ``ann`` on clustered vectors, where the bounds prune,
-    # ``ann_text`` on hash embeddings of prompts, where they cannot.
-    ann: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    ann_text: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # Puts into a full cache, per policy then size (:func:`run_put_full`).
     put_full: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
     # Embedding a text, seed loop vs direction table, per size (:func:`run_embed`).
@@ -618,7 +566,7 @@ class HotpathReport:
         if total >= 0:
             total += sum(
                 int(cell.get("mismatches", 0))
-                for sweep in (self.ann, self.ann_text, *self.put_full.values())
+                for sweep in self.put_full.values()
                 for cell in sweep.values()
             )
         return total
@@ -632,8 +580,6 @@ class HotpathReport:
             "sizes": self.sizes,
             "ops": self.ops,
             "equivalence": self.equivalence,
-            "ann": self.ann,
-            "ann_text": self.ann_text,
             "cache_put_full": self.put_full,
             "embed": self.embed,
             "blas_threads": self.blas_threads,
@@ -664,24 +610,6 @@ class HotpathReport:
             rows,
             title="Similarity hot paths: linear scan vs vectordb-backed",
         )
-        ann_rows = [
-            (
-                regime,
-                int(size),
-                round(cell["flat_ms_per_op"], 3),
-                round(cell["pruned_ms_per_op"], 3),
-                round(cell["speedup"], 1),
-                round(cell["scanned_fraction"], 4),
-                int(cell["mismatches"]),
-            )
-            for regime, sweep in (("clustered", self.ann), ("text", self.ann_text))
-            for size, cell in sorted(sweep.items(), key=lambda kv: int(kv[0]))
-        ]
-        if ann_rows:
-            table += "\n" + format_table(
-                ["Data", "Rows", "Flat ms/op", "Pruned ms/op", "Speedup", "Scanned", "Mismatch"],
-                ann_rows,
-            )
         full_rows = [
             (
                 policy,
@@ -722,88 +650,6 @@ class HotpathReport:
                 title="Embed a text: seed per-feature loop vs direction table",
             )
         return table + f"\nEquivalence: diverged={self.diverged} (0 = drop-in)"
-
-
-_SWEEP_PASSES = 5
-
-
-def _best_pass(index, probe_vecs: np.ndarray) -> Tuple[float, list]:
-    """ms per exact top-1 search over ``probe_vecs``, best of a few passes
-    (a pass is milliseconds long, so one preemption would swamp it), and
-    the hits of the last pass."""
-    best_ms = float("inf")
-    for _pass in range(_SWEEP_PASSES):
-        start = time.perf_counter()
-        hits = [index.search_top1(vec, refine_exact=True) for vec in probe_vecs]
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        best_ms = min(best_ms, elapsed_ms / len(probe_vecs))
-    return best_ms, hits
-
-
-def run_index_sweep(
-    sizes: Sequence[int] = (100_000, 300_000, 1_000_000),
-    dim: int = 64,
-    n_probes: int = 50,
-    seed: int = 17,
-    text: bool = False,
-) -> Dict[str, Dict[str, float]]:
-    """FlatIndex vs ExactIVFIndex top-1 search at 100k-1M rows.
-
-    By default the data is clustered (mixture of random unit centers plus
-    noise) and the probes are near-duplicates of stored rows — the
-    semantic-cache reuse workload the pruned index is built for. With
-    ``text=True`` the rows are what a cache actually holds: hash embeddings
-    of :func:`make_queries` prompts probed with :func:`make_probe_stream`
-    rewordings, near-orthogonal data on which the cluster bounds prune
-    little or nothing. Every probe's (id, score) must match the flat scan
-    exactly; ``mismatches`` counts any that don't. ``scanned_fraction``
-    counts a row once per pass that reduces it, so it exceeds 1 when a
-    search gathers some clusters and then falls through to the flat pass.
-    """
-    from repro.vectordb import ExactIVFIndex, FlatIndex, Metric
-
-    rng = rng_from(seed)
-    sweep: Dict[str, Dict[str, float]] = {}
-    for size in sizes:
-        if text:
-            embedder = EmbeddingModel(dim=dim, memo_size=1)
-            queries = make_queries(size, seed=seed)
-            probes = make_probe_stream(queries, n_probes, seed=seed + 1)
-            vectors = np.asarray(embedder.embed_batch(queries))
-            probe_vecs = np.asarray(embedder.embed_batch(probes))
-        else:
-            n_centers = max(32, size // 2000)
-            centers = rng.standard_normal((n_centers, dim))
-            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-            assign = rng.integers(0, n_centers, size=size)
-            vectors = centers[assign] + 0.10 * rng.standard_normal((size, dim))
-            probe_rows = rng.integers(0, size, size=n_probes)
-            probe_vecs = vectors[probe_rows] + 0.01 * rng.standard_normal((n_probes, dim))
-        ids = [f"v{i}" for i in range(size)]
-
-        flat = FlatIndex(dim=dim, metric=Metric.COSINE)
-        flat.add_batch(ids, vectors)
-        pruned = ExactIVFIndex(dim=dim, metric=Metric.COSINE)
-        pruned.add_batch(ids, vectors)
-
-        # Warm both (flush; train the pruned side) off the clock.
-        flat.search_top1(probe_vecs[0], refine_exact=True)
-        pruned.search_top1(probe_vecs[0], refine_exact=True)
-
-        flat_ms, flat_hits = _best_pass(flat, probe_vecs)
-        scanned_before = pruned.scanned_rows
-        pruned_ms, pruned_hits = _best_pass(pruned, probe_vecs)
-        scanned = (pruned.scanned_rows - scanned_before) / _SWEEP_PASSES
-
-        mismatches = sum(1 for a, b in zip(flat_hits, pruned_hits) if a != b)
-        sweep[str(size)] = {
-            "flat_ms_per_op": flat_ms,
-            "pruned_ms_per_op": pruned_ms,
-            "speedup": flat_ms / max(pruned_ms, 1e-9),
-            "scanned_fraction": scanned / (n_probes * size),
-            "mismatches": float(mismatches),
-        }
-    return sweep
 
 
 def run_put_full(
@@ -925,18 +771,13 @@ def run_hotpaths(
     budget_s: float = 0.35,
     selection_k: int = 8,
     write_path: Optional[str] = None,
-    ann_sizes: Sequence[int] = (),
-    ann_text_sizes: Sequence[int] = (),
     put_full_sizes: Sequence[int] = (),
 ) -> HotpathReport:
     """Time lookup/put/admission/selection at each size, both backends.
 
     Embeddings are pre-warmed into the shared memo before timing, so the
     measured work is the scan/scoring itself — the part this PR vectorizes.
-    Pass ``write_path`` to persist the JSON perf trajectory,
-    ``ann_sizes`` (e.g. ``(100_000, 1_000_000)``) / ``ann_text_sizes`` to
-    include the index-level flat-vs-pruned sweeps of
-    :func:`run_index_sweep` on clustered / text data, and
+    Pass ``write_path`` to persist the JSON perf trajectory and
     ``put_full_sizes`` for the full-cache put cells of :func:`run_put_full`.
     The embedding cells of :func:`run_embed` always run, and first, so the
     direction table has not seen the other cells' words.
@@ -1000,8 +841,7 @@ def run_hotpaths(
         }
 
         # One warm probe each, off the clock: it flushes the write-behind
-        # insert buffer and (above the auto-index threshold) trains the
-        # cluster-pruned index — one-time costs the per-op numbers would
+        # insert buffer — a one-time cost the per-op numbers would
         # otherwise smear over the first timed ops.
         reference.lookup(probes[0])
         vectorized.lookup(probes[0])
@@ -1084,10 +924,6 @@ def run_hotpaths(
     report.equivalence = run_equivalence(seed=seed)
     report.equivalence["embed"] = {"diverged": embed_diverged}
     report.equivalence["diverged"] += embed_diverged
-    if ann_sizes:
-        report.ann = run_index_sweep(sizes=ann_sizes, seed=seed + 6)
-    if ann_text_sizes:
-        report.ann_text = run_index_sweep(sizes=ann_text_sizes, seed=seed + 6, text=True)
     if put_full_sizes:
         report.put_full = run_put_full(sizes=put_full_sizes, seed=seed)
     if write_path is not None:

@@ -33,12 +33,12 @@ order is no longer the exact order — leave the heap for an explicit
 underflow set that is scored the seed's way.
 
 Similarity matching is backed by the :mod:`repro.vectordb` layer (GPTCache
-style): a probe is one matrix reduction over a dense embedding index
-instead of a per-entry Python loop. The default :class:`FlatIndex` backend
-is *exact* — probes return bit-identical tiers and similarities to the
-original linear scan (``benchmarks/bench_perf_hotpaths.py`` asserts this
-decision for decision). ``index="ivf"`` / ``index="hnsw"`` trade that
-exactness for sublinear probes at large capacities.
+style): a probe is one matrix reduction over a dense :class:`FlatIndex`
+instead of a per-entry Python loop. The index is *exact* — probes return
+bit-identical tiers and similarities to the original linear scan
+(``benchmarks/bench_perf_hotpaths.py`` asserts this decision for
+decision) — and it is flat at every capacity: the cache holds text
+embeddings, which do not cluster, so no exact pruning beats one scan.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._util import cosine
 from repro.llm.client import Completion
 from repro.llm.embeddings import EmbeddingModel
-from repro.vectordb import FlatIndex, HNSWIndex, IVFIndex, auto_index
+from repro.vectordb import FlatIndex
 from repro.vectordb.distance import Metric, scalar_similarity
 
 REUSE_WEIGHT = 3.0  # case (1): no LLM call needed — most valuable
@@ -266,20 +266,6 @@ class _BatchProbe:
     vectors: Dict[str, np.ndarray]
     log_pos: int
     evictions: int
-
-
-def _build_index(index: Union[str, object], dim: int, capacity: int) -> object:
-    if not isinstance(index, str):
-        return index
-    if index == "auto":
-        return auto_index(dim, capacity)
-    if index == "flat":
-        return FlatIndex(dim=dim)
-    if index == "ivf":
-        return IVFIndex(dim=dim)
-    if index == "hnsw":
-        return HNSWIndex(dim=dim)
-    raise ValueError(f"unknown cache index kind: {index!r} (auto|flat|ivf|hnsw)")
 
 
 # The heap key of a decaying policy (a log plus a clock term) and the seed's
@@ -527,15 +513,13 @@ class _EvictionOrder:
 class SemanticCache:
     """Similarity-matched, budget-bounded LLM response cache.
 
-    ``index`` selects the vector backend for probes: ``"auto"`` (default)
-    picks by capacity via :func:`repro.vectordb.auto_index` — an exact
-    dense-matrix :class:`FlatIndex` up to ~50k entries, the cluster-pruned
-    (still exact) :class:`~repro.vectordb.ExactIVFIndex` above — so probe
-    decisions are always identical to a per-entry linear scan. ``"flat"``
-    forces the brute-force index; ``"ivf"`` / ``"hnsw"`` are the
-    *approximate* :mod:`repro.vectordb` indexes, where a probe may miss
-    the true nearest entry but runs sublinearly. A prebuilt index object
-    (anything with ``add``/``remove``/``search``) is accepted too.
+    Probes search an exact :class:`~repro.vectordb.FlatIndex` over
+    ``embedding_dim``-wide vectors at every capacity, so probe decisions
+    are always identical to a per-entry linear scan. ``index`` accepts a
+    prebuilt index object instead (anything with ``add``/``remove``/
+    ``search``), e.g. the *approximate* :class:`~repro.vectordb.IVFIndex`
+    or :class:`~repro.vectordb.HNSWIndex`, where a probe may miss the
+    true nearest entry.
 
     Exact-match contract: ``reuse_threshold == augment_threshold == 1.0``
     means key equality and no vectors — a lookup is one dict probe, a
@@ -564,7 +548,7 @@ class SemanticCache:
         embedding_dim: int = 64,
         lrfu_lambda: float = 0.1,
         admission: Optional[AdmissionPredictor] = None,
-        index: Union[str, object] = "auto",
+        index: Optional[object] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -581,7 +565,7 @@ class SemanticCache:
         self.admission_rejects = 0
         self.embedder = EmbeddingModel(dim=embedding_dim)
         self.entries: Dict[str, CacheEntry] = {}
-        self.index = _build_index(index, embedding_dim, capacity)
+        self.index = FlatIndex(dim=embedding_dim) if index is None else index
         # An empty copy, configuration and all, for a restore to rebuild from.
         self._empty_index = copy.deepcopy(self.index)
         self.stats = CacheStats()

@@ -10,9 +10,8 @@ as a shared, multi-user database-style workload:
   or removing a shard moves only ~K/N keys (the classic ring property;
   the hypothesis suite pins it).
 * :class:`ShardedSemanticCache` — the semantic cache partitioned across
-  shards. Each shard owns its entries and its vector index (built
-  partition-aware via :class:`~repro.vectordb.PartitionSpec`, so index
-  kind is chosen at partition-local scale); the router key is
+  shards. Each shard owns its entries and its flat vector index, sized
+  to the shard's share of the tenant's capacity; the router key is
   ``tenant|prompt-key``. Tenants are hard-partitioned: a probe scatters
   over the *probing tenant's* partitions only, merges per-shard winners
   by (similarity, global insertion order) — provably the same winner an
@@ -60,7 +59,6 @@ from repro.llm.provider import CompletionProvider, make_client
 from repro.serving.middleware import augmented_prompt, cached_completion, counted_probe
 from repro.serving.stack import ServingStack, build_stack
 from repro.serving.stats import ServiceStats
-from repro.vectordb.partition import PartitionSpec
 
 DEFAULT_TENANT = "default"
 _SEQ_INF = float("inf")
@@ -167,8 +165,7 @@ class ShardedSemanticCache:
 
     Entries are owned by ``router.route(tenant|key)``; each (shard,
     tenant) pair holds an independent :class:`SemanticCache` partition
-    whose vector index is built partition-aware (sized to the shard's
-    share of ``tenant_capacity`` via :class:`~repro.vectordb.PartitionSpec`).
+    with room for the shard's share of ``tenant_capacity`` (rounded up).
     All partitions share one embedder, so a key is feature-hashed once
     cluster-wide.
 
@@ -205,11 +202,10 @@ class ShardedSemanticCache:
         self.policy = policy
         self.lrfu_lambda = lrfu_lambda
         self.sharing = sharing
-        self.spec = PartitionSpec(
-            dim=embedding_dim,
-            total_capacity=tenant_capacity,
-            n_partitions=len(router.shards),
-        )
+        if tenant_capacity <= 0:
+            raise ValueError("tenant_capacity must be positive")
+        self.total_capacity = tenant_capacity
+        self.partition_capacity = -(-tenant_capacity // len(router.shards))
         self.embedder = EmbeddingModel(dim=embedding_dim)
         # shard -> tenant -> partition cache (partitions created on first put)
         self._partitions: Dict[str, Dict[str, SemanticCache]] = {
@@ -243,13 +239,12 @@ class ShardedSemanticCache:
         cache = tenants.get(tenant)
         if cache is None and create:
             cache = SemanticCache(
-                capacity=self.spec.partition_capacity,
+                capacity=self.partition_capacity,
                 reuse_threshold=self.reuse_threshold,
                 augment_threshold=self.augment_threshold,
                 policy=self.policy,
-                embedding_dim=self.spec.dim,
+                embedding_dim=self.embedder.dim,
                 lrfu_lambda=self.lrfu_lambda,
-                index=self.spec.build_partition_index(),
             )
             cache.embedder = self.embedder  # one feature-hash memo cluster-wide
             tenants[tenant] = cache
@@ -389,7 +384,7 @@ class ShardedSemanticCache:
             self._next_seq[tenant] = seq_map[key] + 1
             # The seq map outlives evicted entries (ties only consult live
             # keys); prune it once it clearly outgrows the live set.
-            if len(seq_map) > 4 * self.spec.total_capacity:
+            if len(seq_map) > 4 * self.total_capacity:
                 live = set()
                 for other in self.router.shards:
                     partition = self._partitions[other].get(tenant)
@@ -401,7 +396,8 @@ class ShardedSemanticCache:
     def describe(self) -> str:
         return (
             f"sharded-cache[{self.router.describe()}, "
-            f"{self.spec.describe()}, "
+            f"{len(self.router.shards)} x FlatIndex(dim={self.embedder.dim}, "
+            f"~{self.partition_capacity} rows/partition), "
             f"{self.sharing.describe() if self.sharing else 'sharing: closed'}]"
         )
 

@@ -6,10 +6,9 @@ prompts for prompt selection (Section III-A), the semantic LLM cache
 (Sections II-D1 and III-B2). This subpackage provides the storage and index
 layer all three build on:
 
-* :class:`FlatIndex` — exact brute-force search (the recall reference);
-* :class:`ExactIVFIndex` — cluster-pruned search that is still exact
-  (triangle-inequality bounds, never a recall trade-off) — what
-  :func:`auto_index` picks above ~50k entries;
+* :class:`FlatIndex` — exact brute-force search (the recall reference,
+  and the semantic cache's index: it holds text embeddings, which do not
+  cluster, so nothing prunes them better than one matrix reduction);
 * :class:`IVFIndex` — inverted-file index with k-means coarse quantizer;
 * :class:`HNSWIndex` — hierarchical navigable small-world graph;
 * :class:`Collection` — vectors + metadata with pre-/post-/adaptive
@@ -30,32 +29,19 @@ from repro.vectordb.filters import MetadataFilter
 from repro.vectordb.index_flat import FlatIndex
 from repro.vectordb.index_hnsw import HNSWIndex
 from repro.vectordb.index_ivf import IVFIndex
-from repro.vectordb.index_ivf_exact import ExactIVFIndex
-from repro.vectordb.partition import PartitionSpec
-from repro.vectordb.tuning import (
-    FLAT_MAX_ENTRIES,
-    TuningResult,
-    auto_index,
-    measure_recall,
-    tune_ef_search,
-    tune_nprobe,
-)
+from repro.vectordb.tuning import TuningResult, measure_recall, tune_ef_search, tune_nprobe
 
 __all__ = [
     "Collection",
-    "ExactIVFIndex",
-    "FLAT_MAX_ENTRIES",
     "FilterStrategy",
     "FlatIndex",
     "HNSWIndex",
     "IVFIndex",
     "Metric",
     "MetadataFilter",
-    "PartitionSpec",
     "SearchHit",
     "SearchReport",
     "TuningResult",
-    "auto_index",
     "measure_recall",
     "tune_ef_search",
     "tune_nprobe",

@@ -15,38 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.vectordb.distance import Metric
 from repro.vectordb.index_flat import FlatIndex
 from repro.vectordb.index_hnsw import HNSWIndex
 from repro.vectordb.index_ivf import IVFIndex
-from repro.vectordb.index_ivf_exact import ExactIVFIndex
-
-# Above this many expected entries, a brute-force scan per probe stops
-# being the right default: auto_index switches to cluster-pruned exact
-# search. Chosen where the flat gemv starts to dominate probe latency on
-# commodity hardware (~50k rows at dim 64).
-FLAT_MAX_ENTRIES = 50_000
-
-
-def auto_index(
-    dim: int,
-    expected_size: int,
-    metric: Metric = Metric.COSINE,
-) -> FlatIndex:
-    """Pick the right index for an expected corpus size.
-
-    Up to :data:`FLAT_MAX_ENTRIES` rows (or for non-cosine metrics, where
-    the angular pruning bound doesn't apply) this returns a plain
-    :class:`FlatIndex` — exact, simple, and fastest at small scale. Above
-    it, an :class:`ExactIVFIndex`: identical results (its cluster pruning
-    is a proof, not a recall trade-off) with sublinear expected scanning
-    on clustered data. Callers that can tolerate approximate recall at
-    even larger scales should reach for :class:`IVFIndex`/
-    :class:`HNSWIndex` explicitly and tune them with
-    :func:`tune_nprobe`/:func:`tune_ef_search`."""
-    if expected_size <= FLAT_MAX_ENTRIES or metric is not Metric.COSINE:
-        return FlatIndex(dim=dim, metric=metric)
-    return ExactIVFIndex(dim=dim, metric=metric)
 
 
 @dataclass(frozen=True)

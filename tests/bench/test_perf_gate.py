@@ -3,7 +3,7 @@
 check_perf_gate.py is a standalone script (no package), so load it via
 importlib and drive ``check_report``/``main`` directly against synthetic
 artifacts: missing files, pre-schema payloads, and hotpaths reports on
-both sides of the pruned-vs-flat ceiling.
+both sides of each floor and ceiling.
 """
 
 import importlib.util
@@ -68,53 +68,13 @@ class TestArtifactHygiene:
         assert "Traceback" not in err
 
 
-def _ann_cell(flat_ms=1.0, pruned_ms=0.25, mismatches=0):
-    return {
-        "flat_ms_per_op": flat_ms,
-        "pruned_ms_per_op": pruned_ms,
-        "speedup": flat_ms / pruned_ms,
-        "scanned_fraction": 0.02,
-        "mismatches": float(mismatches),
-    }
-
-
-def _hotpaths_report(**sweeps):
+def _hotpaths_report(**cells):
     return {
         "schema": "repro.bench.hotpaths/v1",
         "ops": {"cache_put": {"1000": {"speedup": 1.3}}},
         "equivalence": {"diverged": 0},
-        **sweeps,
+        **cells,
     }
-
-
-class TestHotpathsAnnBranch:
-    def test_both_regimes_inside_the_ceiling_pass(self, gate, tmp_path):
-        report = _hotpaths_report(
-            ann={"8192": _ann_cell()},
-            # Un-prunable data: slower than flat, but by a bounded factor.
-            ann_text={"8192": _ann_cell(flat_ms=0.13, pruned_ms=0.23)},
-        )
-        path = _write(tmp_path, "BENCH_hotpaths.smoke.json", report)
-        assert gate.check_report(path) == []
-
-    def test_report_without_sweeps_passes(self, gate, tmp_path):
-        path = _write(tmp_path, "BENCH_hotpaths.json", _hotpaths_report())
-        assert gate.check_report(path) == []
-
-    @pytest.mark.parametrize("sweep", ["ann", "ann_text"])
-    def test_pruned_search_far_slower_than_flat_fails(self, gate, tmp_path, sweep):
-        # What the per-cluster loop read on text data: ~10x the flat scan.
-        report = _hotpaths_report(**{sweep: {"8192": _ann_cell(0.13, 1.4)}})
-        path = _write(tmp_path, "BENCH_hotpaths.smoke.json", report)
-        problems = gate.check_report(path)
-        assert len(problems) == 1
-        assert f"{sweep} pruned search costs 10.77x the flat scan at 8192 rows" in problems[0]
-
-    def test_text_mismatches_fail(self, gate, tmp_path):
-        report = _hotpaths_report(ann_text={"8192": _ann_cell(mismatches=2)})
-        path = _write(tmp_path, "BENCH_hotpaths.json", report)
-        problems = gate.check_report(path)
-        assert any("ann_text.8192.mismatches = 2" in p for p in problems)
 
 
 def _put_full_cell(linear_ms=4.0, vector_ms=0.01, mismatches=0):

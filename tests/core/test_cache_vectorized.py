@@ -17,6 +17,7 @@ from repro.bench.perf import (
 from repro.core.cache import AdmissionPredictor, EvictionPolicy, SemanticCache
 from repro.core.prompts.selector import mmr_select, similarity_select
 from repro.llm.embeddings import EmbeddingModel
+from repro.serving.cluster import ClusterRouter, ShardedSemanticCache
 from repro.vectordb import FlatIndex, HNSWIndex, IVFIndex
 
 _words = st.sampled_from(
@@ -150,7 +151,7 @@ class TestIndexBackends:
 
     @pytest.mark.parametrize("kind,cls", [("ivf", IVFIndex), ("hnsw", HNSWIndex)])
     def test_approximate_backends_serve_lookups(self, kind, cls):
-        cache = SemanticCache(capacity=32, index=kind)
+        cache = SemanticCache(capacity=32, index=cls(dim=64))
         assert isinstance(cache.index, cls)
         self._fill(cache)
         lookup = cache.lookup("query number 3 about topic 3")
@@ -165,9 +166,18 @@ class TestIndexBackends:
         cache.flush()  # puts are write-behind; materialize before inspecting
         assert len(index) == 5
 
-    def test_unknown_index_kind_rejected(self):
+    def test_cache_and_partitions_are_flat_at_any_capacity(self):
+        # Text embeddings do not cluster, so no capacity switches the cache
+        # or a cluster partition onto another index.
+        assert type(SemanticCache(capacity=65_536).index) is FlatIndex
+        sharded = ShardedSemanticCache(ClusterRouter(["s0", "s1"]), tenant_capacity=200_000)
+        sharded.put("acme", "query about stadiums", "answer")
+        [(_shard, partition)] = sharded.partitions_of("acme")
+        assert partition.capacity == 100_000
+        assert type(partition.index) is FlatIndex
+        assert "2 x FlatIndex(dim=64, ~100000 rows/partition)" in sharded.describe()
         with pytest.raises(ValueError):
-            SemanticCache(index="faiss")
+            ShardedSemanticCache(ClusterRouter(["s0"]), tenant_capacity=0)
 
     def test_eviction_keeps_index_in_sync(self):
         cache = SemanticCache(capacity=4)

@@ -5,8 +5,7 @@ in a put buffer, and the flat index parks vectors in an insert buffer —
 so these properties pin the contract that buffering must never change:
 every probe decision, statistic, and eviction is bit-identical to the
 frozen seed linear scan, under put-heavy interleavings, across all four
-eviction policies, through batch probes, through the cluster-pruned
-index, and across snapshot boundaries.
+eviction policies, through batch probes, and across snapshot boundaries.
 """
 
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from repro.bench.perf import LinearScanCache
 from repro.core.cache import EvictionPolicy, SemanticCache
 from repro.durability.snapshot import restore_cache_into, snapshot_cache
-from repro.vectordb import ExactIVFIndex
 
 _words = st.sampled_from(
     ["stadium", "concert", "privacy", "cache", "query", "film", "director",
@@ -168,22 +166,6 @@ def test_batch_probed_lookups_bit_identical(ops, chunk):
         )
     )
     assert signature == serial_sig
-
-
-@settings(max_examples=15, deadline=None)
-@given(ops=op_strategy)
-def test_pruned_index_bit_identical_to_flat(ops):
-    """The cluster-pruned (still exact) index changes nothing but speed."""
-    flat = SemanticCache(
-        capacity=8, reuse_threshold=0.9, augment_threshold=0.7, index="flat"
-    )
-    pruned = SemanticCache(
-        capacity=8,
-        reuse_threshold=0.9,
-        augment_threshold=0.7,
-        index=ExactIVFIndex(dim=64, train_threshold=4),
-    )
-    assert _drive(pruned, ops) == _drive(flat, ops)
 
 
 @settings(max_examples=20, deadline=None)

@@ -26,7 +26,7 @@ from repro.durability import (
 )
 from repro.llm.client import Usage, UsageMeter
 from repro.serving.stats import ServiceStats
-from repro.vectordb import ExactIVFIndex, FlatIndex, Metric
+from repro.vectordb import FlatIndex, IVFIndex, Metric
 
 _words = st.sampled_from(
     ["stadium", "concert", "privacy", "cache", "query", "film", "director",
@@ -197,11 +197,13 @@ class TestCacheRoundtrip:
         after = restored.lookup(probe)
         assert (after.tier, after.similarity) == (before.tier, before.similarity) == ("miss", 0.0)
 
-        ivf = SemanticCache(capacity=8, index=ExactIVFIndex(dim=64, train_threshold=8))
+        ivf = SemanticCache(capacity=8, index=IVFIndex(dim=64, nlist=4, nprobe=2))
         ivf.put("who directed the film", "the director")
-        restored = SemanticCache(capacity=8, index=ExactIVFIndex(dim=64, train_threshold=8))
+        restored = SemanticCache(capacity=8, index=IVFIndex(dim=64, nlist=4, nprobe=2))
         restore_cache_into(restored, json_roundtrip(snapshot_cache(ivf)))
-        assert restored.index.train_threshold == 8
+        assert type(restored.index) is IVFIndex
+        assert (restored.index.nlist, restored.index.nprobe) == (4, 2)
+        assert len(restored.index) == 1
         assert restored.index is not restored._empty_index
         assert len(restored._empty_index) == 0
 

@@ -18,7 +18,6 @@ from repro.serving import (
     build_stack,
 )
 from repro.sqldb import SemanticRuntime
-from repro.vectordb import ExactIVFIndex
 
 SERVING = [
     "AsyncGateway",
@@ -68,19 +67,15 @@ CORE = [
 
 VECTORDB = [
     "Collection",
-    "ExactIVFIndex",
-    "FLAT_MAX_ENTRIES",
     "FilterStrategy",
     "FlatIndex",
     "HNSWIndex",
     "IVFIndex",
     "Metric",
     "MetadataFilter",
-    "PartitionSpec",
     "SearchHit",
     "SearchReport",
     "TuningResult",
-    "auto_index",
     "measure_recall",
     "tune_ef_search",
     "tune_nprobe",
@@ -252,19 +247,6 @@ def test_semantic_runtime_options():
 def test_vectordb_exports():
     assert repro.vectordb.__all__ == VECTORDB
     assert all(hasattr(repro.vectordb, name) for name in VECTORDB)
-
-
-def test_exact_ivf_index_has_no_search_knob():
-    # How a search scans — cluster groups or one flat pass — is chosen per
-    # query from the bounds it computes, never by the caller.
-    assert _options(ExactIVFIndex.__init__) == [
-        "dim",
-        "metric",
-        "seed",
-        "train_threshold",
-        "train_sample",
-        "retrain_fraction",
-    ]
 
 
 def test_semantic_cache_options():
