@@ -5,8 +5,10 @@ few-shot selection at several cache sizes against the frozen linear-scan
 references (:mod:`repro.bench.perf`), plus puts into a *full* cache (every
 put evicts: seed ``min()`` scan vs eviction heap, every policy) and
 embedding a text (seed per-feature loop vs direction table, 1k and 10k
-texts), asserts decision-for-decision, victim-for-victim and byte-for-byte
-equivalence, and writes
+texts) and the edit distance of a record pair (seed dynamic program vs
+bit-parallel kernel, 500 pairs), asserts decision-for-decision,
+victim-for-victim, byte-for-byte and distance-for-distance equivalence,
+and writes
 ``BENCH_hotpaths.json`` so future PRs have a perf trajectory to compare
 against. BLAS is pinned to one thread before numpy loads (a multi-threaded
 gemv stalls for milliseconds on a shared 2-vCPU box); the artifact records

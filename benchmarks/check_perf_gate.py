@@ -14,7 +14,9 @@ violated:
   (1,024 -> 8,192 -> 65,536: the scan grows 8x per step, the heap ~log).
   Every ``embed`` cell (embedding a text on already-seen vocabulary) must
   beat the seed's per-feature loop by at least 2x; its byte mismatches
-  are ``equivalence.embed.diverged``.
+  are ``equivalence.embed.diverged``. Every ``edit_distance`` cell (edit
+  distance of a record pair) must beat the seed's dynamic program by at
+  least 5x; its distance mismatches are ``equivalence.edit_distance.diverged``.
 * every other report: its ``diverged`` count (wherever it lives in the
   payload) must be zero.
 
@@ -37,6 +39,7 @@ PUT_FLOOR = 1.0
 PUT_FULL_FLOOR = 2.0  # seed-scan put over heap put, cache at capacity
 PUT_FULL_GROWTH_CEILING = 3.0  # heap put ms/op, next size over this size
 EMBED_FLOOR = 2.0  # seed per-feature loop over the direction table, warm vocabulary
+EDIT_DISTANCE_FLOOR = 5.0  # seed dynamic program over the bit-parallel kernel
 
 _REGEN_HINT = "regenerate with the matching benchmarks/bench_perf_*.py run"
 
@@ -103,13 +106,17 @@ def check_report(path: str) -> List[str]:
                         f"{growth:.2f}x the put at {small} (ceiling "
                         f"{PUT_FULL_GROWTH_CEILING:.1f}x)"
                     )
-        for size, cell in sorted(report.get("embed", {}).items(), key=lambda kv: int(kv[0])):
-            speedup = float(cell["speedup"])
-            if speedup < EMBED_FLOOR:
-                problems.append(
-                    f"{path}: embed speedup {speedup:.2f} at {size} texts below the "
-                    f"{EMBED_FLOOR:.1f}x floor"
-                )
+        for key, floor, unit in (
+            ("embed", EMBED_FLOOR, "texts"),
+            ("edit_distance", EDIT_DISTANCE_FLOOR, "pairs"),
+        ):
+            for size, cell in sorted(report.get(key, {}).items(), key=lambda kv: int(kv[0])):
+                speedup = float(cell["speedup"])
+                if speedup < floor:
+                    problems.append(
+                        f"{path}: {key} speedup {speedup:.2f} at {size} {unit} below the "
+                        f"{floor:.1f}x floor"
+                    )
     return problems
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -57,21 +57,45 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance; O(len(a)*len(b)) dynamic program."""
+    """Edit distance by Myers' bit-parallel algorithm in Hyyrö's formulation.
+
+    The longer string is the pattern: bit i of ``peq[c]`` is set where its
+    character i is ``c``, and one Python int holds a whole DP column as
+    vertical deltas (``pv`` for +1, ``mv`` for -1), so every length takes
+    the same path. The loop runs once per character of the shorter string
+    (the word operations on a wide int stay in C), and the bottom row's
+    value moves with the horizontal delta at bit m - 1. Each ``~`` is
+    masked to m bits. The result equals the O(len(a) * len(b)) dynamic
+    program, kept as ``repro.bench.perf.linear_levenshtein``.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    peq: Dict[str, int] = {}
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = len(a) - 1
+    pv, mv, score = full, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv) & full
+        mh = pv & xh
+        if ph >> last:
+            score += 1
+        elif mh >> last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def levenshtein_ratio(a: str, b: str) -> float:

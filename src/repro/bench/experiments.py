@@ -571,6 +571,27 @@ class Fig5Result:
         )
 
 
+def _public_symbols(module) -> int:
+    """A module's ``__all__``, or else the public names its own top level
+    defines (functions, classes, assigned names): imports never count."""
+    public = getattr(module, "__all__", None)
+    if public is not None:
+        return len(public)
+    import ast
+    import inspect
+
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+            )
+    return sum(not name.startswith("_") for name in names)
+
+
 def run_fig5() -> Fig5Result:
     """Build the challenges inventory by introspecting the core modules."""
     import importlib
@@ -587,11 +608,7 @@ def run_fig5() -> Fig5Result:
     rows: List[Tuple[str, str, int]] = []
     for challenge, module_name in mapping:
         module = importlib.import_module(module_name)
-        public = getattr(module, "__all__", None)
-        count = len(public) if public is not None else len(
-            [n for n in dir(module) if not n.startswith("_")]
-        )
-        rows.append((challenge, module_name, count))
+        rows.append((challenge, module_name, _public_symbols(module)))
     return Fig5Result(rows=rows)
 
 

@@ -4,8 +4,9 @@ The serving hot paths — semantic-cache probes, admission checks, few-shot
 selection — were originally per-entry Python loops calling
 :func:`repro._util.cosine`. They are now one matrix reduction each, backed
 by :mod:`repro.vectordb`. This module keeps the original linear-scan
-implementations, and the seed per-feature embedding loop
-(:func:`linear_embed_text`), frozen as references and provides two entry
+implementations, the seed per-feature embedding loop
+(:func:`linear_embed_text`) and the seed edit-distance dynamic program
+(:func:`linear_levenshtein`), frozen as references and provides two entry
 points:
 
 * :func:`run_equivalence` — replays identical randomized workloads through
@@ -48,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import cosine, rng_from, stable_hash, words
+from repro._util import cosine, levenshtein, rng_from, stable_hash, words
 from repro.bench.reporting import format_table
 from repro.core.cache import (
     AdmissionPredictor,
@@ -325,6 +326,24 @@ def linear_embed_text(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     return acc
 
 
+def linear_levenshtein(a: str, b: str) -> int:
+    """The seed ``levenshtein``: one O(len(a)*len(b)) dynamic-program cell at a time."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
 # ===========================================================================
 # Workloads
 # ===========================================================================
@@ -396,6 +415,44 @@ def make_embed_texts(n: int, seed: int = 19) -> List[str]:
         ]
         texts.append(" ".join(picks) + f" #{i}?")
     return texts
+
+
+_RECORD_NAMES = (
+    "acme bolt apollo zenith nimbus orion vertex summit harbor cedar "
+    "laptop espresso machine arena stadium headphones camera monitor kettle"
+).split()
+_RECORD_CITIES = ("springfield", "riverside", "fairview", "georgetown", "salem", "madison")
+
+
+def make_record_pairs(n: int, seed: int = 23) -> List[Tuple[str, str]]:
+    """``n`` pairs of short entity descriptions, normalized the way the
+    entity-match engine compares them ("acme laptop model 12 salem", the
+    length of a product name against a review title): half a record
+    against a copy with one to three characters changed, dropped or
+    inserted, half against another record."""
+    rng = rng_from(seed)
+    letters = "abcdefghijklmnopqrstuvwxyz0123456789 "
+
+    def record() -> str:
+        name = " ".join(rng.choice(_RECORD_NAMES, size=int(rng.integers(2, 4))))
+        city = _RECORD_CITIES[int(rng.integers(len(_RECORD_CITIES)))]
+        return f"{name} model {int(rng.integers(100))} {city}"
+
+    pairs = []
+    for _ in range(n):
+        a = record()
+        if rng.random() < 0.5:
+            b = a
+            for _edit in range(int(rng.integers(1, 4))):
+                i = int(rng.integers(len(b)))
+                c = letters[int(rng.integers(len(letters)))]
+                b = (b[:i] + c + b[i + 1 :], b[:i] + b[i + 1 :], b[:i] + c + b[i:])[
+                    int(rng.integers(3))
+                ]
+        else:
+            b = record()
+        pairs.append((a, b))
+    return pairs
 
 
 # ===========================================================================
@@ -557,6 +614,9 @@ class HotpathReport:
     put_full: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
     # Embedding a text, seed loop vs direction table, per size (:func:`run_embed`).
     embed: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # Edit distance of a record pair, seed DP vs bit-parallel kernel
+    # (:func:`run_edit_distance`).
+    edit_distance: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # OPENBLAS_NUM_THREADS as the run saw it (None: unset, BLAS picks).
     blas_threads: Optional[int] = None
 
@@ -582,6 +642,7 @@ class HotpathReport:
             "equivalence": self.equivalence,
             "cache_put_full": self.put_full,
             "embed": self.embed,
+            "edit_distance": self.edit_distance,
             "blas_threads": self.blas_threads,
         }
 
@@ -631,17 +692,7 @@ class HotpathReport:
                 full_rows,
                 title="Put into a full cache (evicts): seed scan vs eviction heap",
             )
-        embed_rows = [
-            (
-                int(size),
-                round(cell["linear_cold_ms"], 4),
-                round(cell["vector_cold_ms"], 4),
-                round(cell["linear_ms_per_op"], 4),
-                round(cell["vector_ms_per_op"], 4),
-                round(cell["speedup"], 1),
-            )
-            for size, cell in sorted(self.embed.items(), key=lambda kv: int(kv[0]))
-        ]
+        embed_rows = _cold_warm_rows(self.embed)
         if embed_rows:
             table += "\n" + format_table(
                 ["Texts", "Linear cold", "Table cold", "Linear ms/text", "Table ms/text",
@@ -649,7 +700,30 @@ class HotpathReport:
                 embed_rows,
                 title="Embed a text: seed per-feature loop vs direction table",
             )
+        edit_rows = _cold_warm_rows(self.edit_distance)
+        if edit_rows:
+            table += "\n" + format_table(
+                ["Pairs", "DP cold", "Kernel cold", "DP ms/pair", "Kernel ms/pair",
+                 "Speedup"],
+                edit_rows,
+                title="Edit distance of a record pair: seed DP vs bit-parallel kernel",
+            )
         return table + f"\nEquivalence: diverged={self.diverged} (0 = drop-in)"
+
+
+def _cold_warm_rows(cells: Dict[str, Dict[str, float]]) -> List[Tuple[object, ...]]:
+    """Table rows of :func:`_cold_warm` cells, by size."""
+    return [
+        (
+            int(size),
+            round(cell["linear_cold_ms"], 4),
+            round(cell["vector_cold_ms"], 4),
+            round(cell["linear_ms_per_op"], 4),
+            round(cell["vector_ms_per_op"], 4),
+            round(cell["speedup"], 1),
+        )
+        for size, cell in sorted(cells.items(), key=lambda kv: int(kv[0]))
+    ]
 
 
 def run_put_full(
@@ -722,47 +796,78 @@ def run_put_full(
 
 
 _EMBED_SIZES = (1000, 10_000)
-_EMBED_WARM_PASSES = 5
+_EDIT_DISTANCE_PAIRS = 500
+_WARM_PASSES = 5
+
+
+def _cold_warm(
+    sides: Dict[str, Callable[[object], object]],
+    inputs: Sequence[object],
+    same: Callable[[object, object], bool],
+) -> Tuple[Dict[str, float], int]:
+    """Time the ``linear`` and ``vector`` sides over the same ``inputs``.
+
+    Both run ``1 + _WARM_PASSES`` passes, interleaved pass by pass. The
+    first pass is timed alone (``*_cold_ms``, ms per input); the warm
+    ``*_ms_per_op`` is the median of the others. Returns the cell and the
+    number of (pass, input) outputs on which ``same`` says the sides differ."""
+    cold: Dict[str, float] = {}
+    warm: Dict[str, List[float]] = {side: [] for side in sides}
+    mismatches = 0
+    for n in range(_WARM_PASSES + 1):
+        outputs = {}
+        for side, fn in sides.items():
+            start = time.perf_counter()
+            outputs[side] = [fn(item) for item in inputs]
+            ms = (time.perf_counter() - start) * 1000.0 / len(inputs)
+            if n == 0:
+                cold[side] = ms
+            else:
+                warm[side].append(ms)
+        mismatches += sum(not same(a, b) for a, b in zip(outputs["linear"], outputs["vector"]))
+    linear_ms, vector_ms = (float(np.median(warm[side])) for side in ("linear", "vector"))
+    cell = {
+        "linear_cold_ms": cold["linear"],
+        "vector_cold_ms": cold["vector"],
+        "linear_ms_per_op": linear_ms,
+        "vector_ms_per_op": vector_ms,
+        "speedup": linear_ms / max(vector_ms, 1e-9),
+    }
+    return cell, mismatches
 
 
 def run_embed(seed: int = 19) -> Tuple[Dict[str, Dict[str, float]], int]:
     """Embedding a text: the seed per-feature loop against the table.
 
     At 1k and 10k texts, both sides embed the same :func:`make_embed_texts`
-    batch six times, interleaved pass by pass. The first pass is timed
-    alone (``*_cold_ms``, ms per text: it generates every new feature's
-    direction); the warm ``*_ms_per_op`` is the median of the other five.
-    Returns the cells and the number of (pass, text) vectors whose bytes
-    differ between the two sides."""
+    batch under :func:`_cold_warm`'s rule (the cold pass generates every
+    new feature's direction). Returns the cells and the number of
+    (pass, text) vectors whose bytes differ between the two sides."""
     sides = {"linear": linear_embed_text, "vector": embed_text}
     cells: Dict[str, Dict[str, float]] = {}
     mismatches = 0
     for size in _EMBED_SIZES:
         texts = make_embed_texts(size, seed=seed + size)
-        cold: Dict[str, float] = {}
-        warm: Dict[str, List[float]] = {side: [] for side in sides}
-        for n in range(_EMBED_WARM_PASSES + 1):
-            vectors = {}
-            for side, embed in sides.items():
-                start = time.perf_counter()
-                vectors[side] = [embed(text) for text in texts]
-                ms = (time.perf_counter() - start) * 1000.0 / size
-                if n == 0:
-                    cold[side] = ms
-                else:
-                    warm[side].append(ms)
-            mismatches += sum(
-                a.tobytes() != b.tobytes() for a, b in zip(vectors["linear"], vectors["vector"])
-            )
-        linear_ms, vector_ms = (float(np.median(warm[side])) for side in sides)
-        cells[str(size)] = {
-            "linear_cold_ms": cold["linear"],
-            "vector_cold_ms": cold["vector"],
-            "linear_ms_per_op": linear_ms,
-            "vector_ms_per_op": vector_ms,
-            "speedup": linear_ms / max(vector_ms, 1e-9),
-        }
+        cells[str(size)], diverged = _cold_warm(
+            sides, texts, lambda a, b: a.tobytes() == b.tobytes()
+        )
+        mismatches += diverged
     return cells, mismatches
+
+
+def run_edit_distance(seed: int = 23) -> Tuple[Dict[str, Dict[str, float]], int]:
+    """Edit distance of a record pair: the seed dynamic program against
+    the bit-parallel kernel, on :func:`make_record_pairs`, under
+    :func:`_cold_warm`'s rule (ms per pair). Returns the one cell, keyed by
+    the number of pairs, and the number of (pass, pair) distances that
+    differ between the two sides."""
+    pairs = make_record_pairs(_EDIT_DISTANCE_PAIRS, seed=seed)
+    sides = {
+        "linear": lambda pair: linear_levenshtein(*pair),
+        "vector": lambda pair: levenshtein(*pair),
+    }
+    cell, mismatches = _cold_warm(sides, pairs, lambda a, b: a == b)
+    return {str(_EDIT_DISTANCE_PAIRS): cell}, mismatches
 
 
 def run_hotpaths(
@@ -780,11 +885,13 @@ def run_hotpaths(
     Pass ``write_path`` to persist the JSON perf trajectory and
     ``put_full_sizes`` for the full-cache put cells of :func:`run_put_full`.
     The embedding cells of :func:`run_embed` always run, and first, so the
-    direction table has not seen the other cells' words.
+    direction table has not seen the other cells' words; the edit-distance
+    cell of :func:`run_edit_distance` always runs next.
     """
     blas = os.environ.get("OPENBLAS_NUM_THREADS")
     report = HotpathReport(sizes=list(sizes), blas_threads=int(blas) if blas else None)
     report.embed, embed_diverged = run_embed(seed=seed + 8)
+    report.edit_distance, edit_diverged = run_edit_distance(seed=seed + 12)
     ops: Dict[str, Dict[str, Dict[str, float]]] = {
         "cache_lookup": {},
         "cache_put": {},
@@ -923,7 +1030,8 @@ def run_hotpaths(
     report.ops = ops
     report.equivalence = run_equivalence(seed=seed)
     report.equivalence["embed"] = {"diverged": embed_diverged}
-    report.equivalence["diverged"] += embed_diverged
+    report.equivalence["edit_distance"] = {"diverged": edit_diverged}
+    report.equivalence["diverged"] += embed_diverged + edit_diverged
     if put_full_sizes:
         report.put_full = run_put_full(sizes=put_full_sizes, seed=seed)
     if write_path is not None:

@@ -464,8 +464,9 @@ class Executor:
             cols = [c.lower() for c in table.schema.column_names]
             return [Binding(alias=source.binding, columns=cols, row=tuple([None] * len(cols)))]
         if isinstance(source, ast.SubquerySource):
-            inner = self.execute_select(source.select)
-            cols = [c.lower() for c in inner.columns]
+            # Names only: executing the subquery here would bill its
+            # semantic operators a second time.
+            cols = [c.lower() for c in self._output_columns(source.select, [], None)]
             return [Binding(alias=source.alias, columns=cols, row=tuple([None] * len(cols)))]
         if isinstance(source, ast.Join):
             return self._source_bindings(source.left) + self._source_bindings(source.right)

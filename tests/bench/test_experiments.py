@@ -148,6 +148,26 @@ class TestFigures:
             assert any(section in c for c in challenges)
         assert all(count > 0 for _c, _m, count in result.rows)
 
+    def test_fig5_counts_only_names_the_module_defines(self, monkeypatch):
+        import importlib
+        import typing
+
+        from repro.bench import run_fig5
+
+        before = run_fig5().rows
+        counts = {module: count for _c, module, count in before}
+        # repro.core.cache defines these nine at its top level; its imports
+        # (EmbeddingModel, FlatIndex, Optional, ...) are not its symbols.
+        assert counts["repro.core.cache"] == 9
+        # An added import binds one more public name in every module
+        # without __all__; no row may move.
+        for _challenge, module_name, _count in before:
+            module = importlib.import_module(module_name)
+            if not hasattr(module, "__all__"):
+                monkeypatch.setattr(module, "Union", typing.Union, raising=False)
+                monkeypatch.setattr(module, "importlib", importlib, raising=False)
+        assert run_fig5().rows == before
+
     def test_fig6_routing_distribution(self):
         from repro.bench import run_fig6
 

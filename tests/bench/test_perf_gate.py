@@ -165,6 +165,38 @@ class TestHotpathsEmbedBranch:
         assert any("equivalence.embed.diverged = 4" in p for p in problems)
 
 
+def _edit_distance_cell(linear_ms=0.66, vector_ms=0.05):
+    return {
+        "linear_cold_ms": 0.66,
+        "vector_cold_ms": 0.05,
+        "linear_ms_per_op": linear_ms,
+        "vector_ms_per_op": vector_ms,
+        "speedup": linear_ms / vector_ms,
+    }
+
+
+class TestHotpathsEditDistanceBranch:
+    def test_kernel_inside_the_floor_passes(self, gate, tmp_path):
+        report = _hotpaths_report(edit_distance={"500": _edit_distance_cell()})
+        report["equivalence"] = {"diverged": 0, "edit_distance": {"diverged": 0}}
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        assert gate.check_report(path) == []
+
+    def test_kernel_below_five_times_the_dp_fails(self, gate, tmp_path):
+        report = _hotpaths_report(edit_distance={"500": _edit_distance_cell(0.66, 0.15)})
+        path = _write(tmp_path, "BENCH_hotpaths.smoke.json", report)
+        problems = gate.check_report(path)
+        assert len(problems) == 1
+        assert "edit_distance speedup 4.40 at 500 pairs below the 5.0x floor" in problems[0]
+
+    def test_distance_mismatches_fail(self, gate, tmp_path):
+        report = _hotpaths_report(edit_distance={"500": _edit_distance_cell()})
+        report["equivalence"] = {"diverged": 0, "edit_distance": {"diverged": 2}}
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        problems = gate.check_report(path)
+        assert any("equivalence.edit_distance.diverged = 2" in p for p in problems)
+
+
 class TestCommittedArtifacts:
     def test_committed_reports_still_pass_the_gate(self, gate):
         repo = GATE_PATH.parents[1]

@@ -509,3 +509,56 @@ class TestExecutorEquivalence:
         assert clone.query(WORKLOAD[0]) == db_opt.query(WORKLOAD[0])
         # The clone reused the original's warm cache: no new provider calls.
         assert db_opt.semantic.stats.provider_calls == calls
+
+
+class TestFromSubquerySchema:
+    """An empty result still needs its column names; reading them off a
+    FROM-subquery must not execute (and bill) the subquery again."""
+
+    SCRIPT = """
+    CREATE TABLE t (id INTEGER PRIMARY KEY, body TEXT);
+    INSERT INTO t VALUES
+     (1, 'asked for a refund'), (2, 'great battery'), (3, 'refund requested'),
+     (4, 'love it'), (5, 'arrived damaged'), (6, 'five stars');
+    """
+    FILTERED = (
+        "SELECT s.id FROM (SELECT * FROM t WHERE SEMANTIC_FILTER(body, 'mentions a refund')) "
+        "AS s WHERE s.id > 100"
+    )
+
+    def test_naive_mode_bills_each_row_once(self):
+        db = Database.from_script(self.SCRIPT, semantic=SemanticRuntime.naive())
+        result = db.execute(self.FILTERED)
+        assert (result.columns, result.rows) == (["id"], [])
+        assert db.semantic.stats.provider_calls == 6
+        assert db.semantic.stats.prompts == 6
+
+    def test_optimized_mode_scans_once(self):
+        db = Database.from_script(self.SCRIPT, semantic=SemanticRuntime())
+        assert db.execute(self.FILTERED).rows == []
+        # One prefetch of the six prompts, then one cache hit per row.
+        assert db.semantic.stats.provider_items == 6
+        assert db.semantic.stats.prompts == 12
+        assert db.semantic.stats.cache_hits == 6
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM (SELECT id, body AS b FROM t WHERE id > {k}) AS s",
+            "SELECT s.* FROM (SELECT id AS k FROM t UNION SELECT id FROM t) AS s WHERE s.k > {k}",
+            "SELECT * FROM (SELECT * FROM t) AS s, (SELECT id AS x FROM t) AS u "
+            "WHERE s.id = u.x AND s.id > {k}",
+            "SELECT a.id FROM t AS a WHERE EXISTS (SELECT * FROM "
+            "(SELECT id AS x FROM t AS u WHERE u.id = a.id AND u.id > {k}) AS s)",
+            "SELECT a.id, (SELECT COUNT(*) FROM (SELECT * FROM t AS u WHERE u.id = a.id + {k}) "
+            "AS s) AS n FROM t AS a",
+        ],
+        ids=["alias", "set-op", "star-join", "correlated-exists", "correlated-scalar"],
+    )
+    def test_empty_result_keeps_the_columns(self, sql):
+        db = Database.from_script(self.SCRIPT)
+        full = db.execute(sql.format(k=0))
+        empty = db.execute(sql.format(k=100))
+        assert full.rows and empty.columns == full.columns
+        # The correlated FROM-subqueries come back empty per outer row.
+        assert not empty.rows or all(row[-1] == 0 for row in empty.rows)

@@ -102,6 +102,57 @@ def test_levenshtein_triangle_inequality(a, b, c):
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
+# ASCII, accented, a combining accent and astral code points: the kernel
+# keys its bitmasks by code point, as the seed DP compared them.
+_EDIT_ALPHABET = st.sampled_from(
+    list("abc de") + ["\u00e9", "\u00fc", "\u0301", "\u4e2d", "\U0001f600", "\U00010348"]
+)
+# Up to 200 characters, so a column crosses the 64- and 128-bit marks.
+_EDIT_TEXT = st.integers(0, 200).flatmap(
+    lambda n: st.text(_EDIT_ALPHABET, min_size=n, max_size=n)
+)
+
+
+@st.composite
+def _edit_pairs(draw):
+    """A string against either an unrelated one or a spliced copy of itself."""
+    a = draw(_EDIT_TEXT)
+    if draw(st.booleans()):
+        return a, draw(_EDIT_TEXT)
+    i = draw(st.integers(0, len(a)))
+    j = draw(st.integers(i, len(a)))
+    return a, a[:i] + draw(st.text(_EDIT_ALPHABET, max_size=8)) + a[j:]
+
+
+class TestLevenshteinKernel:
+    """The bit-parallel kernel against the frozen seed dynamic program."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=_edit_pairs())
+    def test_matches_the_seed_dp(self, pair):
+        from repro.bench.perf import linear_levenshtein
+
+        a, b = pair
+        expected = linear_levenshtein(a, b)
+        assert levenshtein(a, b) == expected
+        assert levenshtein(b, a) == expected
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 200])
+    def test_equal_strings_and_an_empty_side(self, n):
+        text = ("ab\u0301\U0001f600" * 60)[:n]
+        assert levenshtein(text, text) == 0
+        assert levenshtein(text, "") == levenshtein("", text) == n
+        assert levenshtein(text, text[1:] + "z") == levenshtein(text[1:] + "z", text)
+
+    def test_column_word_boundaries(self):
+        from repro.bench.perf import linear_levenshtein
+
+        for n in (63, 64, 65, 127, 128, 129):
+            a = ("kitten sitting " * 20)[:n]
+            for b in (a[:-1], a[1:] + "x", a[: n // 2] + "q" + a[n // 2 + 1 :], "sitting"):
+                assert levenshtein(a, b) == levenshtein(b, a) == linear_levenshtein(a, b)
+
+
 @settings(max_examples=50, deadline=None)
 @given(xs=st.lists(st.sampled_from("abcdef"), max_size=12), ys=st.lists(st.sampled_from("abcdef"), max_size=12))
 def test_jaccard_bounds_and_symmetry(xs, ys):
