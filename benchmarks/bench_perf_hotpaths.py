@@ -5,10 +5,11 @@ few-shot selection at several cache sizes against the frozen linear-scan
 references (:mod:`repro.bench.perf`), plus puts into a *full* cache (every
 put evicts: seed ``min()`` scan vs eviction heap, every policy) and
 embedding a text (seed per-feature loop vs direction table, 1k and 10k
-texts) and the edit distance of a record pair (seed dynamic program vs
-bit-parallel kernel, 500 pairs), asserts decision-for-decision,
-victim-for-victim, byte-for-byte and distance-for-distance equivalence,
-and writes
+texts), the edit distance of a record pair (seed dynamic program vs
+bit-parallel kernel, 500 pairs) and a SQL statement reading a 40-row
+primary-key window (``id + 0`` full scan vs key range, 2,000 and 20,000
+rows), asserts decision-for-decision, victim-for-victim, byte-for-byte,
+distance-for-distance and row-for-row equivalence, and writes
 ``BENCH_hotpaths.json`` so future PRs have a perf trajectory to compare
 against. BLAS is pinned to one thread before numpy loads (a multi-threaded
 gemv stalls for milliseconds on a shared 2-vCPU box); the artifact records

@@ -17,6 +17,10 @@ violated:
   are ``equivalence.embed.diverged``. Every ``edit_distance`` cell (edit
   distance of a record pair) must beat the seed's dynamic program by at
   least 5x; its distance mismatches are ``equivalence.edit_distance.diverged``.
+  Every ``sql_pk_range`` cell (a statement reading a 40-row primary-key
+  window) must read it through the key range at least 5x faster than the
+  same statement's full scan (``id + 0``); its row mismatches are
+  ``equivalence.sql_pk_range.diverged``.
 * every other report: its ``diverged`` count (wherever it lives in the
   payload) must be zero.
 
@@ -40,6 +44,7 @@ PUT_FULL_FLOOR = 2.0  # seed-scan put over heap put, cache at capacity
 PUT_FULL_GROWTH_CEILING = 3.0  # heap put ms/op, next size over this size
 EMBED_FLOOR = 2.0  # seed per-feature loop over the direction table, warm vocabulary
 EDIT_DISTANCE_FLOOR = 5.0  # seed dynamic program over the bit-parallel kernel
+PK_RANGE_FLOOR = 5.0  # full scan over the primary-key range, 40-row window
 
 _REGEN_HINT = "regenerate with the matching benchmarks/bench_perf_*.py run"
 
@@ -109,6 +114,7 @@ def check_report(path: str) -> List[str]:
         for key, floor, unit in (
             ("embed", EMBED_FLOOR, "texts"),
             ("edit_distance", EDIT_DISTANCE_FLOOR, "pairs"),
+            ("sql_pk_range", PK_RANGE_FLOOR, "rows"),
         ):
             for size, cell in sorted(report.get(key, {}).items(), key=lambda kv: int(kv[0])):
                 speedup = float(cell["speedup"])

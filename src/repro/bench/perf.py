@@ -6,8 +6,9 @@ selection — were originally per-entry Python loops calling
 by :mod:`repro.vectordb`. This module keeps the original linear-scan
 implementations, the seed per-feature embedding loop
 (:func:`linear_embed_text`) and the seed edit-distance dynamic program
-(:func:`linear_levenshtein`), frozen as references and provides two entry
-points:
+(:func:`linear_levenshtein`), frozen as references, times a SQL key
+window read through the primary-key range against the full scan
+(:func:`run_sql_pk_range`), and provides two entry points:
 
 * :func:`run_equivalence` — replays identical randomized workloads through
   the reference and the vectorized implementations and demands
@@ -65,6 +66,7 @@ from repro.llm.client import Completion, LLMClient
 from repro.llm.embeddings import DEFAULT_DIM, EmbeddingModel, embed_text
 from repro.llm.faults import FaultInjectingProvider
 from repro.serving import ResilienceConfig, build_stack
+from repro.sqldb import Database, SQLType
 
 DEFAULT_REPORT_PATH = "BENCH_hotpaths.json"
 SCHEMA = "repro.bench.hotpaths/v1"
@@ -617,6 +619,9 @@ class HotpathReport:
     # Edit distance of a record pair, seed DP vs bit-parallel kernel
     # (:func:`run_edit_distance`).
     edit_distance: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # A 40-row key window, full scan vs key range, per table size
+    # (:func:`run_sql_pk_range`).
+    sql_pk_range: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # OPENBLAS_NUM_THREADS as the run saw it (None: unset, BLAS picks).
     blas_threads: Optional[int] = None
 
@@ -643,6 +648,7 @@ class HotpathReport:
             "cache_put_full": self.put_full,
             "embed": self.embed,
             "edit_distance": self.edit_distance,
+            "sql_pk_range": self.sql_pk_range,
             "blas_threads": self.blas_threads,
         }
 
@@ -707,6 +713,14 @@ class HotpathReport:
                  "Speedup"],
                 edit_rows,
                 title="Edit distance of a record pair: seed DP vs bit-parallel kernel",
+            )
+        range_rows = _cold_warm_rows(self.sql_pk_range)
+        if range_rows:
+            table += "\n" + format_table(
+                ["Rows", "Scan cold", "Range cold", "Scan ms/stmt", "Range ms/stmt",
+                 "Speedup"],
+                range_rows,
+                title="Read a 40-row key window: id + 0 full scan vs primary-key range",
             )
         return table + f"\nEquivalence: diverged={self.diverged} (0 = drop-in)"
 
@@ -797,6 +811,8 @@ def run_put_full(
 
 _EMBED_SIZES = (1000, 10_000)
 _EDIT_DISTANCE_PAIRS = 500
+_PK_RANGE_ROWS = (2_000, 20_000)
+_PK_RANGE_STATEMENTS = 5
 _WARM_PASSES = 5
 
 
@@ -870,6 +886,33 @@ def run_edit_distance(seed: int = 23) -> Tuple[Dict[str, Dict[str, float]], int]
     return {str(_EDIT_DISTANCE_PAIRS): cell}, mismatches
 
 
+def run_sql_pk_range(seed: int = 29) -> Tuple[Dict[str, Dict[str, float]], int]:
+    """A statement over a 40-row window of a shuffled primary key, written
+    with the key hidden from the access path (``id + 0 BETWEEN``: a full
+    scan) against the sargable ``id BETWEEN`` (a key range), at 2,000 and
+    20,000 rows under :func:`_cold_warm`'s rule (ms per statement). Each
+    size is a fresh table, so the range side's cold pass builds the key
+    index. Returns the cells and the number of (pass, statement) row lists
+    that differ between the two sides."""
+    sql = "SELECT id FROM t WHERE {key} BETWEEN {lo} AND {hi} AND stars <= 4 ORDER BY id"
+    cells: Dict[str, Dict[str, float]] = {}
+    mismatches = 0
+    for size in _PK_RANGE_ROWS:
+        rng = rng_from(seed + size)
+        db = Database()
+        columns = [("id", SQLType.INTEGER), ("product_id", SQLType.INTEGER), ("stars", SQLType.INTEGER)]
+        db.create_table("t", columns, primary_key="id")
+        db.insert_rows("t", [(int(i), int(i) % 64 + 1, int(i) % 5 + 1) for i in rng.permutation(size) + 1])
+        starts = [int(lo) for lo in rng.integers(1, size - 39, size=_PK_RANGE_STATEMENTS)]
+        sides = {
+            side: (lambda lo, db=db, key=key: db.query(sql.format(key=key, lo=lo, hi=lo + 39)))
+            for side, key in (("linear", "id + 0"), ("vector", "id"))
+        }
+        cells[str(size)], diverged = _cold_warm(sides, starts, lambda a, b: a == b)
+        mismatches += diverged
+    return cells, mismatches
+
+
 def run_hotpaths(
     sizes: Sequence[int] = (1000, 10000, 50000),
     seed: int = 11,
@@ -886,12 +929,14 @@ def run_hotpaths(
     ``put_full_sizes`` for the full-cache put cells of :func:`run_put_full`.
     The embedding cells of :func:`run_embed` always run, and first, so the
     direction table has not seen the other cells' words; the edit-distance
-    cell of :func:`run_edit_distance` always runs next.
+    cell of :func:`run_edit_distance` and the key-window cells of
+    :func:`run_sql_pk_range` always run next.
     """
     blas = os.environ.get("OPENBLAS_NUM_THREADS")
     report = HotpathReport(sizes=list(sizes), blas_threads=int(blas) if blas else None)
     report.embed, embed_diverged = run_embed(seed=seed + 8)
     report.edit_distance, edit_diverged = run_edit_distance(seed=seed + 12)
+    report.sql_pk_range, range_diverged = run_sql_pk_range(seed=seed + 18)
     ops: Dict[str, Dict[str, Dict[str, float]]] = {
         "cache_lookup": {},
         "cache_put": {},
@@ -1031,7 +1076,8 @@ def run_hotpaths(
     report.equivalence = run_equivalence(seed=seed)
     report.equivalence["embed"] = {"diverged": embed_diverged}
     report.equivalence["edit_distance"] = {"diverged": edit_diverged}
-    report.equivalence["diverged"] += embed_diverged + edit_diverged
+    report.equivalence["sql_pk_range"] = {"diverged": range_diverged}
+    report.equivalence["diverged"] += embed_diverged + edit_diverged + range_diverged
     if put_full_sizes:
         report.put_full = run_put_full(sizes=put_full_sizes, seed=seed)
     if write_path is not None:

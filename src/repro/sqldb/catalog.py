@@ -1,17 +1,23 @@
 """Catalog objects: columns, table schemas, tables and statistics.
 
-Tables store rows as lists of tuples. Statistics (row count, distinct counts,
+Tables store rows as lists of tuples, in insertion order, and index the
+primary key for key ranges. Statistics (row count, distinct counts,
 min/max) back both the cost model in :mod:`repro.sqldb.planner` and the table
 understanding application (Section II-C2).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SQLCatalogError, SQLIntegrityError
-from repro.sqldb.types import SQLType, coerce
+from repro.sqldb.types import SQLType, coerce, sort_key
+
+#: A cut in the primary-key order: (a :func:`sort_key`, whether the cut
+#: falls after the rows holding that key rather than before them).
+Bound = Tuple[tuple, bool]
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,8 @@ class Table:
         self.schema = schema
         self.rows: List[Tuple[object, ...]] = []
         self._pk_values: set = set()
+        # (rows, sorted keys, their positions, NaN-key positions): built lazily, dropped by writes.
+        self._index: Optional[Tuple[list, tuple, tuple, tuple]] = None
         if rows:
             for row in rows:
                 self.insert(row)
@@ -85,11 +93,7 @@ class Table:
                 f"got {len(values)}"
             )
         row = tuple(coerce(v, c.sql_type) for v, c in zip(values, self.schema.columns))
-        for value, column in zip(row, self.schema.columns):
-            if value is None and (column.not_null or column.primary_key):
-                raise SQLIntegrityError(
-                    f"NULL violates NOT NULL on {self.schema.name}.{column.name}"
-                )
+        self._check_not_null(row)
         pk = self.schema.primary_key_index
         if pk is not None:
             key = row[pk]
@@ -99,10 +103,22 @@ class Table:
                 )
             self._pk_values.add(key)
         self.rows.append(row)
+        self._index = None
+
+    def _check_not_null(self, row: Tuple[object, ...]) -> None:
+        for value, column in zip(row, self.schema.columns):
+            if value is None and (column.not_null or column.primary_key):
+                raise SQLIntegrityError(
+                    f"NULL violates NOT NULL on {self.schema.name}.{column.name}"
+                )
 
     def replace_rows(self, rows: Iterable[Tuple[object, ...]]) -> None:
-        """Replace the full row set (used by UPDATE/DELETE); re-checks PK."""
+        """Replace the full row set (used by UPDATE/DELETE); re-checks NOT
+        NULL and the primary key, and leaves the table as it was if either
+        fails."""
         new_rows = list(rows)
+        for row in new_rows:
+            self._check_not_null(row)
         pk = self.schema.primary_key_index
         if pk is not None:
             keys = [r[pk] for r in new_rows]
@@ -112,6 +128,25 @@ class Table:
                 )
             self._pk_values = set(keys)
         self.rows = new_rows
+        self._index = None
+
+    def key_range(self, low: Optional[Bound] = None, high: Optional[Bound] = None) -> List[Tuple[object, ...]]:
+        """The rows between the primary-key cuts ``low`` and ``high``
+        (None: open), in heap order. A NaN key orders against nothing, so
+        every range reads its row and leaves it to the caller's predicate."""
+        if low is None and high is None:
+            return self.rows
+        index = self._index
+        if index is None:
+            rows, pk = self.rows, self.schema.primary_key_index
+            keys = [sort_key(row[pk]) for row in rows]
+            order = sorted((i for i, k in enumerate(keys) if k[1] == k[1]), key=keys.__getitem__)
+            loose = tuple(i for i, k in enumerate(keys) if k[1] != k[1])
+            index = self._index = (rows, tuple(keys[i] for i in order), tuple(order), loose)
+        rows, keys, order, loose = index
+        start = 0 if low is None else (bisect_right if low[1] else bisect_left)(keys, low[0])
+        stop = len(keys) if high is None else (bisect_right if high[1] else bisect_left)(keys, high[0])
+        return [rows[i] for i in sorted(order[start:stop] + loose)]
 
     def snapshot(self) -> "Table":
         """Cheap copy for transaction rollback (rows are immutable tuples)."""

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SQLCatalogError, SQLError, SQLTypeError
 from repro.sqldb import ast_nodes as ast
-from repro.sqldb.catalog import Catalog, Column, Table, TableSchema
+from repro.sqldb.catalog import Bound, Catalog, Column, Table, TableSchema
 from repro.sqldb.semantic import (
     SemanticRuntime,
     classify_prompt,
@@ -25,7 +25,7 @@ from repro.sqldb.semantic import (
     match_prompt,
     truthy_answer,
 )
-from repro.sqldb.types import SQLType, sort_key
+from repro.sqldb.types import SQLType, coerce, sort_key
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
@@ -134,12 +134,69 @@ def _numeric(value: object, context: str) -> float:
     raise SQLTypeError(f"{context} expects a number, got {value!r}")
 
 
+# op -> the (low, high) cut `key op c` puts after (True) or before (False) c, or None.
+_CUTS = {"<": (None, False), "<=": (None, True), ">": (True, None), ">=": (False, None), "=": (False, True)}
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+# Conjuncts that may do more than reject a row: an LLM call, a subquery.
+_EFFECTFUL = ast.SEMANTIC_NODE_TYPES + (ast.InSelect, ast.Exists, ast.ScalarSubquery)
+
+
+def _constant(expr: ast.Expr) -> object:
+    """A literal's value (unary minus folded), or None."""
+    if isinstance(expr, ast.Unary) and expr.op == "-":
+        value = _constant(expr.operand)
+        return -value if _is_number(value) else None
+    return expr.value if isinstance(expr, ast.Literal) else None
+
+
+def key_bounds(
+    where: Optional[ast.Expr], schema: TableSchema, binding: str
+) -> Tuple[Optional[Bound], Optional[Bound]]:
+    """The (low, high) cuts of :meth:`Table.key_range` that ``where``'s
+    top-level ``pk BETWEEN c AND c`` and ``pk op c`` / ``c op pk`` conjuncts
+    confine a scan of ``schema`` (bound as ``binding``) to: they compare by
+    :func:`sort_key` as the range does, and a row outside it fails one AND
+    conjunct. Stops at a conjunct that may call the LLM or run a subquery,
+    so those still see every row a full scan shows them."""
+    low: Optional[Bound] = None
+    high: Optional[Bound] = None
+    pk = schema.primary_key_index
+    column = schema.columns[pk] if pk is not None else None
+    for conjunct in ast.conjuncts(where) if column is not None else ():
+        if any(isinstance(node, _EFFECTFUL) for node in ast.walk_expr(conjunct)):
+            break
+        if isinstance(conjunct, ast.Between) and not conjunct.negated:
+            limits = [(">=", conjunct.operand, conjunct.low), ("<=", conjunct.operand, conjunct.high)]
+        elif isinstance(conjunct, ast.Binary) and conjunct.op in _MIRRORED:
+            limits = [
+                (conjunct.op, conjunct.left, conjunct.right),
+                (_MIRRORED[conjunct.op], conjunct.right, conjunct.left),
+            ]
+        else:
+            continue
+        for op, ref, constant in limits:
+            if not isinstance(ref, ast.ColumnRef) or (
+                f"{ref.table or binding}.{ref.name}".lower() != f"{binding}.{column.name}".lower()
+            ):
+                continue
+            value = _constant(constant)
+            if value is None or op == "=" and (not _is_number(value) or column.sql_type is SQLType.BOOLEAN):
+                continue  # NULL rejects every row; 1 = TRUE holds but sort keys differ
+            (after_low, after_high), cut = _CUTS[op], sort_key(value)
+            if after_low is not None:
+                low = max(low or (cut, after_low), (cut, after_low))
+            if after_high is not None:
+                high = min(high or (cut, after_high), (cut, after_high))
+    return low, high
+
+
 class Executor:
     """Executes parsed statements against a :class:`Catalog`."""
 
     def __init__(self, catalog: Catalog, semantic: Optional[SemanticRuntime] = None) -> None:
         self.catalog = catalog
         self._semantic = semantic
+        self._answers: Dict[str, str] = {}  # prompt -> prefetched, this statement
 
     @property
     def semantic(self) -> SemanticRuntime:
@@ -157,6 +214,7 @@ class Executor:
     # ------------------------------------------------------------------ DDL
 
     def execute(self, statement: ast.Statement, env: Optional[Environment] = None) -> ResultSet:
+        self._answers = {}
         if isinstance(statement, ast.Select):
             return self.execute_select(statement, env)
         if isinstance(statement, ast.CreateTable):
@@ -237,8 +295,6 @@ class Executor:
                 mutable = list(row)
                 for idx, expr in assignment_idx:
                     value = self.eval_expr(expr, env)
-                    from repro.sqldb.types import coerce
-
                     mutable[idx] = coerce(value, schema.columns[idx].sql_type)
                 new_rows.append(tuple(mutable))
                 count += 1
@@ -324,9 +380,9 @@ class Executor:
         # When set operations follow, ORDER BY / LIMIT / OFFSET belong to
         # the compound result and are applied by the caller, not here.
         defer_shaping = bool(select.set_ops)
-        # 1. FROM
+        # 1. FROM (a bare table reads only the key range WHERE confines it to)
         if select.source is not None:
-            envs = self._scan(select.source, outer)
+            envs = self._scan(select.source, outer, select.where)
         else:
             envs = [Environment(bindings=[], parent=outer)]
 
@@ -474,18 +530,19 @@ class Executor:
 
     # ---------------------------------------------------------------- scans
 
-    def _scan(self, source: ast.TableRef, outer: Optional[Environment]) -> List[Environment]:
-        binding_rows = self._scan_bindings(source, outer)
+    def _scan(self, source: ast.TableRef, outer: Optional[Environment], where=None) -> List[Environment]:
+        binding_rows = self._scan_bindings(source, outer, where)
         return [Environment(bindings=bindings, parent=outer) for bindings in binding_rows]
 
     def _scan_bindings(
-        self, source: ast.TableRef, outer: Optional[Environment]
+        self, source: ast.TableRef, outer: Optional[Environment], where: Optional[ast.Expr] = None
     ) -> List[List[Binding]]:
         if isinstance(source, ast.TableName):
             table = self.catalog.get(source.name)
             cols = [c.lower() for c in table.schema.column_names]
             alias = source.binding
-            return [[Binding(alias=alias, columns=cols, row=row)] for row in table.rows]
+            rows = table.key_range(*key_bounds(where, table.schema, alias))
+            return [[Binding(alias=alias, columns=cols, row=row)] for row in rows]
         if isinstance(source, ast.SubquerySource):
             inner = self.execute_select(source.select, outer)
             cols = [c.lower() for c in inner.columns]
@@ -518,8 +575,6 @@ class Executor:
                     env = Environment(bindings=combined, parent=outer)
                     if not self._truthy(self.eval_expr(join.on, env)):
                         continue
-                elif join.kind != "CROSS" and join.kind != "INNER":
-                    pass
                 matched = True
                 out.append(combined)
             if join.kind == "LEFT" and not matched:
@@ -722,7 +777,7 @@ class Executor:
                 if prompt is not None:
                     prompts.append(prompt)
             if prompts:
-                self.semantic.prefetch(prompts)
+                self._answers.update(zip(prompts, self.semantic.prefetch(prompts)))
 
     def _semantic_prompt(self, node: ast.Expr, env: Environment) -> Optional[str]:
         """The exact prompt :meth:`eval_expr` would issue for ``node`` in
@@ -755,7 +810,7 @@ class Executor:
         order: List[tuple] = []
         if select.group_by:
             for env in envs:
-                key = tuple(_hashable(self.eval_expr(e, env)) for e in select.group_by)
+                key = tuple(self.eval_expr(e, env) for e in select.group_by)
                 if key not in groups:
                     groups[key] = []
                     order.append(key)
@@ -768,8 +823,6 @@ class Executor:
         rows_with_env: List[Tuple[Tuple[object, ...], Environment]] = []
         for key in order:
             group_envs = groups[key]
-            if not group_envs and not select.group_by:
-                group_envs = []
             representative = group_envs[0] if group_envs else Environment()
             representative = _GroupEnvironment.wrap(representative, group_envs, self)
             if select.having is not None:
@@ -811,10 +864,6 @@ class Executor:
                 if self._truthy(self._eval_group_expr(cond, env)):
                     return self._eval_group_expr(result, env)
             return self._eval_group_expr(expr.default, env) if expr.default else None
-        if isinstance(expr, (ast.Between, ast.Like, ast.IsNull, ast.InList)):
-            # These never contain aggregates in our dialect's tests; evaluate
-            # by rebuilding on top of the group-level operand evaluation.
-            return self.eval_expr(expr, env)
         return self.eval_expr(expr, env)
 
     # ---------------------------------------------------------- expressions
@@ -890,15 +939,21 @@ class Executor:
             prompt = self._semantic_prompt(expr, env)
             if prompt is None:
                 return None  # NULL operand: NULL predicate, no LLM call
-            return truthy_answer(self.semantic.answer(prompt))
+            return truthy_answer(self._answer(prompt))
         if isinstance(expr, ast.LLMFunc):
             prompt = self._semantic_prompt(expr, env)
             if prompt is None:
                 return None
-            return self.semantic.answer(prompt)
+            return self._answer(prompt)
         if isinstance(expr, ast.Star):
             raise SQLError("'*' is only valid in a select list or COUNT(*)")
         raise SQLError(f"cannot evaluate expression {type(expr).__name__}")
+
+    def _answer(self, prompt: str) -> str:
+        """A prompt this statement prefetched is read back, not asked
+        again: the runtime counts and looks it up once per statement."""
+        answer = self._answers.get(prompt)
+        return self.semantic.answer(prompt) if answer is None else answer
 
     def _eval_in_list(self, expr: ast.InList, env: Environment) -> object:
         value = self.eval_expr(expr.operand, env)
@@ -965,10 +1020,8 @@ class Executor:
                 return _sql_equal(left, right)
             if op == "<>":
                 return not _sql_equal(left, right)
+            # Cross-type ordering uses sort_key's fixed type ranking.
             lk, rk = sort_key(left), sort_key(right)
-            if lk[0] != rk[0]:
-                # Cross-type ordering uses the fixed type ranking.
-                pass
             if op == "<":
                 return lk < rk
             if op == "<=":
@@ -1009,10 +1062,7 @@ class Executor:
                 raise SQLError("NULLIF expects 2 arguments")
             return None if _sql_equal(args[0], args[1]) else args[0]
         if name.startswith("CAST_"):
-            target = SQLType(name[len("CAST_") :])
-            from repro.sqldb.types import coerce
-
-            return coerce(args[0], target)
+            return coerce(args[0], SQLType(name[len("CAST_") :]))
         # NULL-propagating scalar functions.
         if any(a is None for a in args):
             return None
@@ -1082,9 +1132,8 @@ class _GroupEnvironment(Environment):
             seen = set()
             unique = []
             for v in values:
-                h = _hashable(v)
-                if h not in seen:
-                    seen.add(h)
+                if v not in seen:
+                    seen.add(v)
                     unique.append(v)
             values = unique
         if call.name == "COUNT":
@@ -1126,10 +1175,6 @@ def _stringify(value: object) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
-
-
-def _hashable(value: object) -> object:
-    return value
 
 
 def _join_key(value: object) -> object:

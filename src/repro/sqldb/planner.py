@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.catalog import Catalog
+from repro.sqldb.executor import key_bounds
 from repro.sqldb.parser import parse_statement
 from repro.sqldb.semantic import CALL_OVERHEAD_MS, PER_ITEM_MS
 
@@ -618,17 +619,23 @@ def explain(
             f"(assuming {semantic_hit_rate:.0%} cache hits)"
         )
 
-    def render_source(source: Optional[ast.TableRef], depth: int) -> None:
+    def render_source(source: Optional[ast.TableRef], depth: int, where=None) -> None:
         pad = "  " * depth
         if source is None:
             lines.append(f"{pad}NO TABLE")
             return
         if isinstance(source, ast.TableName):
-            rows = len(catalog.get(source.name)) if catalog.has(source.name) else -1
-            lines.append(f"{pad}SCAN {source.name} ({rows} rows)")
+            table = catalog.get(source.name) if catalog.has(source.name) else None
+            bounds = (None, None) if table is None else key_bounds(where, table.schema, source.binding)
+            if bounds == (None, None):
+                lines.append(f"{pad}SCAN {source.name} ({-1 if table is None else len(table)} rows)")
+            else:
+                key = table.schema.columns[table.schema.primary_key_index].name
+                read = len(table.key_range(*bounds))
+                lines.append(f"{pad}RANGE SCAN {source.name} ON {key} ({read} of {len(table)} rows)")
         elif isinstance(source, ast.SubquerySource):
             lines.append(f"{pad}SUBQUERY AS {source.alias}")
-            render_source(source.select.source, depth + 1)
+            render_source(source.select.source, depth + 1, source.select.where)
             if source.select.where is not None:
                 lines.append(f"{pad}  FILTER {source.select.where}")
         elif isinstance(source, ast.Join):
@@ -636,7 +643,7 @@ def explain(
             render_source(source.left, depth + 1)
             render_source(source.right, depth + 1)
 
-    render_source(select.source, 1)
+    render_source(select.source, 1, select.where)
     if select.where is not None:
         lines.append(f"  FILTER {select.where}")
     if select.group_by:

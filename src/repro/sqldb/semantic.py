@@ -12,7 +12,8 @@ The runtime has two modes:
   :class:`~repro.core.cache.SemanticCache` in exact-match mode,
   and dispatches the misses as ONE ``complete_batch`` call whose shared
   prefix (instruction + predicate text) is metered once. Per-row
-  evaluation afterwards hits the cache.
+  evaluation afterwards reads them back uncounted: a cache hit is an
+  answer an earlier statement paid for.
 * **naive** (:meth:`SemanticRuntime.naive`) — the reference evaluator:
   one ``complete`` per row, no dedupe, no cache, no batching.
 
@@ -128,7 +129,7 @@ def truthy_answer(text: str) -> bool:
 class SemanticStats:
     """What the runtime did — the benchmark's raw material."""
 
-    prompts: int = 0  # operator evaluations requested (incl. cache hits)
+    prompts: int = 0  # prompts asked, once per prefetch or row (incl. cache hits)
     provider_calls: int = 0  # complete / complete_batch calls issued
     provider_items: int = 0  # prompts actually sent to the provider
     batches: int = 0  # complete_batch calls among provider_calls
@@ -147,9 +148,8 @@ class SemanticRuntime:
         or anything in between.
     cache:
         A :class:`~repro.core.cache.SemanticCache`; defaults to an
-        exact-match cache (both thresholds 1.0). The cache is also the
-        dataflow channel between set-at-a-time prefetch and per-row
-        evaluation, so ``batch=True`` forces a cache.
+        exact-match cache (both thresholds 1.0). ``batch=True`` forces a
+        cache: it carries answers from one statement to the next.
     batch:
         ``True`` (optimized): dedupe + cache + one ``complete_batch`` per
         prefetch. ``False`` (naive reference): one ``complete`` per prompt,
@@ -215,11 +215,13 @@ class SemanticRuntime:
         """Answer one prompt (per-row path; hits the cache when batched)."""
         return self.answer_many([prompt])[0]
 
-    def prefetch(self, prompts: Sequence[str]) -> None:
-        """Set-at-a-time entry point: warm the cache for ``prompts`` with
-        (at most) one provider batch. No-op in naive mode."""
+    def prefetch(self, prompts: Sequence[str]) -> List[str]:
+        """Set-at-a-time entry point: answer ``prompts`` with (at most)
+        one provider batch, warming the cache. No-op returning ``[]`` in
+        naive mode."""
         if self.batch and prompts:
-            self.answer_many(list(prompts))
+            return self.answer_many(list(prompts))
+        return []
 
     def answer_many(self, prompts: List[str]) -> List[str]:
         self.stats.prompts += len(prompts)

@@ -197,6 +197,40 @@ class TestHotpathsEditDistanceBranch:
         assert any("equivalence.edit_distance.diverged = 2" in p for p in problems)
 
 
+def _pk_range_cell(linear_ms=20.0, vector_ms=0.95):
+    return {
+        "linear_cold_ms": 20.0,
+        "vector_cold_ms": 1.2,
+        "linear_ms_per_op": linear_ms,
+        "vector_ms_per_op": vector_ms,
+        "speedup": linear_ms / vector_ms,
+    }
+
+
+class TestHotpathsPkRangeBranch:
+    def test_range_inside_the_floor_passes(self, gate, tmp_path):
+        report = _hotpaths_report(
+            sql_pk_range={"2000": _pk_range_cell(), "20000": _pk_range_cell(200.0)}
+        )
+        report["equivalence"] = {"diverged": 0, "sql_pk_range": {"diverged": 0}}
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        assert gate.check_report(path) == []
+
+    def test_range_below_five_times_the_scan_fails(self, gate, tmp_path):
+        report = _hotpaths_report(sql_pk_range={"2000": _pk_range_cell(4.5, 1.0)})
+        path = _write(tmp_path, "BENCH_hotpaths.smoke.json", report)
+        problems = gate.check_report(path)
+        assert len(problems) == 1
+        assert "sql_pk_range speedup 4.50 at 2000 rows below the 5.0x floor" in problems[0]
+
+    def test_row_mismatches_fail(self, gate, tmp_path):
+        report = _hotpaths_report(sql_pk_range={"2000": _pk_range_cell()})
+        report["equivalence"] = {"diverged": 0, "sql_pk_range": {"diverged": 1}}
+        path = _write(tmp_path, "BENCH_hotpaths.json", report)
+        problems = gate.check_report(path)
+        assert any("equivalence.sql_pk_range.diverged = 1" in p for p in problems)
+
+
 class TestCommittedArtifacts:
     def test_committed_reports_still_pass_the_gate(self, gate):
         repo = GATE_PATH.parents[1]

@@ -76,6 +76,19 @@ class TestUpdate:
         with pytest.raises(SQLIntegrityError):
             db.execute("UPDATE t SET id = 1 WHERE id = 2")
 
+    @pytest.mark.parametrize(
+        "sql",
+        ["UPDATE t SET id = NULL WHERE id = 1", "UPDATE t SET name = NULL"],
+        ids=["primary-key", "not-null"],
+    )
+    def test_update_to_null_is_refused_and_changes_nothing(self, sql):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT NOT NULL)")
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        with pytest.raises(SQLIntegrityError, match="NULL violates NOT NULL"):
+            db.execute(sql)
+        assert db.query("SELECT * FROM t") == [(1, "a"), (2, "b")]
+
 
 class TestDelete:
     def test_delete_where(self, db):

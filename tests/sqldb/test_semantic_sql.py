@@ -329,10 +329,10 @@ class TestExplainGoldens:
         assert text.splitlines()[2:] == [
             "  SEMANTIC JOIN",
             "    SUBQUERY AS p",
-            "      SCAN products (2 rows)",
+            "      RANGE SCAN products ON id (1 of 2 rows)",
             "      FILTER p.id BETWEEN 1 AND 1",
             "    SUBQUERY AS r",
-            "      SCAN reviews (5 rows)",
+            "      RANGE SCAN reviews ON id (3 of 5 rows)",
             "      FILTER r.id BETWEEN 2 AND 4",
             # One guard on each side: (2 * 0.4 -> at least 1) x (5 * 0.4) pairs.
             "  SEMANTIC JOIN MATCHES(p.name, r.title) (est 2.0 LLM calls, 57.0 ms)",
@@ -536,10 +536,18 @@ class TestFromSubquerySchema:
     def test_optimized_mode_scans_once(self):
         db = Database.from_script(self.SCRIPT, semantic=SemanticRuntime())
         assert db.execute(self.FILTERED).rows == []
-        # One prefetch of the six prompts, then one cache hit per row.
+        # One prefetch of the six prompts; each row reads its prefetched
+        # answer back, which is neither a second prompt nor a cache hit.
         assert db.semantic.stats.provider_items == 6
-        assert db.semantic.stats.prompts == 12
-        assert db.semantic.stats.cache_hits == 6
+        assert db.semantic.stats.prompts == 6
+        assert db.semantic.stats.cache_hits == 0
+        assert db.semantic.hit_rate() == 0.0
+        assert db.semantic.cache.stats.lookups == 6
+        # A rerun is answered by the cache the first run filled: 6 hits.
+        before = db.semantic.snapshot()
+        assert db.execute(self.FILTERED).rows == []
+        rerun = db.semantic.delta(before)
+        assert (rerun.prompts, rerun.cache_hits, rerun.provider_items) == (6, 6, 0)
 
     @pytest.mark.parametrize(
         "sql",
