@@ -43,7 +43,6 @@ embeddings, which do not cluster, so no exact pruning beats one scan.
 
 from __future__ import annotations
 
-import copy
 import enum
 import heapq
 import math
@@ -513,13 +512,10 @@ class _EvictionOrder:
 class SemanticCache:
     """Similarity-matched, budget-bounded LLM response cache.
 
-    Probes search an exact :class:`~repro.vectordb.FlatIndex` over
-    ``embedding_dim``-wide vectors at every capacity, so probe decisions
-    are always identical to a per-entry linear scan. ``index`` accepts a
-    prebuilt index object instead (anything with ``add``/``remove``/
-    ``search``), e.g. the *approximate* :class:`~repro.vectordb.IVFIndex`
-    or :class:`~repro.vectordb.HNSWIndex`, where a probe may miss the
-    true nearest entry.
+    Probes search the cache's own exact cosine
+    :class:`~repro.vectordb.FlatIndex` over ``embedding_dim``-wide vectors
+    at every capacity, so probe decisions are always identical to a
+    per-entry linear scan.
 
     Exact-match contract: ``reuse_threshold == augment_threshold == 1.0``
     means key equality and no vectors — a lookup is one dict probe, a
@@ -548,7 +544,6 @@ class SemanticCache:
         embedding_dim: int = 64,
         lrfu_lambda: float = 0.1,
         admission: Optional[AdmissionPredictor] = None,
-        index: Optional[object] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -565,9 +560,7 @@ class SemanticCache:
         self.admission_rejects = 0
         self.embedder = EmbeddingModel(dim=embedding_dim)
         self.entries: Dict[str, CacheEntry] = {}
-        self.index = FlatIndex(dim=embedding_dim) if index is None else index
-        # An empty copy, configuration and all, for a restore to rebuild from.
-        self._empty_index = copy.deepcopy(self.index)
+        self.index = FlatIndex(dim=embedding_dim)
         self.stats = CacheStats()
         self._clock = 0
         # Built by the first eviction; see _EvictionOrder.
@@ -606,10 +599,7 @@ class SemanticCache:
 
     def _best_match(self, query_vec: np.ndarray) -> Optional[Tuple[str, float]]:
         """Nearest cached key and its similarity, via the vector index."""
-        if hasattr(self.index, "search_top1"):
-            return self.index.search_top1(query_vec, refine_exact=True)
-        hits = self.index.search(query_vec, k=1)
-        return hits[0] if hits else None
+        return self.index.search_top1(query_vec, refine_exact=True)
 
     # --------------------------------------------------------- batch probes
 
@@ -634,13 +624,10 @@ class SemanticCache:
 
         Returns the probe (also threaded through ``_probe_local``), or
         ``None`` when there is nothing to precompute: an exact-match cache
-        has no similarities, or the index can't batch (no
-        ``search_top1_many``). Call :meth:`end_probe` when the batch is done.
+        has no similarities. Call :meth:`end_probe` when the batch is done.
         """
-        if self._exact_match or not hasattr(self.index, "search_top1_many"):
+        if self._exact_match:
             return None
-        if getattr(self.index, "metric", Metric.COSINE) is not Metric.COSINE:
-            return None  # delta merge below assumes cosine scalar sims
         unique = list(dict.fromkeys(queries))
         if not unique:
             return None
@@ -915,16 +902,13 @@ class SemanticCache:
     def flush(self) -> None:
         """Force-materialize all write-behind state now.
 
-        Flushes the cache-level put buffer (embeddings + index adds) and,
-        when the index itself buffers inserts (:class:`FlatIndex` and its
-        subclasses), the index's pending block too. Probes do this
-        automatically; call it before inspecting ``cache.index``
-        internals or measuring steady-state probe latency."""
+        Flushes the cache-level put buffer (embeddings + index adds) and
+        the index's own pending block. Probes do this automatically; call
+        it before inspecting ``cache.index`` internals or measuring
+        steady-state probe latency."""
         with self._lock:
             self._flush_puts()
-            flush_index = getattr(self.index, "flush", None)
-            if flush_index is not None:
-                flush_index()
+            self.index.flush()
 
     def _evict(self) -> None:
         """Drop the policy's victim (under the cache lock, entries non-empty)."""
@@ -950,14 +934,13 @@ class SemanticCache:
         pure function of the text, so the vectors are bit-identical to the
         ones that were live when the entries were saved); an exact-match
         cache keeps no vectors and gets none. The vector index is rebuilt
-        in entry order from an empty copy of the index the cache was built
-        with (same class, metric and settings), and the eviction order from
-        the loaded entries by the next eviction."""
+        in entry order into a fresh :class:`FlatIndex`, and the eviction
+        order from the loaded entries by the next eviction."""
         with self._lock:
             self.entries.clear()
             # Un-flushed write-behind puts die with the entries they shadow.
             self._pending_puts = {}
-            self.index = copy.deepcopy(self._empty_index)
+            self.index = FlatIndex(dim=self.index.dim)
             entries = list(entries)
             if not self._exact_match:
                 matrix = self.embedder.embed_batch([entry.key for entry in entries])

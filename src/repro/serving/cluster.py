@@ -5,10 +5,10 @@ this module is the scale-out tier the LLM×DATA framing asks for — serving
 as a shared, multi-user database-style workload:
 
 * :class:`ClusterRouter` — a deterministic consistent-hash ring with
-  virtual nodes. Routing is a pure function of the shard set, so two
-  routers built from the same shard list agree on every key, and adding
-  or removing a shard moves only ~K/N keys (the classic ring property;
-  the hypothesis suite pins it).
+  virtual nodes, fixed at construction. Routing is a pure function of the
+  shard list, so two routers built from one list agree on every key, and
+  the rings of two lists that differ by one shard disagree on only ~K/N
+  keys (the classic ring property; the hypothesis suite pins it).
 * :class:`ShardedSemanticCache` — the semantic cache partitioned across
   shards. Each shard owns its entries and its flat vector index, sized
   to the shard's share of the tenant's capacity; the router key is
@@ -35,7 +35,7 @@ matches stay within a key (exact repeats; ``tests/serving/test_cluster.py``
 asserts it, serial and concurrent).
 
 >>> from repro.serving.cluster import ServingCluster, TenantPolicy
->>> cluster = ServingCluster(n_shards=4, cache=True)
+>>> cluster = ServingCluster(n_shards=4)
 >>> cluster.set_policy("acme", TenantPolicy(budget_usd=1.0))
 >>> completion = cluster.complete("Question: What is 2+2?", tenant="acme")
 """
@@ -61,6 +61,7 @@ from repro.serving.stack import ServingStack, build_stack
 from repro.serving.stats import ServiceStats
 
 DEFAULT_TENANT = "default"
+VNODES = 64  # ring points per shard
 _SEQ_INF = float("inf")
 
 
@@ -75,58 +76,31 @@ def _stable_hash(text: str) -> int:
 class ClusterRouter:
     """Consistent-hash request router with virtual nodes.
 
-    Each shard contributes ``vnodes`` points on a 64-bit ring; a key is
-    owned by the first shard point clockwise of its hash. Because a
-    shard's points depend only on its own name, adding or removing a
-    shard leaves every other point fixed — only the keys that fall into
-    the changed arcs move (expected K/N of them).
+    Each shard contributes :data:`VNODES` points on a 64-bit ring; a key
+    is owned by the first shard point clockwise of its hash. The ring is
+    fixed at construction. Because a shard's points depend only on its
+    own name, the ring built from one more shard differs only in that
+    shard's arcs, so only the keys falling into them (expected K/N) have
+    another owner.
     """
 
-    def __init__(self, shards: Sequence[str], vnodes: int = 64) -> None:
-        if vnodes <= 0:
-            raise ValueError("vnodes must be positive")
-        names = list(dict.fromkeys(shards))
-        if not names:
+    def __init__(self, shards: Sequence[str]) -> None:
+        self.shards: Tuple[str, ...] = tuple(dict.fromkeys(shards))
+        if not self.shards:
             raise ValueError("need at least one shard")
-        if len(names) != len(shards):
+        if len(self.shards) != len(shards):
             raise ValueError("shard names must be unique")
-        self.vnodes = vnodes
-        self._shards: List[str] = []
-        self._ring: List[Tuple[int, str]] = []  # (point, shard), sorted
-        for name in names:
-            self.add_shard(name)
-
-    # ------------------------------------------------------------ topology
-
-    @property
-    def shards(self) -> List[str]:
-        """Shard names in registration order (deterministic)."""
-        return list(self._shards)
-
-    def _points(self, shard: str) -> List[int]:
-        return [_stable_hash(f"{shard}#vnode{i}") for i in range(self.vnodes)]
-
-    def add_shard(self, shard: str) -> None:
-        if shard in self._shards:
-            raise ValueError(f"shard {shard!r} already registered")
-        self._shards.append(shard)
-        for point in self._points(shard):
-            bisect.insort(self._ring, (point, shard))
-
-    def remove_shard(self, shard: str) -> None:
-        if shard not in self._shards:
-            raise ValueError(f"shard {shard!r} not registered")
-        if len(self._shards) == 1:
-            raise ValueError("cannot remove the last shard")
-        self._shards.remove(shard)
-        self._ring = [(point, name) for point, name in self._ring if name != shard]
-
-    # ------------------------------------------------------------- routing
+        # (point, shard), sorted
+        self._ring: List[Tuple[int, str]] = sorted(
+            (_stable_hash(f"{shard}#vnode{i}"), shard)
+            for shard in self.shards
+            for i in range(VNODES)
+        )
 
     def route(self, key: str) -> str:
         """The shard owning ``key`` (first ring point clockwise)."""
         point = _stable_hash(key)
-        index = bisect.bisect_right(self._ring, (point, "￿"))
+        index = bisect.bisect_right(self._ring, (point, "\uffff"))
         if index == len(self._ring):
             index = 0
         return self._ring[index][1]
@@ -135,12 +109,8 @@ class ClusterRouter:
         """Route a tenant-scoped request key (``tenant|key``)."""
         return self.route(f"{tenant}|{key}")
 
-    def clone(self) -> "ClusterRouter":
-        """An independent router with the identical ring (same routes)."""
-        return ClusterRouter(self._shards, vnodes=self.vnodes)
-
     def describe(self) -> str:
-        return f"ring({len(self._shards)} shards x {self.vnodes} vnodes)"
+        return f"ring({len(self.shards)} shards x {VNODES} vnodes)"
 
 
 # ===========================================================================
@@ -192,7 +162,6 @@ class ShardedSemanticCache:
         reuse_threshold: float = 0.95,
         augment_threshold: float = 0.75,
         policy: EvictionPolicy = EvictionPolicy.WEIGHTED,
-        embedding_dim: int = 64,
         lrfu_lambda: float = 0.1,
         sharing: Optional[CacheSharingGate] = None,
     ) -> None:
@@ -206,7 +175,7 @@ class ShardedSemanticCache:
             raise ValueError("tenant_capacity must be positive")
         self.total_capacity = tenant_capacity
         self.partition_capacity = -(-tenant_capacity // len(router.shards))
-        self.embedder = EmbeddingModel(dim=embedding_dim)
+        self.embedder = EmbeddingModel()
         # shard -> tenant -> partition cache (partitions created on first put)
         self._partitions: Dict[str, Dict[str, SemanticCache]] = {
             shard: {} for shard in router.shards
@@ -306,16 +275,15 @@ class ShardedSemanticCache:
             stats = self.tenant_stats.setdefault(tenant, CacheStats())
             stats.lookups += 1
             # Exact requery: the single-cache rule returns the key's own
-            # entry before any similarity scan. A key normally lives on one
-            # shard only; after a reshard it may sit on its old owner, so
-            # scan all of the tenant's partitions (dict hits, O(shards)).
-            for shard in self.router.shards:
-                cache = self._partitions[shard].get(tenant)
-                if cache is not None and key in cache:
-                    entry = cache.touch_hit(key, "reuse")
-                    stats.reuse_hits += 1
-                    stats.cost_saved += entry.cost_of_miss
-                    return ClusterLookup("reuse", entry, 1.0, shard, tenant)
+            # entry before any similarity scan, and a key can live only on
+            # the shard that owns it.
+            shard = self.router.route_request(tenant, key)
+            cache = self._partitions[shard].get(tenant)
+            if cache is not None and key in cache:
+                entry = cache.touch_hit(key, "reuse")
+                stats.reuse_hits += 1
+                stats.cost_saved += entry.cost_of_miss
+                return ClusterLookup("reuse", entry, 1.0, shard, tenant)
             best = self._scatter_best(tenant, key)
             if best is not None:
                 similarity, shard, cache, entry = best
@@ -373,12 +341,10 @@ class ShardedSemanticCache:
         """Insert (or refresh) an entry in the owning shard's partition;
         ``completion`` rides on the entry as in :meth:`SemanticCache.put`."""
         with self._lock:
-            for shard in self.router.shards:
-                cache = self._partitions[shard].get(tenant)
-                if cache is not None and key in cache:
-                    return cache.put(key, response, kind=kind, cost=cost, completion=completion)
             shard = self.router.route_request(tenant, key)
             cache = self._partition(shard, tenant, create=True)
+            if key in cache:
+                return cache.put(key, response, kind=kind, cost=cost, completion=completion)
             seq_map = self._seq.setdefault(tenant, {})
             seq_map[key] = self._next_seq.get(tenant, 0)
             self._next_seq[tenant] = seq_map[key] + 1
@@ -437,7 +403,9 @@ class ServingCluster:
     ``provider_factory(shard_name)`` builds each replica's terminal
     provider; every factory call must construct an identically-seeded
     provider for the cluster to stay byte-equivalent to its single-shard
-    reference. The semantic cache is cluster-level and sharded
+    reference. Shards are named ``shard-0`` .. ``shard-{n-1}``, and a
+    request's prompt is both its routing key and its cache key. The
+    semantic cache is cluster-level and sharded
     (:class:`ShardedSemanticCache`) — replicas themselves are built
     *without* a cache layer so hit accounting lives in exactly one place.
 
@@ -454,24 +422,17 @@ class ServingCluster:
         provider_factory: Optional[Callable[[str], CompletionProvider]] = None,
         *,
         n_shards: int = 2,
-        shard_names: Optional[Sequence[str]] = None,
-        vnodes: int = 64,
-        cache: object = True,
-        key_fn: Optional[Callable[[str], str]] = None,
         tenant_capacity: int = 4096,
         reuse_threshold: float = 0.95,
         augment_threshold: float = 0.75,
         eviction_policy: EvictionPolicy = EvictionPolicy.WEIGHTED,
         sharing: Optional[CacheSharingGate] = None,
         policies: Optional[Dict[str, TenantPolicy]] = None,
-        stats: Optional[ServiceStats] = None,
     ) -> None:
-        if shard_names is None:
-            if n_shards <= 0:
-                raise ValueError("n_shards must be positive")
-            shard_names = [f"shard-{i}" for i in range(n_shards)]
-        self.router = ClusterRouter(shard_names, vnodes=vnodes)
-        self.stats = stats if stats is not None else ServiceStats()
+        if n_shards <= 0:
+            raise ValueError("n_shards must be positive")
+        self.router = ClusterRouter([f"shard-{i}" for i in range(n_shards)])
+        self.stats = ServiceStats()
         self.provider_factory = (
             provider_factory if provider_factory is not None else (lambda shard: make_client())
         )
@@ -479,20 +440,14 @@ class ServingCluster:
             shard: build_stack(self.provider_factory(shard), stats=self.stats)
             for shard in self.router.shards
         }
-        if isinstance(cache, ShardedSemanticCache):
-            self.cache: Optional[ShardedSemanticCache] = cache
-        elif cache:
-            self.cache = ShardedSemanticCache(
-                self.router,
-                tenant_capacity=tenant_capacity,
-                reuse_threshold=reuse_threshold,
-                augment_threshold=augment_threshold,
-                policy=eviction_policy,
-                sharing=sharing,
-            )
-        else:
-            self.cache = None
-        self.key_fn = key_fn
+        self.cache = ShardedSemanticCache(
+            self.router,
+            tenant_capacity=tenant_capacity,
+            reuse_threshold=reuse_threshold,
+            augment_threshold=augment_threshold,
+            policy=eviction_policy,
+            sharing=sharing,
+        )
         self.default_policy = TenantPolicy()
         self._policies: Dict[str, TenantPolicy] = {}
         self.requests_by_shard: Dict[str, int] = {shard: 0 for shard in self.router.shards}
@@ -542,22 +497,20 @@ class ServingCluster:
         tstats = self.stats.tenant(tenant)
         self._admit(tenant, tstats)
         budget = self.policy_for(tenant).budget_usd
-        key = self.key_fn(prompt) if self.key_fn is not None else prompt
         effective_prompt = prompt
-        if self.cache is not None:
-            found = counted_probe(self.cache.lookup, (tenant, key), (self.stats, tstats))
-            if found.tier == "reuse" and found.entry is not None:
-                marker: Dict[str, object] = {
-                    "tier": "reuse",
-                    "similarity": round(found.similarity, 6),
-                }
-                if found.shared:
-                    marker["shared_from"] = found.owner_tenant
-                return cached_completion(
-                    found.entry.response, {"serving.cache": marker}, original=found.entry.completion
-                )
-            if found.tier == "augment" and found.entry is not None:
-                effective_prompt = augmented_prompt(found.entry, prompt)
+        found = counted_probe(self.cache.lookup, (tenant, prompt), (self.stats, tstats))
+        if found.tier == "reuse" and found.entry is not None:
+            marker: Dict[str, object] = {
+                "tier": "reuse",
+                "similarity": round(found.similarity, 6),
+            }
+            if found.shared:
+                marker["shared_from"] = found.owner_tenant
+            return cached_completion(
+                found.entry.response, {"serving.cache": marker}, original=found.entry.completion
+            )
+        if found.tier == "augment" and found.entry is not None:
+            effective_prompt = augmented_prompt(found.entry, prompt)
         if budget is not None:
             with tstats.lock:
                 spent = tstats.budget_spent_usd
@@ -567,7 +520,7 @@ class ServingCluster:
                         f"tenant {tenant!r} budget ${budget:.4f} "
                         f"exhausted (spent ${spent:.4f})"
                     )
-        shard = self.router.route_request(tenant, key)
+        shard = self.router.route_request(tenant, prompt)
         completion = self.stacks[shard].complete(effective_prompt, model=model)
         with self._lock:
             self.requests_by_shard[shard] += 1
@@ -576,15 +529,12 @@ class ServingCluster:
             tstats.record_llm_call(
                 completion.model, completion.usage, completion.cost, completion.latency_ms
             )
-        if self.cache is not None:
-            put_start = time.perf_counter()
-            self.cache.put(
-                tenant, key, completion.text, cost=completion.cost, completion=completion
-            )
-            put_ms = (time.perf_counter() - put_start) * 1000.0
-            for section in (self.stats, tstats):
-                with section.lock:
-                    section.cache_put_ms += put_ms
+        put_start = time.perf_counter()
+        self.cache.put(tenant, prompt, completion.text, cost=completion.cost, completion=completion)
+        put_ms = (time.perf_counter() - put_start) * 1000.0
+        for section in (self.stats, tstats):
+            with section.lock:
+                section.cache_put_ms += put_ms
         return completion
 
     def complete(
@@ -606,8 +556,7 @@ class ServingCluster:
         request for a key to the same shard, and each shard's executor has
         one thread serving its queue in submission order."""
         tenant = tenant or DEFAULT_TENANT
-        key = self.key_fn(prompt) if self.key_fn is not None else prompt
-        shard = self.router.route_request(tenant, key)
+        shard = self.router.route_request(tenant, prompt)
         # Submitted under the lock that close() takes before shutting the
         # executors down, so a submit never races the shutdown.
         with self._lock:
@@ -641,8 +590,7 @@ class ServingCluster:
         shard = self.router.shards[0]
         return (
             f"{self.router.describe()} -> {len(self.stacks)} x "
-            f"[{self.stacks[shard].describe()}]"
-            + (f" | {self.cache.describe()}" if self.cache is not None else "")
+            f"[{self.stacks[shard].describe()}] | {self.cache.describe()}"
         )
 
     def report(self) -> str:
@@ -672,7 +620,7 @@ class ServingCluster:
             "requests_by_shard": by_shard,
             "router": self.router.describe(),
         }
-        if self.cache is not None and self.cache.sharing is not None:
+        if self.cache.sharing is not None:
             gate = self.cache.sharing
             out["sharing"] = {
                 "ledger": gate.ledger(),

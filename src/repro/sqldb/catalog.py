@@ -76,8 +76,8 @@ class Table:
         self.schema = schema
         self.rows: List[Tuple[object, ...]] = []
         self._pk_values: set = set()
-        # (rows, sorted keys, their positions, NaN-key positions): built lazily, dropped by writes.
-        self._index: Optional[Tuple[list, tuple, tuple, tuple]] = None
+        # (rows, sorted keys, their positions): built lazily, dropped by writes.
+        self._index: Optional[Tuple[list, tuple, tuple]] = None
         if rows:
             for row in rows:
                 self.insert(row)
@@ -106,10 +106,16 @@ class Table:
         self._index = None
 
     def _check_not_null(self, row: Tuple[object, ...]) -> None:
+        """NULL violates NOT NULL and the primary key; so does a NaN key,
+        which equals nothing, itself included (sqlite stores it as NULL)."""
         for value, column in zip(row, self.schema.columns):
             if value is None and (column.not_null or column.primary_key):
                 raise SQLIntegrityError(
                     f"NULL violates NOT NULL on {self.schema.name}.{column.name}"
+                )
+            if column.primary_key and value != value:
+                raise SQLIntegrityError(
+                    f"NaN violates PRIMARY KEY on {self.schema.name}.{column.name}"
                 )
 
     def replace_rows(self, rows: Iterable[Tuple[object, ...]]) -> None:
@@ -132,21 +138,19 @@ class Table:
 
     def key_range(self, low: Optional[Bound] = None, high: Optional[Bound] = None) -> List[Tuple[object, ...]]:
         """The rows between the primary-key cuts ``low`` and ``high``
-        (None: open), in heap order. A NaN key orders against nothing, so
-        every range reads its row and leaves it to the caller's predicate."""
+        (None: open), in heap order."""
         if low is None and high is None:
             return self.rows
         index = self._index
         if index is None:
             rows, pk = self.rows, self.schema.primary_key_index
             keys = [sort_key(row[pk]) for row in rows]
-            order = sorted((i for i, k in enumerate(keys) if k[1] == k[1]), key=keys.__getitem__)
-            loose = tuple(i for i, k in enumerate(keys) if k[1] != k[1])
-            index = self._index = (rows, tuple(keys[i] for i in order), tuple(order), loose)
-        rows, keys, order, loose = index
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            index = self._index = (rows, tuple(keys[i] for i in order), tuple(order))
+        rows, keys, order = index
         start = 0 if low is None else (bisect_right if low[1] else bisect_left)(keys, low[0])
         stop = len(keys) if high is None else (bisect_right if high[1] else bisect_left)(keys, high[0])
-        return [rows[i] for i in sorted(order[start:stop] + loose)]
+        return [rows[i] for i in sorted(order[start:stop])]
 
     def snapshot(self) -> "Table":
         """Cheap copy for transaction rollback (rows are immutable tuples)."""

@@ -148,12 +148,13 @@ class SemanticRuntime:
         or anything in between.
     cache:
         A :class:`~repro.core.cache.SemanticCache`; defaults to an
-        exact-match cache (both thresholds 1.0). ``batch=True`` forces a
-        cache: it carries answers from one statement to the next.
-    batch:
-        ``True`` (optimized): dedupe + cache + one ``complete_batch`` per
-        prefetch. ``False`` (naive reference): one ``complete`` per prompt,
-        in row order, nothing shared.
+        exact-match cache (both thresholds 1.0). It carries answers from
+        one statement to the next.
+
+    ``batch`` reads ``True`` (optimized: dedupe + cache + one
+    ``complete_batch`` per prefetch) except on the :meth:`naive`
+    reference, which makes one ``complete`` per prompt, in row order,
+    nothing shared.
     """
 
     def __init__(
@@ -162,12 +163,11 @@ class SemanticRuntime:
         *,
         cache: Optional["SemanticCache"] = None,
         model: str = DEFAULT_SEMANTIC_MODEL,
-        batch: bool = True,
     ) -> None:
         self._provider = provider
         self._cache = cache
         self.model = model
-        self.batch = batch
+        self.batch = True
         self.stats = SemanticStats()
 
     @classmethod
@@ -178,7 +178,9 @@ class SemanticRuntime:
         model: str = DEFAULT_SEMANTIC_MODEL,
     ) -> "SemanticRuntime":
         """The per-row reference evaluator: no batching, no cache."""
-        return cls(provider, model=model, batch=False)
+        runtime = cls(provider, model=model)
+        runtime.batch = False
+        return runtime
 
     # ---------------------------------------------------------- construction
 

@@ -18,7 +18,7 @@ from repro.core.cache import AdmissionPredictor, EvictionPolicy, SemanticCache
 from repro.core.prompts.selector import mmr_select, similarity_select
 from repro.llm.embeddings import EmbeddingModel
 from repro.serving.cluster import ClusterRouter, ShardedSemanticCache
-from repro.vectordb import FlatIndex, HNSWIndex, IVFIndex
+from repro.vectordb import FlatIndex
 
 _words = st.sampled_from(
     ["stadium", "concert", "privacy", "cache", "query", "film", "director",
@@ -149,23 +149,6 @@ class TestIndexBackends:
         for i in range(n):
             cache.put(f"query number {i} about topic {i}", f"answer {i}")
 
-    @pytest.mark.parametrize("kind,cls", [("ivf", IVFIndex), ("hnsw", HNSWIndex)])
-    def test_approximate_backends_serve_lookups(self, kind, cls):
-        cache = SemanticCache(capacity=32, index=cls(dim=64))
-        assert isinstance(cache.index, cls)
-        self._fill(cache)
-        lookup = cache.lookup("query number 3 about topic 3")
-        assert lookup.tier == "reuse"
-        assert lookup.entry.response == "answer 3"
-
-    def test_prebuilt_index_object_accepted(self):
-        index = FlatIndex(dim=64)
-        cache = SemanticCache(index=index)
-        assert cache.index is index
-        self._fill(cache, n=5)
-        cache.flush()  # puts are write-behind; materialize before inspecting
-        assert len(index) == 5
-
     def test_cache_and_partitions_are_flat_at_any_capacity(self):
         # Text embeddings do not cluster, so no capacity switches the cache
         # or a cluster partition onto another index.
@@ -246,8 +229,8 @@ def _exact_cache(capacity=4, policy=EvictionPolicy.LRU, augment_threshold=1.0):
         policy=policy,
         reuse_threshold=1.0,
         augment_threshold=augment_threshold,
-        index=_CountingIndex(),
     )
+    cache.index = _CountingIndex()
     cache.embedder = _CountingEmbedder()
     return cache
 

@@ -26,7 +26,6 @@ from repro.durability import (
 )
 from repro.llm.client import Usage, UsageMeter
 from repro.serving.stats import ServiceStats
-from repro.vectordb import FlatIndex, IVFIndex, Metric
 
 _words = st.sampled_from(
     ["stadium", "concert", "privacy", "cache", "query", "film", "director",
@@ -179,33 +178,6 @@ class TestCacheRoundtrip:
                 cache.put(probe, "fresh")  # evicts: the index must not be asked
                 restored.put(probe, "fresh")
         assert snapshot_cache(restored) == snapshot_cache(cache)
-
-    def test_restore_keeps_the_index_configuration(self):
-        # An L2 index scores this probe below the augment threshold; a
-        # cosine index (the default a bare class call rebuilds) does not.
-        def build():
-            return SemanticCache(capacity=8, index=FlatIndex(dim=64, metric=Metric.L2))
-
-        cache = build()
-        for key in ("stadium concert privacy", "film director query"):
-            cache.put(key, f"answer for {key}")
-        probe = "stadium concert privacy cache"
-        before = cache.lookup(probe)
-        restored = build()
-        restore_cache_into(restored, json_roundtrip(snapshot_cache(cache)))
-        assert restored.index.metric is Metric.L2
-        after = restored.lookup(probe)
-        assert (after.tier, after.similarity) == (before.tier, before.similarity) == ("miss", 0.0)
-
-        ivf = SemanticCache(capacity=8, index=IVFIndex(dim=64, nlist=4, nprobe=2))
-        ivf.put("who directed the film", "the director")
-        restored = SemanticCache(capacity=8, index=IVFIndex(dim=64, nlist=4, nprobe=2))
-        restore_cache_into(restored, json_roundtrip(snapshot_cache(ivf)))
-        assert type(restored.index) is IVFIndex
-        assert (restored.index.nlist, restored.index.nprobe) == (4, 2)
-        assert len(restored.index) == 1
-        assert restored.index is not restored._empty_index
-        assert len(restored._empty_index) == 0
 
     def test_mismatched_config_is_rejected(self):
         cache = SemanticCache(capacity=4)

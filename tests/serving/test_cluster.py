@@ -1,5 +1,6 @@
 """Tests for the sharded multi-tenant serving cluster."""
 
+import contextlib
 import itertools
 import math
 import threading
@@ -112,6 +113,28 @@ def test_sharded_cache_partitions_land_on_owner_shards():
         for key in cache.entries:
             assert router.route_request("acme", key) == shard
     assert len(sharded.partitions_of("acme")) > 1  # actually sharded
+
+
+def test_the_ring_cannot_grow_a_shard_without_partitions():
+    # Regression: the router was mutable after construction, and a put
+    # routed to a shard added later raised KeyError: the sharded cache
+    # builds its partition maps once, from the shards it was given.
+    cluster = ServingCluster(lambda shard: make_client(), n_shards=2)
+    direct = ShardedSemanticCache(ClusterRouter(["s0", "s1"]), tenant_capacity=64)
+    try:
+        for sharded in (cluster.cache, direct):
+            router = sharded.router
+            shards = router.shards
+            for grow in (lambda: router.add_shard("s2"), lambda: router.shards.append("s2")):
+                with contextlib.suppress(AttributeError):
+                    grow()
+            for i in range(50):
+                sharded.put("acme", f"query #{i}", f"answer #{i}")
+            assert len(sharded) == 50
+            assert router.shards == shards and isinstance(shards, tuple)
+            assert {shard for _point, shard in router._ring} == set(sharded._partitions)
+    finally:
+        cluster.close()
 
 
 # ---------------------------------------------------------------------------

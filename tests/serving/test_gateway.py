@@ -550,7 +550,7 @@ class TestDispatchWindow:
         # one per shard would hold the idle shard's request behind two
         # forwarded to the busy one.
         providers = {"shard-0": GatedProvider(), "shard-1": RecordingProvider()}
-        cluster = ServingCluster(lambda shard: providers[shard], n_shards=2, cache=False)
+        cluster = ServingCluster(lambda shard: providers[shard], n_shards=2)
         by_shard = {"shard-0": [], "shard-1": []}
         for prompt in questions(40, "shard"):
             by_shard[cluster.router.route_request("default", prompt)].append(prompt)
