@@ -62,7 +62,7 @@ def main() -> None:
                 crashed_at = index
                 print(f"request {index}: {error}")
                 break
-        journaled = len(crashing.durability.store.journal)
+        journaled = len(crashing.durability.journal)
         print(f"{len(answers)} answers acknowledged before the crash "
               f"({journaled} journaled since the last checkpoint)")
 

@@ -201,7 +201,7 @@ def run_recovery(
                 checkpoint_every=checkpoint_every,
             )
             completions, crashed_at = _drive(crashing, prompts)
-            journal_len = len(crashing.durability.store.journal)
+            journal_len = len(crashing.durability.journal)
             start = time.perf_counter()
             recovered = _build(
                 LLMClient(), durable_dir=directory, checkpoint_every=checkpoint_every
@@ -233,11 +233,11 @@ def run_recovery(
             writer = _build(LLMClient(), durable_dir=directory)
             for prompt in prompts[: min(length, len(prompts))]:
                 writer.complete(prompt)
-            journal_len = len(writer.durability.store.journal)
+            journal_len = len(writer.durability.journal)
             start = time.perf_counter()
             reader = _build(LLMClient(), durable_dir=directory)
             recovery_ms = (time.perf_counter() - start) * 1000.0
-            replayed = len(reader.durability.store.journal)
+            replayed = len(reader.durability.journal)
             report.journal_scaling.append(
                 {
                     "journal_len": journal_len,

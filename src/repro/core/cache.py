@@ -48,13 +48,13 @@ import heapq
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._util import cosine
-from repro.llm.client import Completion
+from repro.llm.client import Completion, Usage
 from repro.llm.embeddings import EmbeddingModel
 from repro.vectordb import FlatIndex
 from repro.vectordb.distance import Metric, scalar_similarity
@@ -114,6 +114,69 @@ class CacheEntry:
         decay = 0.5 ** (age / half_life)
         base = REUSE_WEIGHT * self.reuse_hits + AUGMENT_WEIGHT * self.augment_hits
         return (base + 0.5) * decay
+
+    # Every field a snapshot stores. The embedding is not one: it is a pure
+    # function of the key, re-derived on load.
+    _STATE_FIELDS = (
+        "key",
+        "response",
+        "kind",
+        "cost_of_miss",
+        "reuse_hits",
+        "augment_hits",
+        "last_access",
+        "inserted_at",
+        "crf",
+        "crf_updated_at",
+    )
+
+    def state_dict(self) -> Dict[str, object]:
+        """The entry as plain JSON data; ``completion`` only when set."""
+        data: Dict[str, object] = {name: getattr(self, name) for name in self._STATE_FIELDS}
+        if self.completion is not None:
+            data["completion"] = _completion_to_dict(self.completion)
+        return data
+
+    @classmethod
+    def from_state(cls, data: Dict[str, object]) -> "CacheEntry":
+        """An un-embedded entry from :meth:`state_dict` data."""
+        completion = data.get("completion")
+        return cls(
+            embedding=None,
+            completion=None if completion is None else _completion_from_dict(completion),
+            **{name: data[name] for name in cls._STATE_FIELDS},
+        )
+
+
+def _completion_to_dict(completion: Completion) -> Dict[str, object]:
+    """Serialize a completion (the one a cache entry replays on a reuse hit)."""
+    return {
+        "text": completion.text,
+        "model": completion.model,
+        "prompt_tokens": completion.usage.prompt_tokens,
+        "completion_tokens": completion.usage.completion_tokens,
+        "cost": completion.cost,
+        "latency_ms": completion.latency_ms,
+        "confidence": completion.confidence,
+        "engine": completion.engine,
+        "metadata": completion.metadata,
+    }
+
+
+def _completion_from_dict(data: Dict[str, object]) -> Completion:
+    return Completion(
+        text=data["text"],
+        model=data["model"],
+        usage=Usage(
+            prompt_tokens=int(data["prompt_tokens"]),
+            completion_tokens=int(data["completion_tokens"]),
+        ),
+        cost=float(data["cost"]),
+        latency_ms=float(data["latency_ms"]),
+        confidence=float(data["confidence"]),
+        engine=data["engine"],
+        metadata=dict(data["metadata"]),
+    )
 
 
 @dataclass
@@ -250,6 +313,37 @@ class AdmissionPredictor:
             admit = self._seen_similar_vec(vec)
             self._observe_vec(vec)
             return admit
+
+    def state_dict(self) -> Dict[str, object]:
+        """The configuration, the cursors and the filled ring rows."""
+        with self._lock:
+            return {
+                "history": self.history,
+                "similarity_threshold": self.similarity_threshold,
+                "admit_subqueries": self.admit_subqueries,
+                "embedding_dim": self.embedder.dim,
+                "count": self._count,
+                "next": self._next,
+                "rows": self._ring[: self._count].tolist(),
+            }
+
+    def load_state(self, data: Dict[str, object]) -> None:
+        """Replace the history with :meth:`state_dict` data taken at the
+        same ``history`` and ``embedding_dim`` (anything else raises)."""
+        if data["history"] != self.history or data["embedding_dim"] != self.embedder.dim:
+            raise ValueError(
+                "admission snapshot was taken with a different history/dim "
+                f"({data['history']}/{data['embedding_dim']} vs "
+                f"{self.history}/{self.embedder.dim})"
+            )
+        with self._lock:
+            self._ring[:] = 0.0
+            self._ring_norms[:] = 0.0
+            for i, row in enumerate(data["rows"]):  # type: ignore[arg-type]
+                self._ring[i] = row
+                self._ring_norms[i] = float(np.linalg.norm(self._ring[i]))
+            self._count = data["count"]
+            self._next = data["next"]
 
 
 @dataclass
@@ -925,23 +1019,63 @@ class SemanticCache:
             self.index.remove(key)
         self.stats.evictions += 1
 
-    def _load_entries(
-        self, entries: Iterable[CacheEntry], stats: CacheStats, clock: int
-    ) -> None:
-        """Replace the cache's whole state with ``entries`` (snapshot restore).
+    # ------------------------------------------------------------- state
 
-        Entry embeddings are re-derived from the keys (the embedder is a
-        pure function of the text, so the vectors are bit-identical to the
-        ones that were live when the entries were saved); an exact-match
-        cache keeps no vectors and gets none. The vector index is rebuilt
-        in entry order into a fresh :class:`FlatIndex`, and the eviction
-        order from the loaded entries by the next eviction."""
+    def _config(self) -> Dict[str, object]:
+        return {
+            "capacity": self.capacity,
+            "reuse_threshold": self.reuse_threshold,
+            "augment_threshold": self.augment_threshold,
+            "policy": self.policy.value,
+            "lrfu_lambda": self.lrfu_lambda,
+            "embedding_dim": self.embedder.dim,
+        }
+
+    def state_dict(self) -> Dict[str, object]:
+        """The cache's full logical state as plain JSON data: its
+        configuration, clock, stats, entries (with hit counters, LRFU
+        values, insertion order and completions) and the admission
+        predictor's history. Embeddings are left out.
+
+        Flushes the write-behind put buffer first, so the state never
+        holds (or strands) half-materialized entries: every entry it
+        records is embedded and indexed exactly as a probe would see it."""
+        with self._lock:
+            self._flush_puts()
+            data: Dict[str, object] = {
+                **self._config(),
+                "clock": self._clock,
+                "admission_rejects": self.admission_rejects,
+                "stats": asdict(self.stats),
+                "entries": [entry.state_dict() for entry in self.entries.values()],
+            }
+            if self.admission is not None:
+                data["admission"] = self.admission.state_dict()
+        return data
+
+    def load_state(self, data: Dict[str, object]) -> None:
+        """Replace the cache's whole state with :meth:`state_dict` data.
+
+        The configuration must match — recovery into a differently-tuned
+        cache would silently change behavior, so it raises instead. Entry
+        embeddings are re-derived from the keys (the embedder is a pure
+        function of the text, so the vectors are bit-identical to the ones
+        that were live when the state was taken); an exact-match cache
+        keeps no vectors and gets none. The vector index is rebuilt in
+        entry order into a fresh :class:`FlatIndex`, and the eviction order
+        from the loaded entries by the next eviction."""
+        for key, live in self._config().items():
+            if data[key] != live:
+                raise ValueError(
+                    f"cache snapshot {key}={data[key]!r} does not match the "
+                    f"live cache's {key}={live!r}"
+                )
+        entries = [CacheEntry.from_state(stored) for stored in data["entries"]]  # type: ignore[union-attr]
         with self._lock:
             self.entries.clear()
             # Un-flushed write-behind puts die with the entries they shadow.
             self._pending_puts = {}
             self.index = FlatIndex(dim=self.index.dim)
-            entries = list(entries)
             if not self._exact_match:
                 matrix = self.embedder.embed_batch([entry.key for entry in entries])
                 for entry, vector in zip(entries, matrix):
@@ -956,5 +1090,8 @@ class SemanticCache:
             # scan.
             self._insert_log_base += len(self._insert_log) + 1
             self._insert_log = []
-            self.stats = stats
-            self._clock = clock
+            self.stats = CacheStats(**data["stats"])  # type: ignore[arg-type]
+            self._clock = data["clock"]
+            self.admission_rejects = data["admission_rejects"]
+            if self.admission is not None and "admission" in data:
+                self.admission.load_state(data["admission"])  # type: ignore[arg-type]

@@ -13,9 +13,11 @@ The design leans on the library's determinism contract instead of logging
 physical state deltas:
 
 * A **snapshot** (``snapshot.json``, written atomically) captures the full
-  logical state of the stack's stateful components at a checkpoint.
-  Embeddings are *not* stored — they are pure functions of the cached text
-  and are re-derived on restore.
+  logical state of the stack's stateful components at a checkpoint. Each
+  component serializes itself (``state_dict()`` / ``load_state()``), and
+  the snapshot walks the components ``build_stack`` registered on the
+  stack. Embeddings are *not* stored — they are pure functions of the
+  cached text and are re-derived on restore.
 * The **journal** (``journal.log``) appends one record per completed
   request — just the request itself (prompt, model), not its effects.
   Because every component downstream of a request is deterministic,
@@ -39,35 +41,18 @@ from repro.durability.journal import Journal
 from repro.durability.snapshot import (
     SNAPSHOT_SCHEMA,
     comparable_state,
-    completion_from_dict,
-    completion_to_dict,
-    restore_cache_into,
-    restore_meter_into,
     restore_stack_state,
-    restore_stats_into,
-    snapshot_cache,
-    snapshot_meter,
     snapshot_stack_state,
-    snapshot_stats,
 )
-from repro.durability.store import DurableStateStore, StackDurability
+from repro.durability.store import StackDurability
 
 __all__ = [
-    "DurableStateStore",
     "Journal",
     "SNAPSHOT_SCHEMA",
     "StackDurability",
     "atomic_write_json",
     "atomic_write_text",
     "comparable_state",
-    "completion_from_dict",
-    "completion_to_dict",
-    "restore_cache_into",
-    "restore_meter_into",
     "restore_stack_state",
-    "restore_stats_into",
-    "snapshot_cache",
-    "snapshot_meter",
     "snapshot_stack_state",
-    "snapshot_stats",
 ]

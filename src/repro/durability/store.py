@@ -1,15 +1,14 @@
-"""The durable state store: snapshot + journal under one directory.
+"""Snapshot + journal under one directory, bound to a serving stack.
 
-:class:`DurableStateStore` owns the two files —
+:class:`StackDurability` owns two files —
 
 * ``snapshot.json`` — the last checkpoint, written atomically
   (:func:`~repro.durability.atomic.atomic_write_json`), so a crash during
   a checkpoint leaves the previous checkpoint intact;
 * ``journal.log`` — the append-only request journal since that
-  checkpoint.
+  checkpoint —
 
-:class:`StackDurability` binds a store to a live
-:class:`~repro.serving.stack.ServingStack`:
+and binds them to a live :class:`~repro.serving.stack.ServingStack`:
 
 * every completed request is journaled (the request, not its effects);
 * :meth:`~StackDurability.checkpoint` snapshots the stack's full logical
@@ -26,6 +25,7 @@ ledgers, cache contents and stats as a run that never crashed.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Dict, List, Optional
 
@@ -37,46 +37,9 @@ SNAPSHOT_NAME = "snapshot.json"
 JOURNAL_NAME = "journal.log"
 
 
-class DurableStateStore:
-    """Filesystem layout + atomic writes for one durable state directory."""
-
-    def __init__(self, directory: str, *, sync: bool = False) -> None:
-        self.directory = directory
-        self.sync = sync
-        os.makedirs(directory, exist_ok=True)
-        self.snapshot_path = os.path.join(directory, SNAPSHOT_NAME)
-        self.journal = Journal(os.path.join(directory, JOURNAL_NAME), sync=sync)
-
-    def has_snapshot(self) -> bool:
-        return os.path.exists(self.snapshot_path)
-
-    def write_snapshot(self, payload: Dict[str, object]) -> None:
-        """Atomically replace the snapshot, then truncate the journal.
-
-        Order matters for crash safety: the rename publishes a snapshot
-        that already *includes* every journaled request's effects, so
-        truncating afterwards can never lose state — a crash between the
-        two steps merely replays requests the snapshot already absorbed,
-        which is idempotent because replay rebuilds state from the
-        snapshot, not on top of the live run.
-        """
-        atomic_write_json(self.snapshot_path, payload, sync=self.sync)
-        self.journal.clear()
-
-    def read_snapshot(self) -> Optional[Dict[str, object]]:
-        if not self.has_snapshot():
-            return None
-        import json
-
-        with open(self.snapshot_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-
-    def close(self) -> None:
-        self.journal.close()
-
-
 class StackDurability:
-    """Wires a :class:`DurableStateStore` into a live serving stack.
+    """Journals a live serving stack's requests and checkpoints its state
+    into one durable directory.
 
     Constructed by ``build_stack(durable_dir=...)``; drive it through the
     stack's own surface (``stack.checkpoint()``, ``stack.recover()``).
@@ -96,10 +59,13 @@ class StackDurability:
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive (or None)")
         self.stack = stack
-        self.store = DurableStateStore(directory, sync=sync)
+        self.sync = sync
+        os.makedirs(directory, exist_ok=True)
+        self.snapshot_path = os.path.join(directory, SNAPSHOT_NAME)
+        self.journal = Journal(os.path.join(directory, JOURNAL_NAME), sync=sync)
         self.checkpoint_every = checkpoint_every
         self.replaying = False
-        self._since_checkpoint = len(self.store.journal)
+        self._since_checkpoint = len(self.journal)
 
     # ------------------------------------------------------------ journaling
 
@@ -130,8 +96,8 @@ class StackDurability:
         # a record lands either before a snapshot (and is absorbed by it)
         # or after (and stays in the new journal). It is never taken while
         # holding the cache lock; the snapshot takes that lock inside it.
-        with self.store.journal.lock:
-            self.store.journal.append(record)
+        with self.journal.lock:
+            self.journal.append(record)
             self._since_checkpoint += 1
             if (
                 self.checkpoint_every is not None
@@ -144,11 +110,17 @@ class StackDurability:
     def checkpoint(self) -> str:
         """Snapshot the stack's state; the journal is absorbed and cleared.
         Returns the snapshot path."""
-        with self.store.journal.lock:
-            payload = snapshot_stack_state(self.stack)
-            self.store.write_snapshot(payload)
+        with self.journal.lock:
+            # Order matters for crash safety: the rename publishes a
+            # snapshot that already *includes* every journaled request's
+            # effects, so truncating afterwards can never lose state — a
+            # crash between the two steps merely replays requests the
+            # snapshot already absorbed, which is idempotent because replay
+            # rebuilds state from the snapshot, not on top of the live run.
+            atomic_write_json(self.snapshot_path, snapshot_stack_state(self.stack), sync=self.sync)
+            self.journal.clear()
             self._since_checkpoint = 0
-        return self.store.snapshot_path
+        return self.snapshot_path
 
     def recover(self) -> int:
         """Restore the last checkpoint, then replay the journal.
@@ -160,10 +132,10 @@ class StackDurability:
         Completions produced during replay are discarded, and replayed
         requests are not re-journaled.
         """
-        payload = self.store.read_snapshot()
-        if payload is not None:
-            restore_stack_state(self.stack, payload)
-        records = self.store.journal.records()
+        if os.path.exists(self.snapshot_path):
+            with open(self.snapshot_path, "r", encoding="utf-8") as handle:
+                restore_stack_state(self.stack, json.load(handle))
+        records = self.journal.records()
         self.replaying = True
         try:
             for record in records:
@@ -181,4 +153,4 @@ class StackDurability:
         return len(records)
 
     def close(self) -> None:
-        self.store.close()
+        self.journal.close()

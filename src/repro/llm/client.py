@@ -138,6 +138,25 @@ class UsageMeter:
             entry["prompt_tokens"] -= prompt_tokens
             entry["cost"] -= cost
 
+    # The totals a snapshot stores beside ``per_model``.
+    _STATE_FIELDS = ("calls", "prompt_tokens", "completion_tokens", "cost")
+
+    def state_dict(self) -> Dict[str, object]:
+        """Totals and the per-model ledger as plain JSON data."""
+        with self._lock:
+            data: Dict[str, object] = {name: getattr(self, name) for name in self._STATE_FIELDS}
+            data["per_model"] = {model: dict(entry) for model, entry in self.per_model.items()}
+        return data
+
+    def load_state(self, data: Dict[str, object]) -> None:
+        """Replace the totals and the ledger with :meth:`state_dict` data."""
+        with self._lock:
+            for name in self._STATE_FIELDS:
+                setattr(self, name, data[name])
+            self.per_model.clear()
+            for model, entry in data["per_model"].items():  # type: ignore[union-attr]
+                self.per_model[model] = dict(entry)
+
     def reset(self) -> None:
         """Zero all counters (per-model and totals); the lock survives."""
         with self._lock:

@@ -15,13 +15,14 @@ client itself.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.cache import SemanticCache
 from repro.core.cascade import DEFAULT_CHAIN
-from repro.llm.client import Completion
+from repro.durability import StackDurability
+from repro.llm.client import Completion, UsageMeter
 from repro.llm.provider import CompletionProvider
 from repro.serving.middleware import (
     BudgetMiddleware,
@@ -42,6 +43,10 @@ class ServingStack:
     (cache, meter, stats with the budget's spend) atomically, and
     :meth:`recover` — called automatically at build time — restores the
     last checkpoint and replays the journal to the exact pre-crash state.
+
+    ``components`` names the stack's stateful components in snapshot order
+    (``stats``, then ``cache`` and ``meter`` when the stack has them); a
+    snapshot is each one's ``state_dict()`` under its name.
     """
 
     def __init__(
@@ -49,10 +54,12 @@ class ServingStack:
         provider: CompletionProvider,
         stats: ServiceStats,
         layers: Sequence[str],
+        components: Dict[str, object],
     ) -> None:
         self.provider = provider
         self.stats = stats
         self.layers = list(layers)
+        self.components = components
         self.durability = None  # set by build_stack(durable_dir=...)
 
     def complete(self, prompt: str, model: Optional[str] = None) -> Completion:
@@ -111,6 +118,18 @@ class ServingStack:
 
     def report(self) -> str:
         return self.stats.render()
+
+
+def _client_meter(client: object) -> Optional[UsageMeter]:
+    """The usage meter of ``client``, or of the client a wrapper around it
+    (a fault injector, a crash point) delegates to; None if it has none."""
+    node: Optional[object] = client
+    while node is not None:
+        meter = getattr(node, "meter", None)
+        if isinstance(meter, UsageMeter):
+            return meter
+        node = getattr(node, "inner", None)
+    return None
 
 
 def build_stack(
@@ -194,12 +213,14 @@ def build_stack(
             stats=stats,
         )
         layers.append("cache")
-    stack = ServingStack(provider, stats, list(reversed(layers)))
+    components: Dict[str, object] = {"stats": stats}
+    if cache_obj is not None:
+        components["cache"] = cache_obj
+    meter = _client_meter(client)
+    if meter is not None:
+        components["meter"] = meter
+    stack = ServingStack(provider, stats, list(reversed(layers)), components)
     if durable_dir is not None:
-        # Imported here: repro.durability depends on serving submodules, so
-        # a module-level import would be cyclic at package-init time.
-        from repro.durability import StackDurability
-
         stack.durability = StackDurability(
             stack, durable_dir, checkpoint_every=checkpoint_every, sync=durable_sync
         )

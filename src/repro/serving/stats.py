@@ -85,6 +85,24 @@ class LatencyHistogram:
     def mean_ms(self) -> float:
         return self.sum_ms / self.total if self.total else 0.0
 
+    def state_dict(self) -> Dict[str, object]:
+        return {
+            "edges": list(self.edges),
+            "counts": list(self.counts),
+            "total": self.total,
+            "sum_ms": self.sum_ms,
+            "max_ms": self.max_ms,
+        }
+
+    def load_state(self, data: Dict[str, object]) -> None:
+        """Replace buckets and totals with :meth:`state_dict` data (under
+        the owning :class:`ServiceStats` lock, like :meth:`record`)."""
+        self.edges = list(data["edges"])  # type: ignore[call-overload]
+        self.counts = list(data["counts"])  # type: ignore[call-overload]
+        self.total = data["total"]
+        self.sum_ms = data["sum_ms"]
+        self.max_ms = data["max_ms"]
+
     def snapshot(self) -> Dict[str, float]:
         return {
             "count": self.total,
@@ -413,6 +431,62 @@ class ServiceStats:
         if tenant_section:
             out["tenants"] = tenant_section
         return out
+
+    # ------------------------------------------------------------ state
+
+    _HISTOGRAMS = ("latency_hist", "gateway_queue_wait_hist")
+    # Fields a state dict leaves out (the lock, the namespaces, which go
+    # under "tenants") or stores by their own state_dict (the histograms).
+    _STATE_SKIP = ("_lock", "_tenants") + _HISTOGRAMS
+    # Dict-valued counters whose keys are ints (JSON forces string keys).
+    _INT_KEYED = ("scheduler_batch_sizes", "scheduler_queue_depths")
+
+    def state_dict(self) -> Dict[str, object]:
+        """Every counter as plain JSON data, the histograms' buckets too,
+        with each per-tenant namespace nested under ``"tenants"``."""
+        with self._lock:
+            data: Dict[str, object] = {}
+            for name in self.__dataclass_fields__:
+                if name in self._STATE_SKIP:
+                    continue
+                value = getattr(self, name)
+                if isinstance(value, dict):
+                    value = {
+                        str(key): (dict(inner) if isinstance(inner, dict) else inner)
+                        for key, inner in value.items()
+                    }
+                data[name] = value
+            for name in self._HISTOGRAMS:
+                data[name] = getattr(self, name).state_dict()
+            tenants = dict(sorted(self._tenants.items()))
+        data["tenants"] = {name: child.state_dict() for name, child in tenants.items()}
+        return data
+
+    def load_state(self, data: Dict[str, object]) -> None:
+        """Replace every counter with :meth:`state_dict` data. The lock
+        survives, and each tenant's data is loaded into
+        ``self.tenant(name)``, so a namespace object a layer already holds
+        stays the one it writes to. Fields the data lacks (it predates
+        them) keep their values."""
+        with self._lock:
+            for name in self.__dataclass_fields__:
+                if name in self._STATE_SKIP or name not in data:
+                    continue
+                value = data[name]
+                if isinstance(value, dict):
+                    if name in self._INT_KEYED:
+                        value = {int(key): inner for key, inner in value.items()}
+                    else:
+                        value = {
+                            key: (dict(inner) if isinstance(inner, dict) else inner)
+                            for key, inner in value.items()
+                        }
+                setattr(self, name, value)
+            for name in self._HISTOGRAMS:
+                if name in data:
+                    getattr(self, name).load_state(data[name])
+        for name, child in data.get("tenants", {}).items():  # type: ignore[attr-defined]
+            self.tenant(name).load_state(child)
 
     def render(self) -> str:
         """Human-readable per-layer report (rendered by the bench layer)."""

@@ -79,30 +79,40 @@ class Table:
         # (rows, sorted keys, their positions): built lazily, dropped by writes.
         self._index: Optional[Tuple[list, tuple, tuple]] = None
         if rows:
-            for row in rows:
-                self.insert(row)
+            self.insert_many(rows)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def insert(self, values: Sequence[object]) -> None:
         """Insert one row, coercing values and enforcing constraints."""
-        if len(values) != len(self.schema.columns):
-            raise SQLIntegrityError(
-                f"table {self.schema.name!r} expects {len(self.schema.columns)} values, "
-                f"got {len(values)}"
-            )
-        row = tuple(coerce(v, c.sql_type) for v, c in zip(values, self.schema.columns))
-        self._check_not_null(row)
+        self.insert_many((values,))
+
+    def insert_many(self, rows: Iterable[Sequence[object]]) -> None:
+        """Insert rows all or none: every row is coerced and checked (NOT
+        NULL, a NaN key, a key already in the table or earlier in
+        ``rows``) before the first is stored."""
+        checked: List[Tuple[object, ...]] = []
+        keys: set = set()
         pk = self.schema.primary_key_index
-        if pk is not None:
-            key = row[pk]
-            if key in self._pk_values:
+        for values in rows:
+            if len(values) != len(self.schema.columns):
                 raise SQLIntegrityError(
-                    f"duplicate primary key {key!r} in table {self.schema.name!r}"
+                    f"table {self.schema.name!r} expects {len(self.schema.columns)} values, "
+                    f"got {len(values)}"
                 )
-            self._pk_values.add(key)
-        self.rows.append(row)
+            row = tuple(coerce(v, c.sql_type) for v, c in zip(values, self.schema.columns))
+            self._check_not_null(row)
+            if pk is not None:
+                key = row[pk]
+                if key in self._pk_values or key in keys:
+                    raise SQLIntegrityError(
+                        f"duplicate primary key {key!r} in table {self.schema.name!r}"
+                    )
+                keys.add(key)
+            checked.append(row)
+        self._pk_values |= keys
+        self.rows.extend(checked)
         self._index = None
 
     def _check_not_null(self, row: Tuple[object, ...]) -> None:

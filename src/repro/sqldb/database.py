@@ -160,10 +160,9 @@ class Database:
         return table
 
     def insert_rows(self, table_name: str, rows: Sequence[Sequence[object]]) -> int:
-        """Programmatic bulk insert; returns the number of rows inserted."""
-        table = self.catalog.get(table_name)
-        for row in rows:
-            table.insert(row)
+        """Programmatic bulk insert, all rows or none; returns the number of
+        rows inserted."""
+        self.catalog.get(table_name).insert_many(rows)
         return len(rows)
 
     def schema_text(self, include_stats: bool = False) -> str:

@@ -260,20 +260,16 @@ class Executor:
                 full[idx] = value
             return full
 
-        count = 0
         if stmt.select is not None:
-            result = self.execute_select(stmt.select)
-            for row in result.rows:
-                table.insert(widen(row))
-                count += 1
+            rows = [widen(row) for row in self.execute_select(stmt.select).rows]
         else:
             assert stmt.rows is not None
             empty = Environment()
-            for value_row in stmt.rows:
-                values = [self.eval_expr(e, empty) for e in value_row]
-                table.insert(widen(values))
-                count += 1
-        return ResultSet(columns=[], rows=[], rowcount=count)
+            rows = [widen([self.eval_expr(e, empty) for e in value_row]) for value_row in stmt.rows]
+        # All rows or none, as in sqlite: a later row's violation leaves no
+        # earlier row of the statement stored.
+        table.insert_many(rows)
+        return ResultSet(columns=[], rows=[], rowcount=len(rows))
 
     def _table_env(self, table: Table, row: Tuple[object, ...]) -> Environment:
         binding = Binding(

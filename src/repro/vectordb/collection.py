@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.durability.atomic import atomic_write_json
 from repro.errors import CollectionError
 from repro.vectordb.distance import Metric
 from repro.vectordb.filters import MetadataFilter
@@ -254,11 +255,6 @@ class Collection:
         never leave a torn half-JSON file — readers see the previous
         complete save or the new one, nothing in between.
         """
-        # Function-level import: the durability package imports the cache
-        # layer, which imports this package — importing it at module level
-        # would be cyclic at package-init time.
-        from repro.durability.atomic import atomic_write_json
-
         atomic_write_json(path, self.to_dict())
 
     @classmethod

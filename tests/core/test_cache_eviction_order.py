@@ -18,7 +18,6 @@ import pytest
 
 from repro.bench.perf import LinearScanCache, run_put_full
 from repro.core.cache import CacheEntry, CacheStats, EvictionPolicy, SemanticCache
-from repro.durability.snapshot import restore_cache_into, snapshot_cache
 from repro.serving.cluster import ClusterRouter, ShardedSemanticCache
 
 CONFIGS = [
@@ -221,7 +220,7 @@ def test_restore_into_full_cache_evicts_seed_victims(policy, lam):
         # Something to replace: restore must drop it from the eviction order.
         for i in range(16):
             cache.put(f"old-{i}", "stale")
-        restore_cache_into(cache, _tied_payload(cache, rng, clock, newest))
+        cache.load_state(_tied_payload(cache, rng, clock, newest))
         assert len(cache) == cache.capacity
         oracle = _Oracle(cache)
         for i in range(cache.capacity):
@@ -238,7 +237,7 @@ def test_restore_into_full_cache_evicts_seed_victims(policy, lam):
             reuse_threshold=1.0,
             augment_threshold=1.0,
         )
-        restore_cache_into(again, snapshot_cache(cache))
+        again.load_state(cache.state_dict())
         for i in range(8):
             key = f"later-{i}"
             cache.put(key, "x")

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.bench.perf import LinearScanCache
 from repro.core.cache import EvictionPolicy, SemanticCache
-from repro.durability.snapshot import restore_cache_into, snapshot_cache
 
 _words = st.sampled_from(
     ["stadium", "concert", "privacy", "cache", "query", "film", "director",
@@ -178,15 +177,15 @@ def test_snapshot_never_observes_unflushed_buffer(queries):
     for query in queries:
         cache.put(query, f"answer for {query}")
     # Everything is still parked: no probe has run.
-    snapshot = snapshot_cache(cache)
+    snapshot = cache.state_dict()
 
     flushed = SemanticCache(capacity=32, reuse_threshold=0.9, augment_threshold=0.7)
     for query in queries:
         flushed.put(query, f"answer for {query}")
     flushed.flush()
-    assert snapshot_cache(flushed) == snapshot
+    assert flushed.state_dict() == snapshot
 
-    # snapshot_cache's flush materialized the buffer as a probe would.
+    # state_dict's flush materialized the buffer as a probe would.
     assert not cache._pending_puts
     assert all(entry.embedding is not None for entry in cache.entries.values())
     cache.index.flush()
@@ -194,6 +193,6 @@ def test_snapshot_never_observes_unflushed_buffer(queries):
 
     # And the snapshot restores bit-identically into a fresh cache.
     restored = SemanticCache(capacity=32, reuse_threshold=0.9, augment_threshold=0.7)
-    restore_cache_into(restored, snapshot)
-    assert snapshot_cache(restored) == snapshot
+    restored.load_state(snapshot)
+    assert restored.state_dict() == snapshot
     assert list(restored.entries) == list(cache.entries)

@@ -33,7 +33,7 @@ def test_concurrent_requests_all_succeed_with_unique_journal_seqs(tmp_path, chec
     finally:
         stack.durability.close()
     assert failed == []
-    seqs = [record["seq"] for record in stack.durability.store.journal.records()]
+    seqs = [record["seq"] for record in stack.durability.journal.records()]
     assert seqs == list(range(len(seqs)))
     if checkpoint_every is None:
         assert len(seqs) == len(PROMPTS)

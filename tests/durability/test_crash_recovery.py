@@ -149,7 +149,7 @@ class TestCrashRecoverySweep:
             except SimulatedCrashError:
                 break
         # Only acknowledged (returned) requests are journaled.
-        assert len(crashing.durability.store.journal) == done
+        assert len(crashing.durability.journal) == done
 
     def test_recover_replays_journal_count(self, tmp_path):
         directory = str(tmp_path / "replay")

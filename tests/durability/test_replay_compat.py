@@ -5,7 +5,8 @@ older one that kept them in a separate ``replay`` section.
 ``build_stack(make_client(), cache=SemanticCache(capacity=8))`` stack served
 six prompts (one repeated), was snapshotted, and a fresh stack restored
 from the payload then served every cached key again. The file holds the
-payload and those served completions (``completion_to_dict``).
+payload and those served completions (in the format of a cache entry's
+``completion``).
 """
 
 import copy
@@ -14,15 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.cache import SemanticCache
-from repro.durability import (
-    SNAPSHOT_SCHEMA,
-    completion_to_dict,
-    restore_cache_into,
-    restore_stack_state,
-    snapshot_cache,
-    snapshot_stack_state,
-)
+from repro.core.cache import SemanticCache, _completion_to_dict
+from repro.durability import SNAPSHOT_SCHEMA, restore_stack_state, snapshot_stack_state
 from repro.llm.provider import make_client
 from repro.serving import build_stack
 
@@ -39,7 +33,7 @@ def _stack():
 
 
 def _serve_all(stack, keys):
-    return {key: completion_to_dict(stack.complete(key)) for key in keys}
+    return {key: _completion_to_dict(stack.complete(key)) for key in keys}
 
 
 def test_fixture_is_an_older_v1_payload(older):
@@ -91,8 +85,8 @@ def test_payload_carries_completions_on_entries(older):
 def test_cache_codec_round_trips_the_completion():
     source = _stack()
     first = source.complete("Question: Who directed the film Inception?")
-    snapshot = json.loads(json.dumps(snapshot_cache(source.provider.cache)))
+    snapshot = json.loads(json.dumps(source.provider.cache.state_dict()))
     cache = SemanticCache(capacity=8)
-    restore_cache_into(cache, snapshot)
+    cache.load_state(snapshot)
     (entry,) = cache.entries.values()
     assert entry.completion == first

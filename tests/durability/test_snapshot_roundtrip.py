@@ -1,9 +1,9 @@
 """Property tests: recover(checkpoint(x)) is bit-identical to x.
 
-Each component codec is driven with hypothesis-generated workloads, the
-snapshot is forced through a real JSON round-trip (exactly what the
-durable files see), restored into a freshly constructed component, and
-the restored component must be indistinguishable — snapshot-for-snapshot
+Each component's ``state_dict()`` / ``load_state()`` pair is driven
+with hypothesis-generated workloads, the state is forced through a real
+JSON round-trip (exactly what the durable files see), loaded into a
+freshly constructed component, and the restored component must be indistinguishable — snapshot-for-snapshot
 *and* behavior-for-behavior — from the original.
 """
 
@@ -16,14 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import EvictionPolicy, SemanticCache
-from repro.durability import (
-    restore_cache_into,
-    restore_meter_into,
-    restore_stats_into,
-    snapshot_cache,
-    snapshot_meter,
-    snapshot_stats,
-)
 from repro.llm.client import Usage, UsageMeter
 from repro.serving.stats import ServiceStats
 
@@ -62,12 +54,12 @@ class TestCacheRoundtrip:
         for query in queries:
             if cache.lookup(query).tier != "reuse":
                 cache.put(query, f"answer for {query}")
-        snapshot = snapshot_cache(cache)
+        snapshot = cache.state_dict()
 
         restored = fresh_like(cache)
-        restore_cache_into(restored, json_roundtrip(snapshot))
+        restored.load_state(json_roundtrip(snapshot))
 
-        assert snapshot_cache(restored) == snapshot
+        assert restored.state_dict() == snapshot
         assert list(restored.entries) == list(cache.entries)  # insertion order too
         assert restored._clock == cache._clock
         assert restored.stats == cache.stats
@@ -94,7 +86,7 @@ class TestCacheRoundtrip:
             if cache.lookup(query).tier != "reuse":
                 cache.put(query, f"answer for {query}")
         restored = fresh_like(cache)
-        restore_cache_into(restored, json_roundtrip(snapshot_cache(cache)))
+        restored.load_state(json_roundtrip(cache.state_dict()))
 
         for probe in probes:
             mine, theirs = cache.lookup(probe), restored.lookup(probe)
@@ -105,7 +97,7 @@ class TestCacheRoundtrip:
             if mine.tier != "reuse":
                 cache.put(probe, "fresh")
                 restored.put(probe, "fresh")
-        assert snapshot_cache(restored) == snapshot_cache(cache)
+        assert restored.state_dict() == cache.state_dict()
 
     @pytest.mark.parametrize("policy", list(EvictionPolicy), ids=lambda p: p.value)
     @settings(max_examples=10, deadline=None)
@@ -124,7 +116,7 @@ class TestCacheRoundtrip:
         restored = fresh_like(cache)
         for i in range(6):
             restored.put(f"placeholder {i}", "stale")
-        restore_cache_into(restored, json_roundtrip(snapshot_cache(cache)))
+        restored.load_state(json_roundtrip(cache.state_dict()))
 
         for probe in probes:
             mine, theirs = cache.lookup(probe), restored.lookup(probe)
@@ -133,13 +125,13 @@ class TestCacheRoundtrip:
                 cache.put(probe, "fresh")
                 restored.put(probe, "fresh")
             assert list(restored.entries) == list(cache.entries)
-        assert snapshot_cache(restored) == snapshot_cache(cache)
+        assert restored.state_dict() == cache.state_dict()
 
     def test_empty_cache_roundtrip(self):
         cache = SemanticCache(capacity=3)
         restored = fresh_like(cache)
-        restore_cache_into(restored, json_roundtrip(snapshot_cache(cache)))
-        assert snapshot_cache(restored) == snapshot_cache(cache)
+        restored.load_state(json_roundtrip(cache.state_dict()))
+        assert restored.state_dict() == cache.state_dict()
         assert len(restored) == 0
 
     def test_single_entry_roundtrip(self):
@@ -147,8 +139,8 @@ class TestCacheRoundtrip:
         cache.lookup("who directed the film")
         cache.put("who directed the film", "the director")
         restored = fresh_like(cache)
-        restore_cache_into(restored, json_roundtrip(snapshot_cache(cache)))
-        assert snapshot_cache(restored) == snapshot_cache(cache)
+        restored.load_state(json_roundtrip(cache.state_dict()))
+        assert restored.state_dict() == cache.state_dict()
         assert restored.lookup("who directed the film").tier == "reuse"
 
     @settings(max_examples=15, deadline=None)
@@ -164,11 +156,11 @@ class TestCacheRoundtrip:
         for query in queries:
             if cache.lookup(query).tier != "reuse":
                 cache.put(query, f"answer for {query}")
-        snapshot = snapshot_cache(cache)
+        snapshot = cache.state_dict()
         restored = fresh_like(cache)
-        restore_cache_into(restored, json_roundtrip(snapshot))
+        restored.load_state(json_roundtrip(snapshot))
 
-        assert snapshot_cache(restored) == snapshot
+        assert restored.state_dict() == snapshot
         assert all(entry.embedding is None for entry in restored.entries.values())
         assert len(restored.index) == 0
         for probe in probes:
@@ -177,14 +169,14 @@ class TestCacheRoundtrip:
             if mine.tier != "reuse":
                 cache.put(probe, "fresh")  # evicts: the index must not be asked
                 restored.put(probe, "fresh")
-        assert snapshot_cache(restored) == snapshot_cache(cache)
+        assert restored.state_dict() == cache.state_dict()
 
     def test_mismatched_config_is_rejected(self):
         cache = SemanticCache(capacity=4)
-        snapshot = snapshot_cache(cache)
+        snapshot = cache.state_dict()
         other = SemanticCache(capacity=8)
         try:
-            restore_cache_into(other, snapshot)
+            other.load_state(snapshot)
         except ValueError:
             pass
         else:
@@ -212,17 +204,17 @@ class TestMeterRoundtrip:
                 Usage(prompt_tokens=prompt_tokens, completion_tokens=completion_tokens),
                 prompt_tokens * 1.5e-6 + completion_tokens * 2e-6,
             )
-        snapshot = snapshot_meter(meter)
+        snapshot = meter.state_dict()
         restored = UsageMeter()
-        restore_meter_into(restored, json_roundtrip(snapshot))
-        assert snapshot_meter(restored) == snapshot
+        restored.load_state(json_roundtrip(snapshot))
+        assert restored.state_dict() == snapshot
         assert restored.calls == meter.calls
         assert restored.cost == meter.cost  # bit-identical, not approx
         assert restored.per_model == meter.per_model
 
     def test_empty_meter_roundtrip(self):
         restored = UsageMeter()
-        restore_meter_into(restored, json_roundtrip(snapshot_meter(UsageMeter())))
+        restored.load_state(json_roundtrip(UsageMeter().state_dict()))
         assert restored.calls == 0
         assert restored.per_model == {}
 
@@ -246,10 +238,10 @@ class TestStatsRoundtrip:
 
     def test_roundtrip_is_bit_identical(self):
         stats = self._busy_stats()
-        snapshot = snapshot_stats(stats)
+        snapshot = stats.state_dict()
         restored = ServiceStats()
-        restore_stats_into(restored, json_roundtrip(snapshot))
-        assert snapshot_stats(restored) == snapshot
+        restored.load_state(json_roundtrip(snapshot))
+        assert restored.state_dict() == snapshot
 
     def test_int_keyed_histograms_survive_json(self):
         # JSON stringifies dict keys; the codec must bring them back as ints.
@@ -257,14 +249,14 @@ class TestStatsRoundtrip:
         stats.scheduler_batch_sizes[4] = 2
         stats.scheduler_queue_depths[0] = 7
         restored = ServiceStats()
-        restore_stats_into(restored, json_roundtrip(snapshot_stats(stats)))
+        restored.load_state(json_roundtrip(stats.state_dict()))
         assert restored.scheduler_batch_sizes == {4: 2}
         assert restored.scheduler_queue_depths == {0: 7}
 
     def test_empty_stats_roundtrip(self):
         restored = ServiceStats()
-        restore_stats_into(restored, json_roundtrip(snapshot_stats(ServiceStats())))
-        assert snapshot_stats(restored) == snapshot_stats(ServiceStats())
+        restored.load_state(json_roundtrip(ServiceStats().state_dict()))
+        assert restored.state_dict() == ServiceStats().state_dict()
 
 
 def test_tenant_namespaces_roundtrip_into_the_held_objects():
@@ -276,12 +268,12 @@ def test_tenant_namespaces_roundtrip_into_the_held_objects():
         child.admitted_requests = 3
         child.quota_rejections = 1
         child.record_llm_call("gpt-4", Usage(prompt_tokens=7, completion_tokens=2), spent, 4.0)
-    snapshot = snapshot_stats(stats)
+    snapshot = stats.state_dict()
     assert set(snapshot["tenants"]) == {"acme", "globex"}
     restored = ServiceStats()
     held = restored.tenant("acme")  # a layer already writing to the namespace
-    restore_stats_into(restored, json_roundtrip(snapshot))
-    assert snapshot_stats(restored) == snapshot
+    restored.load_state(json_roundtrip(snapshot))
+    assert restored.state_dict() == snapshot
     assert restored.tenant("acme") is held
     assert held.budget_spent_usd == 0.25
 

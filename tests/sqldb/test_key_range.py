@@ -56,6 +56,7 @@ def _where(bounds):
 
 mutation = st.one_of(
     st.tuples(st.just("INSERT INTO t VALUES ({0}, {1})"), KEYS, st.integers(-5, 5)),
+    st.tuples(st.just("INSERT INTO t VALUES ({0}, {1}), ({2}, {1})"), KEYS, st.integers(-5, 5), KEYS),
     st.tuples(st.just("UPDATE t SET id = {0} WHERE id = {1}"), KEYS, KEYS),
     st.tuples(st.just("DELETE FROM t WHERE id BETWEEN {0} AND {1}"), KEYS, KEYS),
     st.tuples(st.just("UPDATE t SET v = {1} WHERE id >= {0}"), KEYS, st.integers(-5, 5)),
@@ -123,6 +124,14 @@ def test_range_scan_equals_the_hidden_key_scan(rows, script, where):
 
 @settings(max_examples=100, deadline=None)
 @given(rows=tables, script=scripts, where=_where(numeric_bounds))
+@example(
+    rows=[(2, 0)],
+    script=[
+        ("INSERT INTO t VALUES (1, 1), (1, 2)", False),
+        ("INSERT INTO t VALUES (3, 1), (2, 2)", True),
+    ],
+    where=["{k} >= 0"],
+)
 def test_range_scan_matches_sqlite(rows, script, where):
     sql = _query(where, "id")
     lite = sqlite3.connect(":memory:", isolation_level=None)
@@ -137,6 +146,21 @@ def test_range_scan_matches_sqlite(rows, script, where):
         return None if statement in ("BEGIN", "ROLLBACK") else outcome
 
     _replay(rows, script, check, mirror)
+
+
+def test_a_later_nan_key_refuses_the_whole_insert_like_sqlite():
+    # sqlite stores a bound NaN as NULL, which NOT NULL refuses; the whole
+    # statement goes, its first row too.
+    lite = sqlite3.connect(":memory:", isolation_level=None)
+    lite.execute("CREATE TABLE r (k REAL PRIMARY KEY NOT NULL, v INTEGER)")
+    db = Database()
+    db.execute("CREATE TABLE r (k REAL PRIMARY KEY NOT NULL, v INTEGER)")
+    for engine in (lite, db):
+        engine.execute("INSERT INTO r VALUES (1.0, 1)")
+    with pytest.raises(sqlite3.IntegrityError):
+        lite.execute("INSERT INTO r VALUES (?, ?), (?, ?)", (2.0, 2, float("nan"), 3))
+    assert _run(db, "INSERT INTO r VALUES (2.0, 2), ('nan', 3)") == "refused"
+    assert db.query("SELECT k, v FROM r") == lite.execute("SELECT k, v FROM r").fetchall() == [(1.0, 1)]
 
 
 def test_ints_past_two_to_the_53_compare_as_floats():

@@ -128,23 +128,14 @@ SQLDB = [
 ]
 
 DURABILITY = [
-    "DurableStateStore",
     "Journal",
     "SNAPSHOT_SCHEMA",
     "StackDurability",
     "atomic_write_json",
     "atomic_write_text",
     "comparable_state",
-    "completion_from_dict",
-    "completion_to_dict",
-    "restore_cache_into",
-    "restore_meter_into",
     "restore_stack_state",
-    "restore_stats_into",
-    "snapshot_cache",
-    "snapshot_meter",
     "snapshot_stack_state",
-    "snapshot_stats",
 ]
 
 BENCH = [
